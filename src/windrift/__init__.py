@@ -17,14 +17,13 @@ from .ensemble import (RateEstimate, ReplicaResult, SimulationState,
                        TorusGeometry, analytic_rate, even_mean_population,
                        initial_state, mean_population, predicted_rate,
                        rate_from_green_kubo, rate_from_msd, run_replica,
-                       sample_population, step_ensemble, winding_of_vacuum)
+                       sample_population)
 from .fields import (EnergyIntegral, FieldPoint, e_divergence_residual,
                      field_point,
                      e_squared_angle_average, faraday_residual, field_energy,
                      field_table, helmholtz_residual, moving_vortex_e,
                      static_b)
-from .langevin import (OUPropagator, ThermalEnv, Walker,
-                       einstein_diffusion_check, step_walker,
+from .langevin import (OUPropagator, ThermalEnv, einstein_diffusion_check,
                        velocity_autocorrelation)
 from .materials import (DerivedScales, MaterialParams, RegimeReport,
                         classify_regime, derive_scales)
@@ -40,14 +39,13 @@ __all__ = [
     "RateEstimate", "ReplicaResult", "SimulationState", "TorusGeometry",
     "analytic_rate", "even_mean_population", "initial_state",
     "mean_population", "predicted_rate", "rate_from_green_kubo",
-    "rate_from_msd", "run_replica", "sample_population", "step_ensemble",
-    "winding_of_vacuum",
+    "rate_from_msd", "run_replica", "sample_population",
     "EnergyIntegral", "FieldPoint", "field_point",
     "e_divergence_residual", "e_squared_angle_average",
     "faraday_residual", "field_energy", "field_table", "helmholtz_residual",
     "moving_vortex_e", "static_b",
-    "OUPropagator", "ThermalEnv", "Walker", "einstein_diffusion_check",
-    "step_walker", "velocity_autocorrelation",
+    "OUPropagator", "ThermalEnv", "einstein_diffusion_check",
+    "velocity_autocorrelation",
     "DerivedScales", "MaterialParams", "RegimeReport", "classify_regime",
     "derive_scales",
     "substream",

@@ -27,7 +27,8 @@ from .bessel import bessel_k
 from .config import ConfigError, RunConfig, parse_config
 from .ensemble import (RateEstimate, TorusGeometry, analytic_rate,
                        even_mean_population, mean_population, predicted_rate,
-                       rate_from_green_kubo, rate_from_msd, run_replica)
+                       rate_from_green_kubo, rate_from_msd, run_replica,
+                       sample_population)
 from .fields import field_table, helmholtz_residual
 from .langevin import ThermalEnv
 from .materials import classify_regime, derive_scales
@@ -111,7 +112,6 @@ def _resolve_counts(config: RunConfig):
         elif pop.mode == "mean":
             pair = even_mean_population(config.env, config.geometry, pop.f0)
         else:  # boltzmann: Poisson draw first, then the stream feeds the run
-            from .ensemble import sample_population
             pair = sample_population(config.env, config.geometry, pop.f0,
                                      rng=rng)
         counts.append(pair)
@@ -136,12 +136,18 @@ def _run_ensemble(config: RunConfig, lanes: int):
     return results, counts
 
 
+def _population(counts) -> dict:
+    return {"per_replica_n_v": [c[0] for c in counts],
+            "per_replica_n_a": [c[1] for c in counts]}
+
+
 def _rates_summary(config: RunConfig, results, counts) -> dict:
     times = results[0].times
     window = (config.fit_t_min, config.fit_t_max)
     gamma = config.env.gamma
     mean_nv = float(np.mean([c[0] for c in counts]))
     mean_na = float(np.mean([c[1] for c in counts]))
+    min_seg = min(20, config.replicas)
 
     rates = {}
     per_replica = {}
@@ -149,42 +155,26 @@ def _rates_summary(config: RunConfig, results, counts) -> dict:
                                      ("y", "alpha_y", "inc_y")):
         alphas = np.stack([getattr(res, alpha_key) for res in results])
         incs = np.stack([getattr(res, inc_key) for res in results])
-        min_seg = min(20, config.replicas)
         msd = rate_from_msd(times, alphas, window, gamma=gamma,
                             min_segments=min_seg)
         gk = rate_from_green_kubo(incs, config.dt, config.gk_cutoff,
                                   min_segments=min_seg)
         analytic = analytic_rate(config.env, config.geometry,
                                  mean_nv, mean_na, axis=axis)
-        axis_rates = {"msd": _rate_dict(msd), "green_kubo": _rate_dict(gk),
-                      "analytic": _rate_dict(analytic)}
-        if config.f0 is not None:
-            axis_rates["predicted"] = _rate_dict(
-                predicted_rate(config.env, config.geometry, config.f0,
-                               axis=axis))
-        else:
-            axis_rates["predicted"] = None
-        rates[axis] = axis_rates
-        per_replica[axis] = {
-            "msd": [rate_from_msd(times, getattr(res, alpha_key), window,
-                                  gamma=gamma, min_segments=1).gamma_rate
-                    for res in results],
-            "green_kubo": [rate_from_green_kubo(getattr(res, inc_key),
-                                                config.dt, config.gk_cutoff,
-                                                min_segments=1).gamma_rate
-                           for res in results],
-        }
+        predicted = (None if config.f0 is None else _rate_dict(
+            predicted_rate(config.env, config.geometry, config.f0,
+                           axis=axis)))
+        rates[axis] = {"msd": _rate_dict(msd), "green_kubo": _rate_dict(gk),
+                       "analytic": _rate_dict(analytic),
+                       "predicted": predicted}
+        per_replica[axis] = {"msd": msd.per_row.tolist(),
+                             "green_kubo": gk.per_row.tolist()}
     return {
         "rates": rates,
         "per_replica_rates": per_replica,
-        "population": {
-            "per_replica_n_v": [c[0] for c in counts],
-            "per_replica_n_a": [c[1] for c in counts],
-            "mean_total": mean_nv + mean_na,
-            "empty_ensemble": mean_nv + mean_na == 0,
-        },
-        "final_alpha_x": [res.state.alpha_x for res in results],
-        "final_alpha_y": [res.state.alpha_y for res in results],
+        "population": dict(_population(counts),
+                           mean_total=mean_nv + mean_na,
+                           empty_ensemble=mean_nv + mean_na == 0),
     }
 
 
@@ -211,36 +201,20 @@ def _config_echo(config: RunConfig) -> dict:
     return echo
 
 
-def run_rates(config: RunConfig, out_dir: Path, lanes: int) -> dict:
+def run_ensemble(config: RunConfig, out_dir: Path, lanes: int) -> dict:
+    """Write trajectory.csv and summary.json; rates adds the rate estimates."""
     results, counts = _run_ensemble(config, lanes)
     summary = {
-        "schema": "windrift.rates.v1",
+        "schema": f"windrift.{config.subcommand}.v1",
         "master_seed": config.master_seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config_echo": _config_echo(config),
-    }
-    summary.update(_rates_summary(config, results, counts))
-    traj = results[0]
-    write_csv(out_dir / "trajectory.csv", ["t", "alpha_x", "alpha_y"],
-              [traj.times, traj.alpha_x, traj.alpha_y])
-    write_json(out_dir / "summary.json", summary)
-    return summary
-
-
-def run_simulate(config: RunConfig, out_dir: Path, lanes: int) -> dict:
-    results, counts = _run_ensemble(config, lanes)
-    summary = {
-        "schema": "windrift.simulate.v1",
-        "master_seed": config.master_seed,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "config_echo": _config_echo(config),
-        "population": {
-            "per_replica_n_v": [c[0] for c in counts],
-            "per_replica_n_a": [c[1] for c in counts],
-        },
+        "population": _population(counts),
         "final_alpha_x": [res.state.alpha_x for res in results],
         "final_alpha_y": [res.state.alpha_y for res in results],
     }
+    if config.subcommand == "rates":
+        summary.update(_rates_summary(config, results, counts))
     traj = results[0]
     write_csv(out_dir / "trajectory.csv", ["t", "alpha_x", "alpha_y"],
               [traj.times, traj.alpha_x, traj.alpha_y])
@@ -360,7 +334,7 @@ def run_selftest(config: RunConfig, out_dir: Path, lanes: int) -> dict:
             "checks": [{"name": n, "ok": o} for n, o in checks]}
 
 
-_RUNNERS = {"simulate": run_simulate, "rates": run_rates,
+_RUNNERS = {"simulate": run_ensemble, "rates": run_ensemble,
             "fields": run_fields, "design": run_design,
             "selftest": run_selftest}
 
@@ -388,6 +362,10 @@ def main(argv=None) -> int:
                         help="parallel replica lanes (does not affect "
                              "results)")
     args = parser.parse_args(argv)
+    if args.lanes < 1:
+        parser.error(f"--lanes must be >= 1, got {args.lanes}")
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
 
     try:
         text = Path(args.config).read_text() if args.config else "{}"

@@ -9,6 +9,7 @@ fully reproducible.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,6 +112,12 @@ def _number(block: dict, key: str, where: str, *, default=None,
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{where}{key}' must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:       # an integer literal beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"'{where}{key}' must be finite, got {value!r}")
     if integer and int(value) != value:
         raise ConfigError(f"'{where}{key}' must be an integer, got {value!r}")
     if positive and not value > 0:
@@ -248,6 +255,12 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
                          positive=True)
     if needs_sim and total_time < dt:
         raise ConfigError("'total_time' must be at least one step 'dt'")
+    sample_stride = _number(doc, "sample_stride", "", default=10,
+                            integer=True, positive=True)
+    if subcommand == "rates" and round(total_time / dt) < sample_stride:
+        raise ConfigError(f"'sample_stride' ({sample_stride}) exceeds the "
+                          f"{round(total_time / dt)} steps of 'total_time'; "
+                          f"rates need at least one sample after t=0")
 
     fit_t_min = fit_t_max = None
     if "fit" in doc:
@@ -288,8 +301,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         master_seed=_number(doc, "master_seed", "", default=0, integer=True,
                             nonnegative=True),
         output_dir=str(doc.get("output_dir", "windrift_out")),
-        sample_stride=_number(doc, "sample_stride", "", default=10,
-                              integer=True, positive=True),
+        sample_stride=sample_stride,
         fit_t_min=fit_t_min,
         fit_t_max=fit_t_max,
         gk_cutoff=gk_cutoff,

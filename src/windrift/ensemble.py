@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 from scipy.signal import lfilter
 
-from .langevin import OUPropagator, ThermalEnv, Walker
-from .rng import stream_descriptor, substream
+from .langevin import OUPropagator, ThermalEnv
+from .rng import substream
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,9 @@ class RateEstimate:
     stderr: float
     method: str               # MSD | GreenKubo | Analytic | Predicted
     storage_time: Optional[float] = None
+    # estimators only: the clipped rate of each row (replica or block)
+    per_row: Optional[np.ndarray] = field(default=None, compare=False,
+                                          repr=False)
 
     def __post_init__(self):
         if self.gamma_rate < 0.0 or self.stderr < 0.0:
@@ -65,28 +68,17 @@ class RateEstimate:
 
 @dataclass
 class SimulationState:
-    """Mutable ensemble state: walker arrays plus winding accumulators.
+    """Walker arrays plus winding accumulators.
 
     Positions are stored wrapped into [0, l_x) x [0, l_y); the alpha
-    accumulators only ever change through step_ensemble, which uses
-    pre-wrap displacements.
+    accumulators integrate pre-wrap displacements.
     """
 
     pos: np.ndarray           # (n, 2)
     vel: np.ndarray           # (n, 2)
     charges: np.ndarray       # (n,), +1 / -1
-    geometry: TorusGeometry
-    time: float
     alpha_x: float
     alpha_y: float
-    rng: np.random.Generator
-    seed_descriptor: dict = field(default_factory=dict)
-
-    @property
-    def walkers(self):
-        return tuple(Walker(pos=self.pos[i].copy(), vel=self.vel[i].copy(),
-                            charge=int(self.charges[i]))
-                     for i in range(len(self.charges)))
 
     @property
     def net_charge(self) -> int:
@@ -94,8 +86,7 @@ class SimulationState:
 
 
 def initial_state(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
-                  n_a: int, master_seed: int = 0, stream_id: int = 0,
-                  rng: Optional[np.random.Generator] = None,
+                  n_a: int, rng: np.random.Generator,
                   init_velocities: str = "stationary") -> SimulationState:
     """Fresh neutral ensemble with positions uniform on the torus.
 
@@ -107,11 +98,6 @@ def initial_state(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
         raise ValueError(f"net vorticity must vanish: n_v={n_v} != n_a={n_a}")
     if n_v < 0:
         raise ValueError("counts must be nonnegative")
-    if rng is None:
-        rng = substream(master_seed, stream_id)
-        descriptor = stream_descriptor(master_seed, stream_id)
-    else:
-        descriptor = {"scheme": "external"}
     n = n_v + n_a
     pos = rng.random((n, 2)) * [geometry.l_x, geometry.l_y]
     if init_velocities == "stationary":
@@ -124,41 +110,13 @@ def initial_state(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
     charges = np.ones(n)
     charges[n_v:] = -1.0
     return SimulationState(pos=pos, vel=vel, charges=charges,
-                           geometry=geometry, time=0.0,
-                           alpha_x=0.0, alpha_y=0.0, rng=rng,
-                           seed_descriptor=descriptor)
-
-
-def step_ensemble(state: SimulationState, dt: float,
-                  env: ThermalEnv) -> SimulationState:
-    """Advance every walker by dt and update the winding accumulators.
-
-    Noise layout per step: standard normals of shape (n, 2, 2) indexed
-    [walker, axis, role], role 0 driving the velocity and role 1 the
-    extra position noise.
-    """
-    prop = OUPropagator.build(env, dt)
-    geo = state.geometry
-    n = len(state.charges)
-    if n:
-        noise = state.rng.standard_normal((n, 2, 2))
-        n1 = noise[..., 0]
-        n2 = noise[..., 1]
-        dxy = prop.drift * state.vel + prop.c1 * n1 + prop.c2 * n2
-        state.vel = prop.decay * state.vel + prop.sigma_v * n1
-        state.pos = (state.pos + dxy) % [geo.l_x, geo.l_y]
-        state.alpha_x = state.alpha_x + (state.charges * dxy[:, 1]).sum() / geo.l_y
-        state.alpha_y = state.alpha_y + (state.charges * dxy[:, 0]).sum() / geo.l_x
-    state.time += dt
-    return state
+                           alpha_x=0.0, alpha_y=0.0)
 
 
 @dataclass
 class ReplicaResult:
     """Everything one replica run emits for the estimators and exporters."""
 
-    dt: float
-    sample_stride: int
     times: np.ndarray          # (S+1,), includes t=0
     alpha_x: np.ndarray        # (S+1,)
     alpha_y: np.ndarray        # (S+1,)
@@ -186,24 +144,27 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
                 chunk_steps: int = 8192) -> ReplicaResult:
     """Run one replica with chunked, vectorized propagation.
 
-    Velocities follow the same exact single-step recurrence as
-    step_ensemble; within a chunk the recurrence is evaluated by a
-    first-order linear filter, which reproduces the stepwise arithmetic
-    bit for bit. All noise is consumed in (step, walker, axis, role)
-    order, so the trajectory is a pure function of (master_seed,
-    stream_id) and the physical arguments.
+    Each step applies the exact OUPropagator recurrence to every walker;
+    within a chunk the velocity recurrence is evaluated by a first-order
+    linear filter, which reproduces the stepwise arithmetic bit for bit.
+    All noise is consumed in (step, walker, axis, role) order, so the
+    trajectory is a pure function of the generator (by default the
+    Philox stream of (master_seed, stream_id)) and the physical arguments.
 
     The winding accumulators are zeroed after burn-in; sampled series
-    start at (t=0, alpha=0) at the first recorded instant.
+    start at (t=0, alpha=0) at the first recorded instant. With
+    position_stride, unwrapped positions are recorded after every
+    position_stride-th recorded step.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    state = initial_state(env, geometry, n_v, n_a, master_seed, stream_id,
-                          rng=rng, init_velocities=init_velocities)
+    if rng is None:
+        rng = substream(master_seed, stream_id)
+    state = initial_state(env, geometry, n_v, n_a, rng,
+                          init_velocities=init_velocities)
     prop = OUPropagator.build(env, dt)
-    gen = state.rng
     geo = geometry
     n = n_v + n_a
     charges = state.charges
@@ -213,7 +174,6 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
     vel_series = (np.empty((n_steps, velocity_series_walkers))
                   if velocity_series_walkers else None)
     pos_records = []
-    pos_record_steps = []
     vy2_sums = []
     counts = []
 
@@ -228,7 +188,7 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
             if n == 0:
                 done += m
                 continue
-            noise = gen.standard_normal((m, n, 2, 2))
+            noise = rng.standard_normal((m, n, 2, 2))
             n1 = noise[..., 0]
             n2 = noise[..., 1]
             zi = (prop.decay * vel)[None, :, :]
@@ -247,16 +207,13 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
                         vseq[:, :velocity_series_walkers, 1]
                 vy2_sums.append(float((vseq[:, :, 1] ** 2).sum()))
                 counts.append(m * n)
-                if position_stride:
-                    walked = pos_unwrapped + np.cumsum(dxy, axis=0)
-                    # record where the global 1-based step index hits the stride
-                    start = (position_stride - 1 - done) % position_stride
-                    for i in range(start, m, position_stride):
-                        pos_records.append(walked[i])
-                        pos_record_steps.append(done + i + 1)
-                    pos_unwrapped = walked[-1]
-                else:
-                    pos_unwrapped = pos_unwrapped + dxy.sum(axis=0)
+            if recording and position_stride:
+                walked = pos_unwrapped + np.cumsum(dxy, axis=0)
+                # rows where the global 1-based step index hits the stride;
+                # copies, so no chunk array outlives its chunk
+                start = (position_stride - 1 - done) % position_stride
+                pos_records.append(walked[start::position_stride].copy())
+                pos_unwrapped = walked[-1].copy()
             else:
                 pos_unwrapped = pos_unwrapped + dxy.sum(axis=0)
             done += m
@@ -266,28 +223,28 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
 
     state.vel = vel
     state.pos = pos_unwrapped % [geo.l_x, geo.l_y]
-    state.time = (burn_in_steps + n_steps) * dt
 
     alpha_x_full = np.cumsum(inc_x)
     alpha_y_full = np.cumsum(inc_y)
-    state.alpha_x = float(alpha_x_full[-1]) if n_steps else 0.0
-    state.alpha_y = float(alpha_y_full[-1]) if n_steps else 0.0
+    state.alpha_x = float(alpha_x_full[-1])
+    state.alpha_y = float(alpha_y_full[-1])
 
     sample_idx = np.arange(sample_stride - 1, n_steps, sample_stride)
     times = np.concatenate([[0.0], (sample_idx + 1) * dt])
     alpha_x = np.concatenate([[0.0], alpha_x_full[sample_idx]])
     alpha_y = np.concatenate([[0.0], alpha_y_full[sample_idx]])
 
-    positions = np.array(pos_records) if pos_records else None
-    position_times = (np.array(pos_record_steps, dtype=float) * dt
-                      if pos_records else None)
+    record_steps = (np.arange(position_stride, n_steps + 1, position_stride)
+                    if position_stride and n else np.empty(0))
+    recorded = record_steps.size > 0
     return ReplicaResult(
-        dt=dt, sample_stride=sample_stride, times=times,
-        alpha_x=alpha_x, alpha_y=alpha_y, inc_x=inc_x, inc_y=inc_y,
+        times=times, alpha_x=alpha_x, alpha_y=alpha_y,
+        inc_x=inc_x, inc_y=inc_y,
         n_v=n_v, n_a=n_a, state=state, vel_series=vel_series,
         chunk_vy2_sums=np.array(vy2_sums) if vy2_sums else None,
         chunk_counts=np.array(counts, dtype=float) if counts else None,
-        positions=positions, position_times=position_times,
+        positions=np.concatenate(pos_records) if recorded else None,
+        position_times=record_steps * dt if recorded else None,
     )
 
 
@@ -381,6 +338,14 @@ def _as_segments(series, min_segments):
     return arr
 
 
+def _estimate(rates: np.ndarray, method: str) -> RateEstimate:
+    """Mean of the per-row rates with the standard error of that mean."""
+    stderr = (float(np.std(rates, ddof=1) / np.sqrt(len(rates)))
+              if len(rates) > 1 else 0.0)
+    return RateEstimate(gamma_rate=float(np.mean(rates)), stderr=stderr,
+                        method=method, per_row=rates)
+
+
 def rate_from_msd(times, alphas, fit_window=None, *, gamma=None,
                   min_segments: int = 20, max_fit_points: int = 40
                   ) -> RateEstimate:
@@ -403,7 +368,8 @@ def rate_from_msd(times, alphas, fit_window=None, *, gamma=None,
     Returns
     -------
     RateEstimate
-        method="MSD"; stderr is the standard error over replica slopes.
+        method="MSD"; stderr is the standard error over replica slopes,
+        and per_row holds each row's rate.
     """
     times = np.asarray(times, dtype=float)
     dt_s = times[1] - times[0]
@@ -435,10 +401,7 @@ def rate_from_msd(times, alphas, fit_window=None, *, gamma=None,
                         for L in lags])
         slope = np.polyfit(lags * dt_s, msd, 1)[0]
         rates[i] = max(slope / 2.0, 0.0)
-    stderr = (float(np.std(rates, ddof=1) / np.sqrt(len(rates)))
-              if len(rates) > 1 else 0.0)
-    return RateEstimate(gamma_rate=float(np.mean(rates)), stderr=stderr,
-                        method="MSD")
+    return _estimate(rates, "MSD")
 
 
 def rate_from_green_kubo(increments, dt: float, cutoff: float,
@@ -451,7 +414,8 @@ def rate_from_green_kubo(increments, dt: float, cutoff: float,
     for any dt, so no small-dt extrapolation is needed.
 
     increments may be (N,) (split into min_segments blocks for the error
-    bar) or (R, N) per-replica rows.
+    bar) or (R, N) per-replica rows; per_row of the result holds each
+    row's rate.
     """
     rows = _as_segments(increments, min_segments)
     n_cols = rows.shape[1]
@@ -465,31 +429,4 @@ def rate_from_green_kubo(increments, dt: float, cutoff: float,
         acf = np.array([np.dot(adot[:n_cols - k], adot[k:]) / (n_cols - k)
                         for k in range(lag_max + 1)])
         rates[i] = max(dt * (0.5 * acf[0] + acf[1:].sum()), 0.0)
-    stderr = (float(np.std(rates, ddof=1) / np.sqrt(len(rates)))
-              if len(rates) > 1 else 0.0)
-    return RateEstimate(gamma_rate=float(np.mean(rates)), stderr=stderr,
-                        method="GreenKubo")
-
-
-def winding_of_vacuum(n_x: int, n_y: int, geometry: TorusGeometry,
-                      grid: int = 8, g_coupling: float = 1.0):
-    """Winding numbers of the classical vacuum gauge field, by grid integration.
-
-    The vacuum has constant A = (2 pi / g)(n_x/l_x, n_y/l_y); the volume
-    integrals g/(2 pi l_y d) int A_x and g/(2 pi l_x d) int A_y then
-    return exactly (n_x, n_y) for any resolution. The integral really is
-    evaluated on the grid; g cancels.
-    """
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points per axis")
-    geo = geometry
-    ax = 2.0 * np.pi / g_coupling * n_x / geo.l_x
-    ay = 2.0 * np.pi / g_coupling * n_y / geo.l_y
-    cell = (geo.l_x / grid) * (geo.l_y / grid) * geo.d
-    ax_grid = np.full((grid, grid), ax)
-    ay_grid = np.full((grid, grid), ay)
-    alpha_x = g_coupling / (2.0 * np.pi * geo.l_y * geo.d) \
-        * float(ax_grid.sum()) * cell
-    alpha_y = g_coupling / (2.0 * np.pi * geo.l_x * geo.d) \
-        * float(ay_grid.sum()) * cell
-    return alpha_x, alpha_y
+    return _estimate(rates, "GreenKubo")

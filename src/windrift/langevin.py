@@ -38,19 +38,6 @@ class ThermalEnv:
 
 
 @dataclass(frozen=True)
-class Walker:
-    """One vortex (charge +1) or antivortex (charge -1)."""
-
-    pos: np.ndarray   # (x, y)
-    vel: np.ndarray   # (vx, vy)
-    charge: int
-
-    def __post_init__(self):
-        if self.charge not in (+1, -1):
-            raise ValueError(f"charge must be +1 or -1, got {self.charge}")
-
-
-@dataclass(frozen=True)
 class OUPropagator:
     """Exact one-step propagator coefficients for step dt.
 
@@ -96,29 +83,6 @@ class OUPropagator:
             c1 = c2 = 0.0
         return cls(dt=dt, decay=decay, drift=drift, sigma_v=sigma_v,
                    c1=c1, c2=c2)
-
-    def advance(self, vel, n1, n2):
-        """Return (displacement, new velocity); shapes broadcast over vel."""
-        dx = self.drift * vel + self.c1 * n1 + self.c2 * n2
-        new_vel = self.decay * vel + self.sigma_v * n1
-        return dx, new_vel
-
-
-def step_walker(w: Walker, dt: float, env: ThermalEnv, noise) -> Walker:
-    """Advance one walker by dt with the exact propagator.
-
-    Parameters
-    ----------
-    noise : array_like, shape (2, 2)
-        Standard normals, noise[axis, role]: role 0 feeds the velocity
-        update, role 1 the extra position noise.
-    """
-    prop = OUPropagator.build(env, dt)
-    noise = np.asarray(noise, dtype=float)
-    if noise.shape != (2, 2):
-        raise ValueError(f"noise must have shape (2, 2), got {noise.shape}")
-    dx, new_vel = prop.advance(w.vel, noise[:, 0], noise[:, 1])
-    return Walker(pos=w.pos + dx, vel=new_vel, charge=w.charge)
 
 
 @dataclass(frozen=True)

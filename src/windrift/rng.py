@@ -17,9 +17,3 @@ def substream(master_seed: int, stream_id: int) -> np.random.Generator:
     key = np.array([master_seed & _MASK64, stream_id & _MASK64],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def stream_descriptor(master_seed: int, stream_id: int) -> dict:
-    """Serializable record of how a stream was derived."""
-    return {"scheme": "philox2x64", "master_seed": int(master_seed),
-            "stream_id": int(stream_id)}

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: the Bessel oracle
 integrates the defining representation with adaptive quadrature, the
 Langevin oracles are closed-form solutions, and the winding oracles are
-direct random-walk constructions.
+direct random-walk constructions. The one exception is step_ensemble, the
+step-by-step reference that the chunked engine must match bit for bit.
 """
 
 import numpy as np
@@ -47,3 +48,29 @@ def e_squared_numeric_angle_average(r, speed, scales, c_light, n_angles=512):
     pts = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1)
     e = moving_vortex_e(pts, [speed, 0.0], scales, c_light)
     return float(np.mean(e[:, 0] ** 2 + e[:, 1] ** 2))
+
+
+def step_ensemble(state, geometry, dt, env, rng):
+    """Stepwise reference for run_replica: advance every walker by one dt.
+
+    Applies the exact OUPropagator recurrence walker by walker and adds
+    the pre-wrap displacements to the winding accumulators. Noise layout
+    per step: standard normals of shape (n, 2, 2) indexed
+    [walker, axis, role], role 0 driving the velocity and role 1 the extra
+    position noise. The chunked engine must reproduce this bit for bit.
+    """
+    from windrift.langevin import OUPropagator
+    prop = OUPropagator.build(env, dt)
+    n = len(state.charges)
+    if n:
+        noise = rng.standard_normal((n, 2, 2))
+        n1 = noise[..., 0]
+        n2 = noise[..., 1]
+        dxy = prop.drift * state.vel + prop.c1 * n1 + prop.c2 * n2
+        state.vel = prop.decay * state.vel + prop.sigma_v * n1
+        state.pos = (state.pos + dxy) % [geometry.l_x, geometry.l_y]
+        state.alpha_x = (state.alpha_x
+                         + (state.charges * dxy[:, 1]).sum() / geometry.l_y)
+        state.alpha_y = (state.alpha_y
+                         + (state.charges * dxy[:, 0]).sum() / geometry.l_x)
+    return state

@@ -69,6 +69,25 @@ class TestParsing:
         with pytest.raises(ConfigError, match="n_v"):
             parse_config(bad, "rates")
 
+    @pytest.mark.parametrize("block,key", [("env", "temperature"),
+                                           ("geometry", "l_x")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400],
+                             ids=["nan", "inf", "huge-int"])
+    def test_non_finite_value_names_key(self, block, key, value):
+        doc = json.loads(config_text())
+        doc[block][key] = value
+        text = json.dumps(doc)          # writes NaN / Infinity / 1000...0
+        with pytest.raises(ConfigError, match=f"{block}.{key}.*finite"):
+            parse_config(text, "rates")
+
+    def test_rates_need_one_sample(self):
+        doc = json.loads(config_text(dt=0.1, total_time=0.5))
+        del doc["sample_stride"]        # default 10 > 5 steps
+        with pytest.raises(ConfigError, match="sample_stride"):
+            parse_config(json.dumps(doc), "rates")
+        parse_config(json.dumps(doc), "simulate")
+        parse_config(json.dumps(dict(doc, sample_stride=5)), "rates")
+
     def test_selftest_accepts_empty_config(self):
         cfg = parse_config("{}", "selftest")
         assert cfg.subcommand == "selftest"
@@ -224,6 +243,28 @@ class TestMainEntry:
         code = main(["rates", "--config", str(cfg_path)])
         assert code == 2
         assert "eta" in capsys.readouterr().err
+
+    def test_main_too_few_samples_exit_2(self, tmp_path, capsys):
+        doc = json.loads(config_text(dt=0.1, total_time=0.5))
+        del doc["sample_stride"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = main(["rates", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        assert "sample_stride" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--lanes", "0"),
+                                            ("--seed", "-1")])
+    def test_main_rejects_bad_flag(self, tmp_path, capsys, flag, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text())
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--config", str(cfg_path), "--out",
+                  str(tmp_path / "out"), flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_main_selftest(self, tmp_path, capsys):
         code = main(["selftest", "--out", str(tmp_path)])

@@ -5,19 +5,22 @@ from windrift import (SimulationState, ThermalEnv, TorusGeometry,
                       analytic_rate, even_mean_population, initial_state,
                       mean_population, predicted_rate, rate_from_green_kubo,
                       rate_from_msd, run_replica, sample_population,
-                      step_ensemble, substream, winding_of_vacuum)
+                      substream)
 from windrift.langevin import OUPropagator
 
-from oracles import synthetic_brownian_alpha
+from oracles import step_ensemble, synthetic_brownian_alpha
 
 
-def drift_state(geometry, velocities, charges):
+def drift_state(velocities, charges):
     """Deterministic state: given velocities, T=0 dynamics just relaxes them."""
     n = len(charges)
     return SimulationState(
         pos=np.full((n, 2), 0.25), vel=np.array(velocities, dtype=float),
-        charges=np.array(charges, dtype=float), geometry=geometry,
-        time=0.0, alpha_x=0.0, alpha_y=0.0, rng=substream(0, 0))
+        charges=np.array(charges, dtype=float), alpha_x=0.0, alpha_y=0.0)
+
+
+def step_once(state, geometry, env, dt=1.0):
+    return step_ensemble(state, geometry, dt, env, substream(0, 0))
 
 
 class TestWindingAccumulators:
@@ -25,8 +28,8 @@ class TestWindingAccumulators:
         env = ThermalEnv(mass=1.0, eta=1.0, temperature=0.0)
         prop = OUPropagator.build(env, 1.0)
         vy = square_torus.l_y / prop.drift   # displacement = exactly l_y
-        state = drift_state(square_torus, [[0.0, vy]], [+1])
-        step_ensemble(state, 1.0, env)
+        state = drift_state([[0.0, vy]], [+1])
+        step_once(state, square_torus, env)
         assert state.alpha_x == pytest.approx(1.0, rel=1e-12)
         assert state.alpha_y == 0.0
 
@@ -34,14 +37,14 @@ class TestWindingAccumulators:
         env = ThermalEnv(mass=1.0, eta=1.0, temperature=0.0)
         prop = OUPropagator.build(env, 1.0)
         vy = 0.5 * square_torus.l_y / prop.drift
-        state = drift_state(square_torus, [[0.0, vy]], [-1])
-        step_ensemble(state, 1.0, env)
+        state = drift_state([[0.0, vy]], [-1])
+        step_once(state, square_torus, env)
         assert state.alpha_x == pytest.approx(-0.5, rel=1e-12)
 
     def test_pair_moving_together_cancels(self, square_torus):
         env = ThermalEnv(mass=1.0, eta=1.0, temperature=0.0)
-        state = drift_state(square_torus, [[0.3, 0.9], [0.3, 0.9]], [+1, -1])
-        step_ensemble(state, 1.0, env)
+        state = drift_state([[0.3, 0.9], [0.3, 0.9]], [+1, -1])
+        step_once(state, square_torus, env)
         assert state.alpha_x == 0.0
         assert state.alpha_y == 0.0
 
@@ -49,8 +52,8 @@ class TestWindingAccumulators:
         env = ThermalEnv(mass=1.0, eta=1.0, temperature=0.0)
         prop = OUPropagator.build(env, 1.0)
         vx = square_torus.l_x / prop.drift
-        state = drift_state(square_torus, [[vx, 0.0]], [+1])
-        step_ensemble(state, 1.0, env)
+        state = drift_state([[vx, 0.0]], [+1])
+        step_once(state, square_torus, env)
         assert state.alpha_y == pytest.approx(1.0, rel=1e-12)
         assert state.alpha_x == 0.0
 
@@ -58,31 +61,25 @@ class TestWindingAccumulators:
         env = ThermalEnv(mass=1.0, eta=1.0, temperature=0.0)
         prop = OUPropagator.build(env, 1.0)
         vy = 1.7 * square_torus.l_y / prop.drift
-        state = drift_state(square_torus, [[0.0, vy]], [+1])
-        step_ensemble(state, 1.0, env)
+        state = drift_state([[0.0, vy]], [+1])
+        step_once(state, square_torus, env)
         assert 0.0 <= state.pos[0, 1] < square_torus.l_y
 
     def test_rejects_bad_dt(self, square_torus, basic_env):
-        state = drift_state(square_torus, [[0.0, 0.0]], [+1])
+        state = drift_state([[0.0, 0.0]], [+1])
         with pytest.raises(ValueError):
-            step_ensemble(state, 0.0, basic_env)
+            step_once(state, square_torus, basic_env, dt=0.0)
 
 
 class TestStateConstruction:
     def test_neutrality_enforced(self, square_torus, basic_env):
         with pytest.raises(ValueError):
-            initial_state(basic_env, square_torus, 3, 2)
+            initial_state(basic_env, square_torus, 3, 2, substream(0, 0))
 
     def test_neutrality_conserved_over_run(self, square_torus, basic_env):
         res = run_replica(basic_env, square_torus, 5, 5, 0.1, 200,
                           master_seed=1, stream_id=0)
         assert res.state.net_charge == 0
-
-    def test_walkers_view(self, square_torus, basic_env):
-        state = initial_state(basic_env, square_torus, 2, 2, master_seed=3)
-        walkers = state.walkers
-        assert len(walkers) == 4
-        assert {w.charge for w in walkers} == {+1, -1}
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -91,33 +88,60 @@ class TestStateConstruction:
             TorusGeometry(l_x=1.0, l_y=1.0, d=0.0)
 
 
+def assert_engine_matches_oracle(env, geometry, burn_in_steps,
+                                 init_velocities):
+    """run_replica against the stepwise oracle fed the same Philox stream."""
+    dt, n_steps, seed, stream = 0.07, 40, 123, 4
+    rng = substream(seed, stream)
+    state = initial_state(env, geometry, 3, 3, rng,
+                          init_velocities=init_velocities)
+    for _ in range(burn_in_steps):
+        step_ensemble(state, geometry, dt, env, rng)
+    state.alpha_x = state.alpha_y = 0.0
+    alphas = []
+    for _ in range(n_steps):
+        step_ensemble(state, geometry, dt, env, rng)
+        alphas.append((state.alpha_x, state.alpha_y))
+    rep = run_replica(env, geometry, 3, 3, dt, n_steps, master_seed=seed,
+                      stream_id=stream, sample_stride=1, chunk_steps=7,
+                      burn_in_steps=burn_in_steps,
+                      init_velocities=init_velocities)
+    assert np.array_equal(rep.state.vel, state.vel)
+    assert rep.alpha_x[1:].tolist() == [a[0] for a in alphas]
+    assert rep.alpha_y[1:].tolist() == [a[1] for a in alphas]
+    assert np.allclose(rep.state.pos, state.pos, rtol=1e-12, atol=1e-12)
+
+
 class TestEngineEquivalence:
-    """The chunked fast path must reproduce step_ensemble bit for bit."""
+    """The chunked fast path must reproduce the stepwise oracle bit for bit."""
 
     def test_stepwise_and_chunked_match(self, square_torus, basic_env):
-        dt, n_steps = 0.07, 40
-        state = initial_state(basic_env, square_torus, 3, 3,
-                              master_seed=123, stream_id=4)
-        alphas = []
-        for _ in range(n_steps):
-            step_ensemble(state, dt, basic_env)
-            alphas.append((state.alpha_x, state.alpha_y))
-        rep = run_replica(basic_env, square_torus, 3, 3, dt, n_steps,
-                          master_seed=123, stream_id=4, sample_stride=1,
-                          chunk_steps=7)
-        assert np.array_equal(rep.state.vel, state.vel)
-        assert rep.alpha_x[1:].tolist() == [a[0] for a in alphas]
-        assert rep.alpha_y[1:].tolist() == [a[1] for a in alphas]
-        assert np.allclose(rep.state.pos, state.pos, rtol=1e-12, atol=1e-12)
+        assert_engine_matches_oracle(basic_env, square_torus, 0,
+                                     "stationary")
+
+    @pytest.mark.parametrize("burn_in_steps,init_velocities",
+                             [(9, "stationary"), (0, "zero"), (16, "zero")])
+    def test_stepwise_and_chunked_match_variants(
+            self, square_torus, basic_env, burn_in_steps, init_velocities):
+        assert_engine_matches_oracle(basic_env, square_torus, burn_in_steps,
+                                     init_velocities)
 
     def test_chunk_size_invariance(self, square_torus, basic_env):
         a = run_replica(basic_env, square_torus, 4, 4, 0.05, 100,
-                        master_seed=9, stream_id=2, chunk_steps=11)
+                        master_seed=9, stream_id=2, chunk_steps=11,
+                        position_stride=7)
         b = run_replica(basic_env, square_torus, 4, 4, 0.05, 100,
-                        master_seed=9, stream_id=2, chunk_steps=64)
+                        master_seed=9, stream_id=2, chunk_steps=64,
+                        position_stride=7)
         assert np.array_equal(a.inc_x, b.inc_x)
         assert np.array_equal(a.inc_y, b.inc_y)
         assert np.array_equal(a.state.vel, b.state.vel)
+        assert a.positions.shape == (14, 8, 2)
+        # the per-chunk cumsum restarts from the carried position, so
+        # positions agree to rounding, not bit for bit
+        assert np.allclose(a.positions, b.positions, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(a.position_times, b.position_times)
+        assert np.array_equal(a.position_times, np.arange(1, 15) * 7 * 0.05)
 
     def test_seed_determinism(self, square_torus, basic_env):
         a = run_replica(basic_env, square_torus, 4, 4, 0.05, 50,
@@ -304,6 +328,41 @@ class TestGreenKuboEstimator:
                                  min_segments=1)
 
 
+class TestPerRowRates:
+    """A stacked call's per_row equals one single-row call per replica."""
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        rng = np.random.default_rng(5)
+        dt, n = 0.05, 4000
+        rows = [synthetic_brownian_alpha(0.3, dt, n, rng) for _ in range(5)]
+        rows.append((np.zeros(n + 1), np.zeros(n)))      # clips to 0
+        alphas, incs = (np.stack(col) for col in zip(*rows))
+        return np.arange(n + 1) * dt, alphas, incs, dt
+
+    def test_msd(self, series):
+        times, alphas, _, _ = series
+        est = rate_from_msd(times, alphas, (1.0, 20.0), min_segments=6)
+        singles = [rate_from_msd(times, row, (1.0, 20.0),
+                                 min_segments=1).gamma_rate
+                   for row in alphas]
+        assert est.per_row.tolist() == singles
+        assert est.gamma_rate == float(np.mean(est.per_row))
+
+    def test_green_kubo(self, series):
+        _, _, incs, dt = series
+        est = rate_from_green_kubo(incs, dt, cutoff=1.0, min_segments=6)
+        singles = [rate_from_green_kubo(row, dt, cutoff=1.0,
+                                        min_segments=1).gamma_rate
+                   for row in incs]
+        assert est.per_row.tolist() == singles
+        assert est.per_row[-1] == 0.0
+        assert est.gamma_rate == float(np.mean(est.per_row))
+
+    def test_closed_forms_have_no_rows(self, basic_env, square_torus):
+        assert analytic_rate(basic_env, square_torus, 1, 1).per_row is None
+
+
 class TestSimulatedDiffusion:
     def test_msd_linear_with_no_quadratic_term(self, basic_env):
         # gamma = 2: beyond 10/gamma the winding MSD is a straight line
@@ -340,22 +399,3 @@ class TestSimulatedDiffusion:
                             gamma=basic_env.gamma)
         target = analytic_rate(basic_env, geo, 20, 20).gamma_rate
         assert abs(est.gamma_rate - target) <= 0.15 * target
-
-
-class TestVacuumWinding:
-    @pytest.mark.parametrize("n_x,n_y", [(0, 0), (1, 0), (3, -2)])
-    def test_vacuum_windings_recovered(self, n_x, n_y):
-        geo = TorusGeometry(l_x=4.0, l_y=2.5, d=0.3)
-        ax, ay = winding_of_vacuum(n_x, n_y, geo, grid=16, g_coupling=0.7)
-        assert ax == pytest.approx(n_x, rel=1e-10, abs=1e-10)
-        assert ay == pytest.approx(n_y, rel=1e-10, abs=1e-10)
-
-    def test_independent_of_coupling(self):
-        geo = TorusGeometry(l_x=4.0, l_y=2.5)
-        a = winding_of_vacuum(2, 1, geo, grid=8, g_coupling=0.5)
-        b = winding_of_vacuum(2, 1, geo, grid=8, g_coupling=5.0)
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            winding_of_vacuum(1, 0, TorusGeometry(2.0, 1.0), grid=1)

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from windrift import (OUPropagator, ThermalEnv, TorusGeometry, Walker,
-                      einstein_diffusion_check, run_replica, step_walker,
+from windrift import (OUPropagator, ThermalEnv, TorusGeometry,
+                      einstein_diffusion_check, run_replica,
                       velocity_autocorrelation)
 
 from oracles import free_langevin_noise_free
 
 
-def make_walker(vel=(1.0, 0.0)):
-    return Walker(pos=np.zeros(2), vel=np.array(vel, dtype=float), charge=+1)
+def noise_free_step(env, dt, pos, vel):
+    """One propagator step with zero noise: (pos + drift v, decay v)."""
+    prop = OUPropagator.build(env, dt)
+    vel = np.asarray(vel, dtype=float)
+    return np.asarray(pos, dtype=float) + prop.drift * vel, prop.decay * vel
 
 
 class TestThermalEnv:
@@ -24,40 +27,38 @@ class TestThermalEnv:
         with pytest.raises(ValueError):
             ThermalEnv(mass=1.0, eta=-1.0, temperature=1.0)
 
-    def test_charge_validation(self):
-        with pytest.raises(ValueError):
-            Walker(pos=np.zeros(2), vel=np.zeros(2), charge=2)
-
 
 class TestExactPropagator:
     def test_noise_free_single_step(self):
         # T=0, v0=(1,0), gamma=1, dt=1: v -> e^-1, x advances 1 - e^-1
         env = ThermalEnv(mass=1.0, eta=1.0, temperature=0.0)
-        w = step_walker(make_walker(), 1.0, env, np.zeros((2, 2)))
-        assert w.vel[0] == pytest.approx(0.36787944117144233, rel=1e-12)
-        assert w.vel[1] == 0.0
-        assert w.pos[0] == pytest.approx(0.6321205588285577, rel=1e-12)
+        prop = OUPropagator.build(env, 1.0)
+        assert prop.sigma_v == prop.c1 == prop.c2 == 0.0
+        pos, vel = noise_free_step(env, 1.0, np.zeros(2), (1.0, 0.0))
+        assert vel[0] == pytest.approx(0.36787944117144233, rel=1e-12)
+        assert vel[1] == 0.0
+        assert pos[0] == pytest.approx(0.6321205588285577, rel=1e-12)
 
     @pytest.mark.parametrize("dt", [1e-6, 1e-3, 0.1, 1.0, 25.0])
     def test_noise_free_matches_closed_form_any_dt(self, dt):
         env = ThermalEnv(mass=2.0, eta=1.0, temperature=0.0)
-        w = make_walker(vel=(0.7, -1.3))
-        stepped = step_walker(w, dt, env, np.zeros((2, 2)))
-        pos, vel = free_langevin_noise_free(w.pos, w.vel, env.gamma, dt)
-        assert np.allclose(stepped.pos, pos, rtol=1e-12, atol=0.0)
-        assert np.allclose(stepped.vel, vel, rtol=1e-12, atol=0.0)
+        pos0, vel0 = np.zeros(2), np.array([0.7, -1.3])
+        stepped_pos, stepped_vel = noise_free_step(env, dt, pos0, vel0)
+        pos, vel = free_langevin_noise_free(pos0, vel0, env.gamma, dt)
+        assert np.allclose(stepped_pos, pos, rtol=1e-12, atol=0.0)
+        assert np.allclose(stepped_vel, vel, rtol=1e-12, atol=0.0)
 
     def test_full_relaxation_limit(self):
         env = ThermalEnv(mass=1.0, eta=50.0, temperature=0.0)
-        w = step_walker(make_walker(), 10.0, env, np.zeros((2, 2)))
-        assert np.allclose(w.vel, 0.0, atol=1e-200)
+        _, vel = noise_free_step(env, 10.0, np.zeros(2), (1.0, 0.0))
+        assert np.allclose(vel, 0.0, atol=1e-200)
 
     def test_rejects_bad_inputs(self):
         env = ThermalEnv(mass=1.0, eta=1.0, temperature=1.0)
         with pytest.raises(ValueError):
-            step_walker(make_walker(), 0.0, env, np.zeros((2, 2)))
+            OUPropagator.build(env, 0.0)
         with pytest.raises(ValueError):
-            step_walker(make_walker(), 0.1, env, np.zeros(4))
+            OUPropagator.build(env, -0.1)
 
     def test_small_dt_variance_expansion(self):
         # stable evaluation of the position variance for gamma*dt << 1
