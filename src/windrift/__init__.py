@@ -18,8 +18,7 @@ from .ensemble import (RateEstimate, ReplicaResult, SimulationState,
                        initial_state, mean_population, predicted_rate,
                        rate_from_green_kubo, rate_from_msd, run_replica,
                        sample_population)
-from .fields import (EnergyIntegral, FieldPoint, e_divergence_residual,
-                     field_point,
+from .fields import (EnergyIntegral, e_divergence_residual,
                      e_squared_angle_average, faraday_residual, field_energy,
                      field_table, helmholtz_residual, moving_vortex_e,
                      static_b)
@@ -40,8 +39,7 @@ __all__ = [
     "analytic_rate", "even_mean_population", "initial_state",
     "mean_population", "predicted_rate", "rate_from_green_kubo",
     "rate_from_msd", "run_replica", "sample_population",
-    "EnergyIntegral", "FieldPoint", "field_point",
-    "e_divergence_residual", "e_squared_angle_average",
+    "EnergyIntegral", "e_divergence_residual", "e_squared_angle_average",
     "faraday_residual", "field_energy", "field_table", "helmholtz_residual",
     "moving_vortex_e", "static_b",
     "OUPropagator", "ThermalEnv", "einstein_diffusion_check",

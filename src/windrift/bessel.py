@@ -1,115 +1,33 @@
 """Modified Bessel functions K0 and K1 (Macdonald functions).
 
-Two regimes with a crossover at z = 2:
-
-* z <= 2: ascending power series built from the I0/I1 series and digamma
-  sums (Abramowitz & Stegun 9.6.11-9.6.13).
-* z > 2: the exponentially scaled integral form
-
-      K_nu(z) = sqrt(pi/(2z)) e^(-z) / Gamma(nu+1/2)
-                * int_0^inf e^(-u) u^(nu-1/2) (1 + u/(2z))^(nu-1/2) du
-
-  evaluated with a fixed generalized Gauss-Laguerre rule. Forty nodes give
-  machine precision for all z >= 2.
-
-Both K0 and K1 underflow to exactly 0.0 past z ~ 700; that case returns 0
-and raises a RuntimeWarning rather than degrading silently.
+A checked front end to scipy.special.k0/k1. Both underflow past z ~ 700;
+there the result is exactly 0.0 with a RuntimeWarning, not a subnormal
+number that has lost its digits.
 """
 
-import math
 import warnings
 
 import numpy as np
-from scipy.special import roots_genlaguerre
-
-EULER_GAMMA = 0.577215664901532860606512090082
+from scipy.special import k0, k1
 
 # K(z) ~ sqrt(pi/2z) e^-z; below ~1e-304 doubles go subnormal and lose digits
 UNDERFLOW_CUTOFF = 700.0
 
-_SERIES_TERMS = 40
-_TAIL_NODES = 40
-
-_tail_x0, _tail_w0 = roots_genlaguerre(_TAIL_NODES, -0.5)
-_tail_x1, _tail_w1 = roots_genlaguerre(_TAIL_NODES, +0.5)
-_GAMMA_HALF = math.sqrt(math.pi)          # Gamma(1/2)
-_GAMMA_3HALF = 0.5 * math.sqrt(math.pi)   # Gamma(3/2)
-
-
-def _series_k0(z):
-    """Ascending series for K0, valid (and used) for 0 < z <= 2."""
-    q = z * z / 4.0
-    i0 = np.ones_like(z)
-    term = np.ones_like(z)
-    harmonic_sum = np.zeros_like(z)
-    h = 0.0
-    for k in range(1, _SERIES_TERMS):
-        term = term * q / (k * k)
-        i0 = i0 + term
-        h += 1.0 / k
-        harmonic_sum = harmonic_sum + term * h
-    return -(np.log(z / 2.0) + EULER_GAMMA) * i0 + harmonic_sum
-
-
-def _series_k1(z):
-    """Ascending series for K1, valid (and used) for 0 < z <= 2."""
-    q = z * z / 4.0
-    i1_sum = np.ones_like(z)       # sum q^k / (k! (k+1)!)
-    psi_sum = np.full_like(z, 1.0 - 2.0 * EULER_GAMMA)  # psi(1)+psi(2) term
-    term = np.ones_like(z)
-    psi_k1 = -EULER_GAMMA
-    psi_k2 = 1.0 - EULER_GAMMA
-    for k in range(1, _SERIES_TERMS):
-        term = term * q / (k * (k + 1))
-        i1_sum = i1_sum + term
-        psi_k1 += 1.0 / k
-        psi_k2 += 1.0 / (k + 1)
-        psi_sum = psi_sum + (psi_k1 + psi_k2) * term
-    i1 = (z / 2.0) * i1_sum
-    return 1.0 / z + np.log(z / 2.0) * i1 - (z / 4.0) * psi_sum
-
-
-def _tail_k(order, z):
-    """Scaled Gauss-Laguerre evaluation, used for z > 2."""
-    z = np.asarray(z, dtype=float)
-    if order == 0:
-        x, w, norm, power = _tail_x0, _tail_w0, _GAMMA_HALF, -0.5
-    else:
-        x, w, norm, power = _tail_x1, _tail_w1, _GAMMA_3HALF, +0.5
-    f = (1.0 + x / (2.0 * z[..., None])) ** power
-    integral = np.sum(w * f, axis=-1)
-    return np.sqrt(np.pi / (2.0 * z)) * np.exp(-z) * integral / norm
-
 
 def bessel_k(order, z):
-    """Modified Bessel function of the second kind, order 0 or 1.
+    """K_order(z) for order 0 or 1 and z > 0 (float or array_like).
 
-    Parameters
-    ----------
-    order : int
-        0 or 1.
-    z : float or array_like
-        Argument(s), strictly positive.
-
-    Returns
-    -------
-    float or ndarray
-        K_order(z). Arguments beyond UNDERFLOW_CUTOFF return exactly 0.0
-        and emit a RuntimeWarning.
+    Returns a float for scalar input and an array otherwise. Arguments
+    beyond UNDERFLOW_CUTOFF return exactly 0.0 and emit a RuntimeWarning.
     """
     if order not in (0, 1):
         raise ValueError(f"order must be 0 or 1, got {order}")
     z_arr = np.asarray(z, dtype=float)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
     if np.any(z_arr <= 0.0):
         raise ValueError("bessel_k requires z > 0")
 
-    out = np.empty_like(z_arr)
-    under = z_arr > UNDERFLOW_CUTOFF
-    small = (z_arr <= 2.0) & ~under
-    large = (z_arr > 2.0) & ~under
-
+    out = np.atleast_1d(k0(z_arr) if order == 0 else k1(z_arr))
+    under = np.atleast_1d(z_arr > UNDERFLOW_CUTOFF)
     if np.any(under):
         warnings.warn(
             f"bessel_k underflow: K_{order}(z) ~ e^-z is below double range "
@@ -118,10 +36,4 @@ def bessel_k(order, z):
             stacklevel=2,
         )
         out[under] = 0.0
-    if np.any(small):
-        zs = z_arr[small]
-        out[small] = _series_k0(zs) if order == 0 else _series_k1(zs)
-    if np.any(large):
-        out[large] = _tail_k(order, z_arr[large])
-
-    return float(out[0]) if scalar else out
+    return float(out[0]) if z_arr.ndim == 0 else out

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import design as design_mod
 from .bessel import bessel_k
-from .config import ConfigError, RunConfig, parse_config
+from .config import SUBCOMMANDS, ConfigError, RunConfig, parse_config
 from .ensemble import (RateEstimate, TorusGeometry, analytic_rate,
                        even_mean_population, mean_population, predicted_rate,
                        rate_from_green_kubo, rate_from_msd, run_replica,
@@ -265,6 +265,8 @@ def run_design(config: RunConfig, out_dir: Path, lanes: int) -> dict:
     current = design_mod.loop_current_scale(dev.l_x, dev.l_y, flux_quantum,
                                             config.c_light) \
         if dev.l_x > dev.l_y else None
+    class_1, class_2 = (design_mod.equivalence_class(n, 0)
+                        for n in (dev.n1, dev.n2))
     report = {
         "schema": "windrift.design.v1",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -278,10 +280,9 @@ def run_design(config: RunConfig, out_dir: Path, lanes: int) -> dict:
         },
         "boltzmann_suppression": design_mod.solid_torus_suppression(dev),
         "equivalence_classes": {
-            "level_1": design_mod.equivalence_class(dev.n1, 0),
-            "level_2": design_mod.equivalence_class(dev.n2, 0),
-            "distinct": (design_mod.equivalence_class(dev.n1, 0)
-                         != design_mod.equivalence_class(dev.n2, 0)),
+            "level_1": class_1,
+            "level_2": class_2,
+            "distinct": class_1 != class_2,
         },
         "loop_current": (None if current is None else {
             "inductance": current.inductance,
@@ -351,9 +352,7 @@ def main(argv=None) -> int:
         prog="windrift",
         description="Vortex-diffusion winding-number transport: simulate, "
                     "estimate rates, export field profiles, size devices.")
-    parser.add_argument("subcommand",
-                        choices=["simulate", "rates", "fields", "design",
-                                 "selftest"])
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, default=None,
                         help="override master_seed")

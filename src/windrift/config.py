@@ -211,6 +211,26 @@ def _parse_fields(block: dict) -> FieldTableSpec:
     )
 
 
+def _check_rate_windows(env: ThermalEnv, dt: float, n_steps: int,
+                        sample_stride: int, t_min: float, t_max: float,
+                        cutoff: float):
+    """Reject before the run what rate_from_msd/rate_from_green_kubo would
+    refuse after it, with their exact conditions on the run's series."""
+    if t_min < 10.0 / env.gamma - 1e-12:
+        raise ConfigError(f"'fit.t_min' ({t_min}) is below the diffusive "
+                          f"regime 10/gamma = {10.0 / env.gamma}")
+    dt_s = sample_stride * dt       # alpha is sampled n_steps // stride times
+    lag_lo = max(1, int(round(t_min / dt_s)))
+    lag_hi = min(n_steps // sample_stride, int(round(t_max / dt_s)))
+    if lag_hi <= lag_lo:
+        raise ConfigError(f"'fit.t_max' ({t_max}) leaves no MSD lag above "
+                          f"'fit.t_min' ({t_min}) at sample spacing {dt_s}")
+    lag_max = int(round(cutoff / dt))
+    if lag_max >= n_steps:
+        raise ConfigError(f"'green_kubo_cutoff' lag {lag_max} must be below "
+                          f"the {n_steps} steps of 'total_time'")
+
+
 def parse_config(text: str, subcommand: str) -> RunConfig:
     """Parse and validate a JSON config document for the given subcommand.
 
@@ -255,11 +275,12 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
                          positive=True)
     if needs_sim and total_time < dt:
         raise ConfigError("'total_time' must be at least one step 'dt'")
+    n_steps = int(round(total_time / dt))
     sample_stride = _number(doc, "sample_stride", "", default=10,
                             integer=True, positive=True)
-    if subcommand == "rates" and round(total_time / dt) < sample_stride:
+    if subcommand == "rates" and n_steps < sample_stride:
         raise ConfigError(f"'sample_stride' ({sample_stride}) exceeds the "
-                          f"{round(total_time / dt)} steps of 'total_time'; "
+                          f"{n_steps} steps of 'total_time'; "
                           f"rates need at least one sample after t=0")
 
     fit_t_min = fit_t_max = None
@@ -276,6 +297,9 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
     gk_cutoff = (_number(doc, "green_kubo_cutoff", "", positive=True)
                  if "green_kubo_cutoff" in doc
                  else (20.0 / env.gamma if env is not None else None))
+    if subcommand == "rates":
+        _check_rate_windows(env, dt, n_steps, sample_stride, fit_t_min,
+                            fit_t_max, gk_cutoff)
 
     anyon = None
     if "anyon" in doc:
@@ -293,8 +317,8 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         population=population,
         material=material,
         device=device,
-        dt=dt if dt is not None else 0.01,
-        total_time=total_time if total_time is not None else 1.0,
+        dt=dt,
+        total_time=total_time,
         burn_in=_number(doc, "burn_in", "", default=0.0, nonnegative=True),
         replicas=_number(doc, "replicas", "", default=20, integer=True,
                          positive=True),

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 from scipy.signal import lfilter
 
-from .langevin import OUPropagator, ThermalEnv
+from .langevin import OUPropagator, ThermalEnv, _lag_products
 from .rng import substream
 
 
@@ -43,10 +43,6 @@ class TorusGeometry:
                              f"({self.l_x}, {self.l_y})")
         if self.d <= 0.0:
             raise ValueError("thickness d must be positive")
-
-    @property
-    def volume_2d(self) -> float:
-        return self.l_x * self.l_y
 
 
 @dataclass(frozen=True)
@@ -207,15 +203,18 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
                         vseq[:, :velocity_series_walkers, 1]
                 vy2_sums.append(float((vseq[:, :, 1] ** 2).sum()))
                 counts.append(m * n)
+            # the carried position heads the chunk's running sum, so the
+            # positions are one sequential sum whatever the chunk size
+            dxy[0] += pos_unwrapped
             if recording and position_stride:
-                walked = pos_unwrapped + np.cumsum(dxy, axis=0)
+                walked = np.cumsum(dxy, axis=0, out=dxy)
                 # rows where the global 1-based step index hits the stride;
                 # copies, so no chunk array outlives its chunk
                 start = (position_stride - 1 - done) % position_stride
                 pos_records.append(walked[start::position_stride].copy())
                 pos_unwrapped = walked[-1].copy()
             else:
-                pos_unwrapped = pos_unwrapped + dxy.sum(axis=0)
+                pos_unwrapped = dxy.sum(axis=0)
             done += m
 
     sweep(burn_in_steps, recording=False)
@@ -255,7 +254,7 @@ def mean_population(env: ThermalEnv, geometry: TorusGeometry,
         raise ValueError("vortex free energy f0 must be >= 0")
     if env.temperature <= 0.0:
         raise ValueError("population sampling requires T > 0")
-    return (geometry.volume_2d / np.pi * env.mass * env.temperature
+    return (geometry.l_x * geometry.l_y / np.pi * env.mass * env.temperature
             * np.exp(-f0 / env.temperature))
 
 
@@ -303,10 +302,8 @@ def predicted_rate(env: ThermalEnv, geometry: TorusGeometry, f0: float,
     """
     if f0 < 0.0:
         raise ValueError("vortex free energy f0 must be >= 0")
-    ratio = (geometry.l_x / geometry.l_y if axis == "x"
-             else geometry.l_y / geometry.l_x)
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    length = _axis_length(geometry, axis)
+    ratio = (geometry.l_x if axis == "x" else geometry.l_y) / length
     t = env.temperature
     rate = env.mass * t**2 / (np.pi * env.eta) * ratio * np.exp(-f0 / t) \
         if t > 0.0 else 0.0
@@ -423,10 +420,6 @@ def rate_from_green_kubo(increments, dt: float, cutoff: float,
     if lag_max >= n_cols:
         raise ValueError(f"cutoff {cutoff} (lag {lag_max}) exceeds series "
                          f"length {n_cols}")
-    rates = np.empty(rows.shape[0])
-    for i, row in enumerate(rows):
-        adot = row / dt
-        acf = np.array([np.dot(adot[:n_cols - k], adot[k:]) / (n_cols - k)
-                        for k in range(lag_max + 1)])
-        rates[i] = max(dt * (0.5 * acf[0] + acf[1:].sum()), 0.0)
+    acf = _lag_products(rows / dt, lag_max)
+    rates = np.maximum(dt * (0.5 * acf[:, 0] + acf[:, 1:].sum(axis=1)), 0.0)
     return _estimate(rates, "GreenKubo")

@@ -100,27 +100,6 @@ def e_squared_angle_average(r, speed, scales: DerivedScales, c_light: float):
 
 
 @dataclass(frozen=True)
-class FieldPoint:
-    """Field sample at a planar position relative to the vortex center.
-
-    Only defined away from the core (|r| > 0); see field_point.
-    """
-
-    r: tuple                  # (x, y)
-    value_b: float            # B_z
-    value_e: tuple            # (E_x, E_y)
-
-
-def field_point(r, v, scales: DerivedScales, c_light: float) -> FieldPoint:
-    """Evaluate B and E of a vortex moving with velocity v at point r."""
-    r = np.asarray(r, dtype=float)
-    e = moving_vortex_e(r, v, scales, c_light)
-    b = static_b(float(np.hypot(r[0], r[1])), scales)
-    return FieldPoint(r=(float(r[0]), float(r[1])), value_b=float(b),
-                      value_e=(float(e[0]), float(e[1])))
-
-
-@dataclass(frozen=True)
 class EnergyIntegral:
     """Electric-field energy in a radial shell and the derived estimates."""
 
@@ -168,19 +147,13 @@ def field_energy(r_min: float, r_max: float, v: float,
     )
 
 
-def helmholtz_residual(r: float, scales: DerivedScales, h: float,
-                       analytic: bool = False) -> float:
+def helmholtz_residual(r: float, scales: DerivedScales, h: float) -> float:
     """|delta^2 nabla^2 B - B| for the static profile.
 
-    With analytic=False the radial Laplacian B'' + B'/r is built from
-    2nd-order central differences with step h (requires r > 2h); the
-    residual is then pure discretization error, O(h^2). With
-    analytic=True the exact derivatives are used and the result is zero
-    to round-off.
+    The radial Laplacian B'' + B'/r is built from 2nd-order central
+    differences with step h (requires r > 2h); the residual is then pure
+    discretization error, O(h^2).
     """
-    if analytic:
-        b, b1, b2 = b_radial_derivatives(r, scales)
-        return float(abs(scales.delta**2 * (b2 + b1 / r) - b))
     if h <= 0.0:
         raise ValueError("step h must be positive")
     if r <= 2.0 * h:

@@ -115,14 +115,12 @@ def velocity_autocorrelation(series, dt: float, max_lag: int
         Lag times, unbiased product averages, and the fitted
         amplitude/decay with standard errors.
     """
-    series = np.atleast_2d(np.asarray(series, dtype=float))
+    # contiguous rows make every lag product a unit-stride dot
+    series = np.ascontiguousarray(np.atleast_2d(series), dtype=float)
     n = series.shape[1]
     if n < 10 * max_lag:
         raise ValueError(f"series length {n} < 10 * max_lag = {10 * max_lag}")
-    c = np.empty(max_lag + 1)
-    for k in range(max_lag + 1):
-        c[k] = np.mean(series[:, :n - k] * series[:, k:]) if k else \
-            np.mean(series * series)
+    c = _lag_products(series, max_lag).mean(axis=0)
     tau = np.arange(max_lag + 1) * dt
 
     def model(t, amp, rate):
@@ -138,6 +136,13 @@ def velocity_autocorrelation(series, dt: float, max_lag: int
     fit = AcfFit(amplitude=float(popt[0]), rate=float(popt[1]),
                  amplitude_err=float(perr[0]), rate_err=float(perr[1]))
     return tau, c, fit
+
+
+def _lag_products(rows, max_lag: int) -> np.ndarray:
+    """Unbiased dot(row[:n-k], row[k:]) / (n-k): (R, n) -> (R, max_lag + 1)."""
+    n = rows.shape[1]
+    return np.array([[np.dot(row[:n - k], row[k:]) / (n - k)
+                      for k in range(max_lag + 1)] for row in rows])
 
 
 def _initial_rate_guess(c, dt):

@@ -128,8 +128,6 @@ class RegimeReport:
     dirty_limit: Union[bool, str]
     type_ii_ratio: float            # g^2 zeta^2 / b
     dirty_ratio: Optional[float]    # l_tr / xi, None when l_tr missing
-    type_ii_margin: float
-    dirty_margin: float
 
 
 def classify_regime(params: MaterialParams, scales: DerivedScales,
@@ -154,6 +152,4 @@ def classify_regime(params: MaterialParams, scales: DerivedScales,
         dirty_limit=dirty,
         type_ii_ratio=type_ii_ratio,
         dirty_ratio=dirty_ratio,
-        type_ii_margin=type_ii_margin,
-        dirty_margin=dirty_margin,
     )

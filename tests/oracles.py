@@ -41,6 +41,16 @@ def synthetic_brownian_alpha(rate, dt, n_steps, rng):
     return np.concatenate([[0.0], np.cumsum(increments)]), increments
 
 
+def lag_products_loop(rows, max_lag):
+    """Unbiased lag products sum_j x[j] x[j+k] / (n-k) by an explicit loop."""
+    out = []
+    for row in rows:
+        n = len(row)
+        out.append([sum(row[j] * row[j + k] for j in range(n - k)) / (n - k)
+                    for k in range(max_lag + 1)])
+    return np.array(out)
+
+
 def e_squared_numeric_angle_average(r, speed, scales, c_light, n_angles=512):
     """Angle-average |E|^2 by brute-force trapezoid over the circle."""
     from windrift.fields import moving_vortex_e

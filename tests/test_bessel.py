@@ -32,7 +32,7 @@ def test_k0_logarithmic_at_small_argument():
 
 
 def test_crossover_continuity():
-    # series and tail meet at z=2 within tight tolerance
+    # scipy's K0 switches expansions at z=2; both sides meet tightly
     below = bessel_k(0, 2.0 - 1e-12)
     above = bessel_k(0, 2.0 + 1e-12)
     assert below == pytest.approx(above, rel=1e-10)
@@ -58,3 +58,23 @@ def test_array_input_roundtrip():
     out = bessel_k(1, zs)
     assert out.shape == zs.shape
     assert out[0] > out[1] > out[2] > out[3] > 0.0
+
+
+def test_array_straddling_underflow_cutoff():
+    zs = np.array([1.0, UNDERFLOW_CUTOFF - 1.0, UNDERFLOW_CUTOFF,
+                   UNDERFLOW_CUTOFF + 1.0, 2.0 * UNDERFLOW_CUTOFF])
+    for order in (0, 1):
+        with pytest.warns(RuntimeWarning) as record:
+            out = bessel_k(order, zs)
+        assert len(record) == 1
+        assert isinstance(out, np.ndarray) and out.shape == zs.shape
+        above = zs > UNDERFLOW_CUTOFF
+        assert np.all(out[above] == 0.0)
+        assert np.all(out[~above] > 0.0)
+
+
+def test_zero_dimensional_input_returns_float():
+    value = bessel_k(1, np.float64(1.0))
+    assert type(value) is float
+    assert type(bessel_k(0, np.array(1.0))) is float
+    assert value == pytest.approx(K1_AT_1, rel=1e-12)

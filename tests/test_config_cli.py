@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from windrift import ConfigError, parse_config
+from windrift import (ConfigError, parse_config, rate_from_green_kubo,
+                      rate_from_msd)
 from windrift.cli import format_float, json_text, main, run
 
 MINIMAL_RATES = {
@@ -86,7 +87,61 @@ class TestParsing:
         with pytest.raises(ConfigError, match="sample_stride"):
             parse_config(json.dumps(doc), "rates")
         parse_config(json.dumps(doc), "simulate")
-        parse_config(json.dumps(dict(doc, sample_stride=5)), "rates")
+        # one sample after t=0 passes the stride check; two samples leave
+        # no MSD lag, which the fit-window check then reports
+        with pytest.raises(ConfigError, match="fit.t_max"):
+            parse_config(json.dumps(dict(doc, sample_stride=5)), "rates")
+
+    def test_fit_t_min_below_diffusive_regime_names_key(self):
+        # gamma = 2: t_min = 10/gamma = 5 is the smallest accepted value
+        parse_config(config_text(fit={"t_min": 5.0}), "rates")
+        with pytest.raises(ConfigError, match="'fit.t_min'"):
+            parse_config(config_text(fit={"t_min": 4.99}), "rates")
+
+    def test_fit_window_without_lags_names_key(self):
+        # sample spacing 0.2: t_min = 5 and t_max = 5.1 both round to lag 25
+        with pytest.raises(ConfigError, match="'fit.t_max'"):
+            parse_config(config_text(fit={"t_min": 5.0, "t_max": 5.1}),
+                         "rates")
+        parse_config(config_text(fit={"t_min": 5.0, "t_max": 5.2}), "rates")
+
+    def test_green_kubo_cutoff_beyond_run_names_key(self):
+        # 600 steps of dt = 0.1: the cutoff lag must stay below 600
+        parse_config(config_text(green_kubo_cutoff=59.9), "rates")
+        with pytest.raises(ConfigError, match="'green_kubo_cutoff'"):
+            parse_config(config_text(green_kubo_cutoff=60.0), "rates")
+        parse_config(config_text(green_kubo_cutoff=60.0), "simulate")
+
+    @pytest.mark.parametrize("total_time,stride,fit,cutoff", [
+        (60.0, 2, {}, 10.0), (60.0, 7, {"t_max": 5.6}, 10.0),
+        (3.0, 1, {}, 1.0), (12.0, 5, {"t_min": 5.0}, 11.9),
+        (60.0, 2, {"t_min": 5.0 - 1e-13}, 59.94),
+        (60.0, 2, {"t_min": 4.9}, 10.0),
+        (8.0, 1, {"t_max": 7.0}, 7.94), (8.0, 1, {"t_max": 7.0}, 7.96)])
+    def test_parse_verdict_matches_estimators(self, total_time, stride, fit,
+                                              cutoff):
+        doc = config_text(total_time=total_time, sample_stride=stride,
+                          fit=fit, green_kubo_cutoff=cutoff)
+        try:
+            cfg = parse_config(doc, "rates")
+        except ConfigError:
+            cfg = None
+        # series of the shapes a run of this config produces
+        dt, gamma = 0.1, 2.0
+        n_steps = int(round(total_time / dt))
+        idx = np.arange(stride - 1, n_steps, stride)
+        times = np.concatenate([[0.0], (idx + 1) * dt])
+        window = (fit.get("t_min", 10.0 / gamma),
+                  fit.get("t_max", total_time / 2.0))
+        try:
+            rate_from_msd(times, np.ones((2, times.size)), window,
+                          gamma=gamma, min_segments=2)
+            rate_from_green_kubo(np.ones((2, n_steps)), dt, cutoff,
+                                 min_segments=2)
+            refused = False
+        except ValueError:
+            refused = True
+        assert (cfg is None) == refused
 
     def test_selftest_accepts_empty_config(self):
         cfg = parse_config("{}", "selftest")

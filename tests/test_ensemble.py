@@ -137,9 +137,10 @@ class TestEngineEquivalence:
         assert np.array_equal(a.inc_y, b.inc_y)
         assert np.array_equal(a.state.vel, b.state.vel)
         assert a.positions.shape == (14, 8, 2)
-        # the per-chunk cumsum restarts from the carried position, so
-        # positions agree to rounding, not bit for bit
-        assert np.allclose(a.positions, b.positions, rtol=1e-12, atol=1e-12)
+        # the carried position heads each chunk's running sum, so the
+        # positions are one sequential sum and agree bit for bit
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.state.pos, b.state.pos)
         assert np.array_equal(a.position_times, b.position_times)
         assert np.array_equal(a.position_times, np.arange(1, 15) * 7 * 0.05)
 

@@ -3,10 +3,10 @@ import pytest
 from scipy.signal import lfilter
 
 from windrift import (OUPropagator, ThermalEnv, TorusGeometry,
-                      einstein_diffusion_check, run_replica,
-                      velocity_autocorrelation)
+                      einstein_diffusion_check, rate_from_green_kubo,
+                      run_replica, velocity_autocorrelation)
 
-from oracles import free_langevin_noise_free
+from oracles import free_langevin_noise_free, lag_products_loop
 
 
 def noise_free_step(env, dt, pos, vel):
@@ -117,6 +117,28 @@ class TestVelocityAutocorrelation:
     def test_rejects_short_series(self):
         with pytest.raises(ValueError):
             velocity_autocorrelation(np.zeros(99), 0.1, max_lag=10)
+
+
+class TestLagProductKernel:
+    """The ACF and Green-Kubo lag products against an explicit double loop."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return np.random.default_rng(17).normal(0.0, 1.5, size=(3, 40))
+
+    def test_velocity_acf_matches_loop(self, rows):
+        _, c, _ = velocity_autocorrelation(rows, 0.1, max_lag=4)
+        expected = lag_products_loop(rows, 4).mean(axis=0)
+        assert np.allclose(c, expected, rtol=1e-14, atol=0.0)
+
+    def test_green_kubo_per_row_matches_loop(self, rows):
+        dt = 0.1
+        est = rate_from_green_kubo(rows, dt=dt, cutoff=0.4, min_segments=3)
+        acf = lag_products_loop(rows / dt, 4)
+        expected = np.maximum(dt * (0.5 * acf[:, 0] + acf[:, 1:].sum(axis=1)),
+                              0.0)
+        assert expected.shape == (3,) and np.any(expected > 0.0)
+        assert np.allclose(est.per_row, expected, rtol=1e-14, atol=0.0)
 
 
 class TestEinsteinDiffusion:
