@@ -7,6 +7,9 @@ The only module with side effects. Artifacts:
 * fields.csv       header r,B,Ex,Ey,E2 (fields subcommand)
 * design.json      design-calculator report
 
+simulate and rates write only charge-weighted sums (windings and their
+rates), so they run the collective engine, ensemble.run_winding.
+
 Numbers are serialized with 17 significant digits so binary doubles
 round-trip exactly; JSON keys are sorted. Reruns with the same config and
 seed are byte-identical except for the timestamp field, regardless of how
@@ -28,7 +31,7 @@ from .config import SUBCOMMANDS, ConfigError, RunConfig, parse_config
 from .ensemble import (RateEstimate, TorusGeometry, analytic_rate,
                        even_mean_population, mean_population, predicted_rate,
                        rate_from_green_kubo, rate_from_msd, run_replica,
-                       sample_population)
+                       run_winding, sample_population)
 from .fields import field_table, helmholtz_residual
 from .langevin import ThermalEnv
 from .materials import classify_regime, derive_scales
@@ -126,7 +129,7 @@ def _run_ensemble(config: RunConfig, lanes: int):
 
     def one(r):
         n_v, n_a = counts[r]
-        return run_replica(config.env, config.geometry, n_v, n_a,
+        return run_winding(config.env, config.geometry, n_v, n_a,
                            config.dt, n_steps, rng=rngs[r],
                            sample_stride=config.sample_stride,
                            burn_in_steps=burn_steps)
@@ -210,8 +213,8 @@ def run_ensemble(config: RunConfig, out_dir: Path, lanes: int) -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config_echo": _config_echo(config),
         "population": _population(counts),
-        "final_alpha_x": [res.state.alpha_x for res in results],
-        "final_alpha_y": [res.state.alpha_y for res in results],
+        "final_alpha_x": [res.final_alpha_x for res in results],
+        "final_alpha_y": [res.final_alpha_y for res in results],
     }
     if config.subcommand == "rates":
         summary.update(_rates_summary(config, results, counts))

@@ -13,10 +13,18 @@ independent ways: the slope of <[alpha(t)-alpha(0)]^2> (MSD), the
 integrated autocorrelation of alpha-dot (Green-Kubo), and the closed-form
 T*(N_v+N_a)/(eta*l^2).
 
+Two engines share one chunk kernel. run_replica propagates every walker
+and can record velocities and positions. run_winding propagates only the
+charge-weighted sums V = sum q v and D = sum q dx per axis: the walkers do
+not interact and q^2 = 1, so (V, D) of n walkers at temperature T is
+exactly one walker at temperature nT (noise scaled by sqrt(n)), and the
+winding series cost O(1) draws per step whatever the walker count.
+
 Reproducibility: all noise comes from Philox streams keyed by
 (master_seed, stream_id); draws happen in a fixed (step, walker, axis,
-role) order. Replicas are the unit of parallelism and are never split, so
-results are bit-identical for any worker count.
+role) order, with run_winding's pseudo-walker as the only walker (rng.py
+gives each engine's full layout). Replicas are the unit of parallelism
+and are never split, so results are bit-identical for any worker count.
 """
 
 from dataclasses import dataclass, field
@@ -81,6 +89,20 @@ class SimulationState:
         return int(self.charges.sum())
 
 
+def _check_counts(n_v: int, n_a: int) -> None:
+    if n_v != n_a:
+        raise ValueError(f"net vorticity must vanish: n_v={n_v} != n_a={n_a}")
+    if n_v < 0:
+        raise ValueError("counts must be nonnegative")
+
+
+def _check_steps(dt: float, n_steps: int) -> None:
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+
+
 def initial_state(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
                   n_a: int, rng: np.random.Generator,
                   init_velocities: str = "stationary") -> SimulationState:
@@ -90,10 +112,7 @@ def initial_state(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
     (variance T/M per axis) or start at zero ("zero"), in which case a
     burn-in of order 20/gamma is needed before sampling.
     """
-    if n_v != n_a:
-        raise ValueError(f"net vorticity must vanish: n_v={n_v} != n_a={n_a}")
-    if n_v < 0:
-        raise ValueError("counts must be nonnegative")
+    _check_counts(n_v, n_a)
     n = n_v + n_a
     pos = rng.random((n, 2)) * [geometry.l_x, geometry.l_y]
     if init_velocities == "stationary":
@@ -107,6 +126,19 @@ def initial_state(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
     charges[n_v:] = -1.0
     return SimulationState(pos=pos, vel=vel, charges=charges,
                            alpha_x=0.0, alpha_y=0.0)
+
+
+@dataclass
+class WindingResult:
+    """The winding series of one replica: what the rate estimators read."""
+
+    times: np.ndarray          # (S+1,), includes t=0
+    alpha_x: np.ndarray        # (S+1,)
+    alpha_y: np.ndarray        # (S+1,)
+    inc_x: np.ndarray          # (N,) per-step alpha_x increments
+    inc_y: np.ndarray          # (N,)
+    final_alpha_x: float
+    final_alpha_y: float
 
 
 @dataclass
@@ -128,6 +160,54 @@ class ReplicaResult:
     position_times: Optional[np.ndarray] = None
 
 
+def _propagate_chunk(rng: np.random.Generator, prop: OUPropagator,
+                     vel: np.ndarray, m: int):
+    """Advance velocities vel (k, 2) by m steps; returns (vseq, dxy).
+
+    Draws the chunk's noise as (step, walker, axis, role) normals. vseq
+    holds the velocity after each step and dxy each step's displacement,
+    both (m, k, 2). The velocity recurrence runs as a first-order linear
+    filter, which reproduces the stepwise arithmetic bit for bit.
+    """
+    noise = rng.standard_normal((m,) + vel.shape + (2,))
+    n1 = noise[..., 0]
+    n2 = noise[..., 1]
+    zi = (prop.decay * vel)[None, :, :]
+    vseq, _ = lfilter([prop.sigma_v], [1.0, -prop.decay], n1, axis=0, zi=zi)
+    # dxy = drift * vprev + c1 * n1 + c2 * n2, built in place in the
+    # fresh vprev array: the same operations in the same order, two fewer
+    # chunk-sized temporaries (a caller holds its last chunk meanwhile)
+    dxy = np.concatenate([vel[None, :, :], vseq[:-1]], axis=0)
+    dxy *= prop.drift
+    dxy += prop.c1 * n1
+    dxy += prop.c2 * n2
+    return vseq, dxy
+
+
+def _record_increments(dxy, charges, geometry: TorusGeometry, inc_x, inc_y,
+                       start: int) -> None:
+    """Write a chunk's charge-weighted winding increments from step start."""
+    stop = start + dxy.shape[0]
+    inc_x[start:stop] = (charges[None, :] * dxy[:, :, 1]).sum(axis=1) \
+        / geometry.l_y
+    inc_y[start:stop] = (charges[None, :] * dxy[:, :, 0]).sum(axis=1) \
+        / geometry.l_x
+
+
+def _windings(inc_x, inc_y, dt: float, sample_stride: int) -> WindingResult:
+    """Cumulative windings, sampled after every sample_stride-th step."""
+    alpha_x_full = np.cumsum(inc_x)
+    alpha_y_full = np.cumsum(inc_y)
+    sample_idx = np.arange(sample_stride - 1, len(inc_x), sample_stride)
+    return WindingResult(
+        times=np.concatenate([[0.0], (sample_idx + 1) * dt]),
+        alpha_x=np.concatenate([[0.0], alpha_x_full[sample_idx]]),
+        alpha_y=np.concatenate([[0.0], alpha_y_full[sample_idx]]),
+        inc_x=inc_x, inc_y=inc_y,
+        final_alpha_x=float(alpha_x_full[-1]),
+        final_alpha_y=float(alpha_y_full[-1]))
+
+
 def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
                 dt: float, n_steps: int, master_seed: int = 0,
                 stream_id: int = 0, *,
@@ -138,24 +218,21 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
                 velocity_series_walkers: int = 0,
                 position_stride: int = 0,
                 chunk_steps: int = 8192) -> ReplicaResult:
-    """Run one replica with chunked, vectorized propagation.
+    """Run one replica with chunked, vectorized per-walker propagation.
 
-    Each step applies the exact OUPropagator recurrence to every walker;
-    within a chunk the velocity recurrence is evaluated by a first-order
-    linear filter, which reproduces the stepwise arithmetic bit for bit.
+    Each step applies the exact OUPropagator recurrence to every walker.
     All noise is consumed in (step, walker, axis, role) order, so the
     trajectory is a pure function of the generator (by default the
     Philox stream of (master_seed, stream_id)) and the physical arguments.
+    Use it where walkers matter: velocity series, positions, equipartition;
+    run_winding gives the winding series alone in O(1) draws per step.
 
     The winding accumulators are zeroed after burn-in; sampled series
     start at (t=0, alpha=0) at the first recorded instant. With
     position_stride, unwrapped positions are recorded after every
     position_stride-th recorded step.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    _check_steps(dt, n_steps)
     if rng is None:
         rng = substream(master_seed, stream_id)
     state = initial_state(env, geometry, n_v, n_a, rng,
@@ -178,26 +255,12 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
 
     def sweep(total, recording):
         nonlocal vel, pos_unwrapped
-        done = 0
-        while done < total:
+        for done in range(0, total, chunk_steps):
             m = min(chunk_steps, total - done)
-            if n == 0:
-                done += m
-                continue
-            noise = rng.standard_normal((m, n, 2, 2))
-            n1 = noise[..., 0]
-            n2 = noise[..., 1]
-            zi = (prop.decay * vel)[None, :, :]
-            vseq, _ = lfilter([prop.sigma_v], [1.0, -prop.decay], n1,
-                              axis=0, zi=zi)
-            vprev = np.concatenate([vel[None, :, :], vseq[:-1]], axis=0)
-            dxy = prop.drift * vprev + prop.c1 * n1 + prop.c2 * n2
+            vseq, dxy = _propagate_chunk(rng, prop, vel, m)
             vel = vseq[-1].copy()
             if recording:
-                inc_x[done:done + m] = \
-                    (charges[None, :] * dxy[:, :, 1]).sum(axis=1) / geo.l_y
-                inc_y[done:done + m] = \
-                    (charges[None, :] * dxy[:, :, 0]).sum(axis=1) / geo.l_x
+                _record_increments(dxy, charges, geo, inc_x, inc_y, done)
                 if vel_series is not None:
                     vel_series[done:done + m] = \
                         vseq[:, :velocity_series_walkers, 1]
@@ -215,36 +278,70 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
                 pos_unwrapped = walked[-1].copy()
             else:
                 pos_unwrapped = dxy.sum(axis=0)
-            done += m
 
-    sweep(burn_in_steps, recording=False)
-    sweep(n_steps, recording=True)
+    if n:
+        sweep(burn_in_steps, recording=False)
+        sweep(n_steps, recording=True)
 
     state.vel = vel
     state.pos = pos_unwrapped % [geo.l_x, geo.l_y]
-
-    alpha_x_full = np.cumsum(inc_x)
-    alpha_y_full = np.cumsum(inc_y)
-    state.alpha_x = float(alpha_x_full[-1])
-    state.alpha_y = float(alpha_y_full[-1])
-
-    sample_idx = np.arange(sample_stride - 1, n_steps, sample_stride)
-    times = np.concatenate([[0.0], (sample_idx + 1) * dt])
-    alpha_x = np.concatenate([[0.0], alpha_x_full[sample_idx]])
-    alpha_y = np.concatenate([[0.0], alpha_y_full[sample_idx]])
+    windings = _windings(inc_x, inc_y, dt, sample_stride)
+    state.alpha_x = windings.final_alpha_x
+    state.alpha_y = windings.final_alpha_y
 
     record_steps = (np.arange(position_stride, n_steps + 1, position_stride)
                     if position_stride and n else np.empty(0))
     recorded = record_steps.size > 0
     return ReplicaResult(
-        times=times, alpha_x=alpha_x, alpha_y=alpha_y,
-        inc_x=inc_x, inc_y=inc_y,
+        times=windings.times, alpha_x=windings.alpha_x,
+        alpha_y=windings.alpha_y, inc_x=inc_x, inc_y=inc_y,
         n_v=n_v, n_a=n_a, state=state, vel_series=vel_series,
         chunk_vy2_sums=np.array(vy2_sums) if vy2_sums else None,
         chunk_counts=np.array(counts, dtype=float) if counts else None,
         positions=np.concatenate(pos_records) if recorded else None,
         position_times=record_steps * dt if recorded else None,
     )
+
+
+# run_winding's pseudo-walker: the charges are already summed into V and D
+_UNIT_CHARGE = np.ones(1)
+
+
+def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
+                n_a: int, dt: float, n_steps: int, *,
+                rng: np.random.Generator, sample_stride: int = 10,
+                burn_in_steps: int = 0,
+                chunk_steps: int = 8192) -> WindingResult:
+    """Winding series of one replica from the collective coordinates alone.
+
+    Per axis, V = sum q v and D = sum q dx of n = n_v + n_a independent
+    walkers (q = +-1) follow the exact propagator of one walker at
+    temperature nT: the noise is scaled by sqrt(n) and V starts from the
+    stationary N(0, nT/M). So the windings have exactly the law of
+    run_replica's, from 2 normals plus 4 per step instead of 4n per step.
+    Draw order: V_0 (x, y), then per step (axis, role). An empty
+    ensemble draws nothing and has zero increments. The windings are
+    zeroed after burn-in and the series start at (t=0, alpha=0).
+    """
+    _check_steps(dt, n_steps)
+    _check_counts(n_v, n_a)
+    n = n_v + n_a
+    inc_x = np.zeros(n_steps)
+    inc_y = np.zeros(n_steps)
+    if n:
+        collective = ThermalEnv(env.mass, env.eta, n * env.temperature)
+        prop = OUPropagator.build(collective, dt)
+        vel = rng.normal(0.0, np.sqrt(collective.temperature / env.mass),
+                         size=(1, 2))
+        for total, recording in ((burn_in_steps, False), (n_steps, True)):
+            for done in range(0, total, chunk_steps):
+                vseq, dxy = _propagate_chunk(
+                    rng, prop, vel, min(chunk_steps, total - done))
+                vel = vseq[-1]
+                if recording:
+                    _record_increments(dxy, _UNIT_CHARGE, geometry, inc_x,
+                                       inc_y, done)
+    return _windings(inc_x, inc_y, dt, sample_stride)
 
 
 def mean_population(env: ThermalEnv, geometry: TorusGeometry,

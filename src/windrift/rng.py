@@ -3,8 +3,19 @@
 Every stream is a Philox generator keyed by (master_seed, stream_id). The
 key fully determines the stream, so replicas can run in any order, on any
 number of workers, and reproduce bit-identical noise. Within a stream,
-draws follow a fixed documented order (step-major, then walker index, then
-axis, then noise role), which callers must preserve.
+draws follow a fixed documented order, which callers must preserve.
+Replica r of a `rates` or `simulate` run uses the stream
+(master_seed, r), which holds, in order:
+
+1. the Boltzmann population draw, in that mode only: one Poisson total,
+   then one uniform tie-break coin if the total is odd;
+2. the engine's draws. The collective engine (ensemble.run_winding)
+   draws the stationary V_0 as two normals (x, y), then four normals per
+   step in (axis, role) order, role 0 driving the velocity and role 1 the
+   extra position noise; an empty ensemble draws nothing. The per-walker
+   engine (ensemble.run_replica) draws the positions (walker, axis), the
+   stationary velocities (walker, axis), then per step (walker, axis,
+   role).
 """
 
 import numpy as np

@@ -35,6 +35,18 @@ def free_langevin_noise_free(pos0, vel0, gamma, t):
             vel0 * np.exp(-gamma * t))
 
 
+def winding_variance(env, n_walkers, length, tau):
+    """Exact Var[alpha(tau)] of n walkers started stationary: the closed form
+
+    (2 n T / (eta l^2)) (tau - (1 - e^-gamma tau) / gamma)
+
+    for the winding across a loop of circumference l.
+    """
+    gamma = env.gamma
+    return (2.0 * n_walkers * env.temperature / (env.eta * length**2)
+            * (tau + np.expm1(-gamma * tau) / gamma))
+
+
 def synthetic_brownian_alpha(rate, dt, n_steps, rng):
     """Winding series whose MSD grows as 2*rate*t exactly (white increments)."""
     increments = rng.normal(0.0, np.sqrt(2.0 * rate * dt), size=n_steps)

@@ -123,6 +123,14 @@ def test_criterion_03_rate_agreement(rates_run):
 
 
 def test_criterion_04_no_volume_enhancement(tmp_path_factory):
+    """Gamma_x on the L = 10 torus (32 walkers) over the L = 20 one (128).
+
+    Under the collective engine that rates runs, this is an identity: both
+    tori draw the same normals (same seed, no population draw in mean
+    mode), scaled by sqrt(N)/l, which is the same on both, so the ratio is
+    1 by construction. The statistical check of the N/l^2 scaling is the
+    exact-variance oracle test of run_winding in test_ensemble.py.
+    """
     gammas = {}
     for side in (10.0, 20.0):
         out = tmp_path_factory.mktemp(f"volume{int(side)}")

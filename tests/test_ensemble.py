@@ -4,11 +4,11 @@ import pytest
 from windrift import (SimulationState, ThermalEnv, TorusGeometry,
                       analytic_rate, even_mean_population, initial_state,
                       mean_population, predicted_rate, rate_from_green_kubo,
-                      rate_from_msd, run_replica, sample_population,
-                      substream)
+                      rate_from_msd, run_replica, run_winding,
+                      sample_population, substream)
 from windrift.langevin import OUPropagator
 
-from oracles import step_ensemble, synthetic_brownian_alpha
+from oracles import step_ensemble, synthetic_brownian_alpha, winding_variance
 
 
 def drift_state(velocities, charges):
@@ -159,6 +159,101 @@ class TestEngineEquivalence:
                           master_seed=2, stream_id=0, sample_stride=1)
         assert res.state.alpha_x == res.alpha_x[-1]
         assert res.state.alpha_x == pytest.approx(res.inc_x.sum(), rel=1e-12)
+
+
+def same_position(rng, ref):
+    """The two generators are at the same point of the same stream."""
+    return np.array_equal(rng.integers(0, 2**63, 8),
+                          ref.integers(0, 2**63, 8))
+
+
+def final_windings_collective(env, geometry, n, dt, n_steps, seed, stream):
+    res = run_winding(env, geometry, n, n, dt, n_steps,
+                      rng=substream(seed, stream), sample_stride=n_steps)
+    return res.final_alpha_x, res.final_alpha_y
+
+
+def final_windings_per_walker(env, geometry, n, dt, n_steps, seed, stream):
+    res = run_replica(env, geometry, n, n, dt, n_steps, master_seed=seed,
+                      stream_id=stream, sample_stride=n_steps)
+    return res.state.alpha_x, res.state.alpha_y
+
+
+class TestWindingEngine:
+    """run_winding: the collective-coordinate engine behind rates/simulate."""
+
+    @pytest.mark.parametrize("final_windings", [final_windings_collective,
+                                                final_windings_per_walker])
+    def test_exact_variance_oracle(self, basic_env, final_windings):
+        # one lag per replica, so the R samples are independent; at
+        # gamma * tau = 2 the ballistic term is 43% of tau
+        geo = TorusGeometry(l_x=20.0, l_y=10.0)
+        n, dt, n_steps, replicas = 2, 0.1, 10, 4000
+        samples = np.array([final_windings(basic_env, geo, n, dt, n_steps,
+                                           31, r) for r in range(replicas)])
+        tau = n_steps * dt
+        for column, length in ((0, geo.l_y), (1, geo.l_x)):
+            var = winding_variance(basic_env, 2 * n, length, tau)
+            # the mean is exactly 0, so mean(a^2) has variance 2 var^2 / R
+            z = ((np.mean(samples[:, column] ** 2) - var)
+                 / (var * np.sqrt(2.0 / replicas)))
+            assert abs(z) <= 4.0, (column, z)
+
+    def test_chunk_size_invariance(self, square_torus, basic_env):
+        runs = [run_winding(basic_env, square_torus, 3, 3, 0.05, 500,
+                            rng=substream(9, 2), sample_stride=5,
+                            burn_in_steps=13, chunk_steps=chunk)
+                for chunk in (7, 64, 8192)]
+        for other in runs[1:]:
+            for name in ("times", "alpha_x", "alpha_y", "inc_x", "inc_y",
+                         "final_alpha_x", "final_alpha_y"):
+                assert np.array_equal(getattr(runs[0], name),
+                                      getattr(other, name)), name
+
+    def test_stream_layout(self, square_torus, basic_env):
+        # V_0 (x, y), then per step (axis, role); nothing else is drawn
+        n, dt, burn, n_steps = 5, 0.05, 3, 40
+        rng = substream(4, 1)
+        res = run_winding(basic_env, square_torus, n, n, dt, n_steps,
+                          rng=rng, burn_in_steps=burn, chunk_steps=16)
+        ref = substream(4, 1)
+        normals = ref.standard_normal(2 + 4 * (burn + n_steps))
+        assert same_position(rng, ref)
+        hot = ThermalEnv(basic_env.mass, basic_env.eta,
+                         2 * n * basic_env.temperature)
+        prop = OUPropagator.build(hot, dt)
+        v = np.sqrt(hot.temperature / hot.mass) * normals[:2]
+        for step in range(burn):
+            noise = normals[2 + 4 * step:6 + 4 * step].reshape(2, 2)
+            v = prop.decay * v + prop.sigma_v * noise[:, 0]
+        noise = normals[2 + 4 * burn:6 + 4 * burn].reshape(2, 2)
+        dxy = prop.drift * v + prop.c1 * noise[:, 0] + prop.c2 * noise[:, 1]
+        assert res.inc_x[0] == pytest.approx(dxy[1] / square_torus.l_y,
+                                             rel=1e-12)
+        assert res.inc_y[0] == pytest.approx(dxy[0] / square_torus.l_x,
+                                             rel=1e-12)
+
+    def test_empty_ensemble_draws_nothing(self, square_torus, basic_env):
+        rng = substream(3, 0)
+        res = run_winding(basic_env, square_torus, 0, 0, 0.1, 50, rng=rng,
+                          sample_stride=5, burn_in_steps=7)
+        assert same_position(rng, substream(3, 0))
+        assert not res.inc_x.any() and not res.inc_y.any()
+        assert not res.alpha_x.any() and not res.alpha_y.any()
+        assert res.final_alpha_x == res.final_alpha_y == 0.0
+        assert res.times.shape == (11,)
+
+    @pytest.mark.parametrize("n_v,n_a,dt,n_steps", [
+        (2, 1, 0.1, 10), (-1, -1, 0.1, 10), (1, 1, 0.0, 10),
+        (1, 1, -0.1, 10), (1, 1, 0.1, 0)])
+    def test_rejects_what_run_replica_rejects(self, square_torus, basic_env,
+                                              n_v, n_a, dt, n_steps):
+        with pytest.raises(ValueError) as per_walker:
+            run_replica(basic_env, square_torus, n_v, n_a, dt, n_steps)
+        with pytest.raises(ValueError) as collective:
+            run_winding(basic_env, square_torus, n_v, n_a, dt, n_steps,
+                        rng=substream(0, 0))
+        assert str(collective.value) == str(per_walker.value)
 
 
 class TestPopulation:
