@@ -142,14 +142,9 @@ class WindingResult:
 
 
 @dataclass
-class ReplicaResult:
+class ReplicaResult(WindingResult):
     """Everything one replica run emits for the estimators and exporters."""
 
-    times: np.ndarray          # (S+1,), includes t=0
-    alpha_x: np.ndarray        # (S+1,)
-    alpha_y: np.ndarray        # (S+1,)
-    inc_x: np.ndarray          # (N,) per-step alpha_x increments
-    inc_y: np.ndarray          # (N,)
     n_v: int
     n_a: int
     state: SimulationState
@@ -158,6 +153,11 @@ class ReplicaResult:
     chunk_counts: Optional[np.ndarray] = None
     positions: Optional[np.ndarray] = None        # (P, n, 2) unwrapped
     position_times: Optional[np.ndarray] = None
+
+
+# steps per propagated chunk; a chunk of n walkers draws 4 * n * CHUNK_STEPS
+# normals, so this bounds the engines' working memory
+CHUNK_STEPS = 8192
 
 
 def _propagate_chunk(rng: np.random.Generator, prop: OUPropagator,
@@ -182,6 +182,21 @@ def _propagate_chunk(rng: np.random.Generator, prop: OUPropagator,
     dxy += prop.c1 * n1
     dxy += prop.c2 * n2
     return vseq, dxy
+
+
+def _chunks(rng: np.random.Generator, prop: OUPropagator, vel: np.ndarray,
+            burn_in_steps: int, n_steps: int, chunk_steps: int):
+    """Propagate burn-in, then the recorded steps, chunk by chunk.
+
+    Yields (recording, done, vseq, dxy) per chunk, done being the chunk's
+    first step within its phase; the velocity is carried between chunks.
+    """
+    for total, recording in ((burn_in_steps, False), (n_steps, True)):
+        for done in range(0, total, chunk_steps):
+            vseq, dxy = _propagate_chunk(rng, prop, vel,
+                                         min(chunk_steps, total - done))
+            vel = vseq[-1].copy()
+            yield recording, done, vseq, dxy
 
 
 def _record_increments(dxy, charges, geometry: TorusGeometry, inc_x, inc_y,
@@ -217,7 +232,7 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
                 init_velocities: str = "stationary",
                 velocity_series_walkers: int = 0,
                 position_stride: int = 0,
-                chunk_steps: int = 8192) -> ReplicaResult:
+                chunk_steps: int = CHUNK_STEPS) -> ReplicaResult:
     """Run one replica with chunked, vectorized per-walker propagation.
 
     Each step applies the exact OUPropagator recurrence to every walker.
@@ -250,15 +265,11 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
     vy2_sums = []
     counts = []
 
-    vel = state.vel
     pos_unwrapped = state.pos.copy()
-
-    def sweep(total, recording):
-        nonlocal vel, pos_unwrapped
-        for done in range(0, total, chunk_steps):
-            m = min(chunk_steps, total - done)
-            vseq, dxy = _propagate_chunk(rng, prop, vel, m)
-            vel = vseq[-1].copy()
+    if n:
+        for recording, done, vseq, dxy in _chunks(
+                rng, prop, state.vel, burn_in_steps, n_steps, chunk_steps):
+            m = dxy.shape[0]
             if recording:
                 _record_increments(dxy, charges, geo, inc_x, inc_y, done)
                 if vel_series is not None:
@@ -270,20 +281,17 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
             # positions are one sequential sum whatever the chunk size
             dxy[0] += pos_unwrapped
             if recording and position_stride:
-                walked = np.cumsum(dxy, axis=0, out=dxy)
+                np.cumsum(dxy, axis=0, out=dxy)
                 # rows where the global 1-based step index hits the stride;
                 # copies, so no chunk array outlives its chunk
                 start = (position_stride - 1 - done) % position_stride
-                pos_records.append(walked[start::position_stride].copy())
-                pos_unwrapped = walked[-1].copy()
+                pos_records.append(dxy[start::position_stride].copy())
+                pos_unwrapped = dxy[-1].copy()
             else:
                 pos_unwrapped = dxy.sum(axis=0)
+        state.vel = vseq[-1].copy()
+        del vseq, dxy  # the last chunk is not kept through the tail
 
-    if n:
-        sweep(burn_in_steps, recording=False)
-        sweep(n_steps, recording=True)
-
-    state.vel = vel
     state.pos = pos_unwrapped % [geo.l_x, geo.l_y]
     windings = _windings(inc_x, inc_y, dt, sample_stride)
     state.alpha_x = windings.final_alpha_x
@@ -293,9 +301,8 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
                     if position_stride and n else np.empty(0))
     recorded = record_steps.size > 0
     return ReplicaResult(
-        times=windings.times, alpha_x=windings.alpha_x,
-        alpha_y=windings.alpha_y, inc_x=inc_x, inc_y=inc_y,
-        n_v=n_v, n_a=n_a, state=state, vel_series=vel_series,
+        **vars(windings), n_v=n_v, n_a=n_a, state=state,
+        vel_series=vel_series,
         chunk_vy2_sums=np.array(vy2_sums) if vy2_sums else None,
         chunk_counts=np.array(counts, dtype=float) if counts else None,
         positions=np.concatenate(pos_records) if recorded else None,
@@ -310,8 +317,7 @@ _UNIT_CHARGE = np.ones(1)
 def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
                 n_a: int, dt: float, n_steps: int, *,
                 rng: np.random.Generator, sample_stride: int = 10,
-                burn_in_steps: int = 0,
-                chunk_steps: int = 8192) -> WindingResult:
+                burn_in_steps: int = 0) -> WindingResult:
     """Winding series of one replica from the collective coordinates alone.
 
     Per axis, V = sum q v and D = sum q dx of n = n_v + n_a independent
@@ -333,14 +339,11 @@ def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
         prop = OUPropagator.build(collective, dt)
         vel = rng.normal(0.0, np.sqrt(collective.temperature / env.mass),
                          size=(1, 2))
-        for total, recording in ((burn_in_steps, False), (n_steps, True)):
-            for done in range(0, total, chunk_steps):
-                vseq, dxy = _propagate_chunk(
-                    rng, prop, vel, min(chunk_steps, total - done))
-                vel = vseq[-1]
-                if recording:
-                    _record_increments(dxy, _UNIT_CHARGE, geometry, inc_x,
-                                       inc_y, done)
+        for recording, done, _, dxy in _chunks(
+                rng, prop, vel, burn_in_steps, n_steps, CHUNK_STEPS):
+            if recording:
+                _record_increments(dxy, _UNIT_CHARGE, geometry, inc_x, inc_y,
+                                   done)
     return _windings(inc_x, inc_y, dt, sample_stride)
 
 

@@ -6,6 +6,7 @@ from windrift import (SimulationState, ThermalEnv, TorusGeometry,
                       mean_population, predicted_rate, rate_from_green_kubo,
                       rate_from_msd, run_replica, run_winding,
                       sample_population, substream)
+from windrift import ensemble
 from windrift.langevin import OUPropagator
 
 from oracles import step_ensemble, synthetic_brownian_alpha, winding_variance
@@ -184,11 +185,14 @@ class TestWindingEngine:
 
     @pytest.mark.parametrize("final_windings", [final_windings_collective,
                                                 final_windings_per_walker])
-    def test_exact_variance_oracle(self, basic_env, final_windings):
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_exact_variance_oracle(self, basic_env, final_windings, n):
         # one lag per replica, so the R samples are independent; at
-        # gamma * tau = 2 the ballistic term is 43% of tau
+        # gamma * tau = 2 the ballistic term is 43% of tau. The two counts
+        # tell the noise scale sqrt(2n) from n or 2n, and the two axes
+        # check the 1/l^2 law
         geo = TorusGeometry(l_x=20.0, l_y=10.0)
-        n, dt, n_steps, replicas = 2, 0.1, 10, 4000
+        dt, n_steps, replicas = 0.1, 10, 4000
         samples = np.array([final_windings(basic_env, geo, n, dt, n_steps,
                                            31, r) for r in range(replicas)])
         tau = n_steps * dt
@@ -199,23 +203,27 @@ class TestWindingEngine:
                  / (var * np.sqrt(2.0 / replicas)))
             assert abs(z) <= 4.0, (column, z)
 
-    def test_chunk_size_invariance(self, square_torus, basic_env):
-        runs = [run_winding(basic_env, square_torus, 3, 3, 0.05, 500,
-                            rng=substream(9, 2), sample_stride=5,
-                            burn_in_steps=13, chunk_steps=chunk)
-                for chunk in (7, 64, 8192)]
+    def test_chunk_size_invariance(self, square_torus, basic_env,
+                                   monkeypatch):
+        runs = []
+        for chunk in (7, 64, 8192):
+            monkeypatch.setattr(ensemble, "CHUNK_STEPS", chunk)
+            runs.append(run_winding(basic_env, square_torus, 3, 3, 0.05, 500,
+                                    rng=substream(9, 2), sample_stride=5,
+                                    burn_in_steps=13))
         for other in runs[1:]:
             for name in ("times", "alpha_x", "alpha_y", "inc_x", "inc_y",
                          "final_alpha_x", "final_alpha_y"):
                 assert np.array_equal(getattr(runs[0], name),
                                       getattr(other, name)), name
 
-    def test_stream_layout(self, square_torus, basic_env):
+    def test_stream_layout(self, square_torus, basic_env, monkeypatch):
         # V_0 (x, y), then per step (axis, role); nothing else is drawn
         n, dt, burn, n_steps = 5, 0.05, 3, 40
+        monkeypatch.setattr(ensemble, "CHUNK_STEPS", 16)
         rng = substream(4, 1)
         res = run_winding(basic_env, square_torus, n, n, dt, n_steps,
-                          rng=rng, burn_in_steps=burn, chunk_steps=16)
+                          rng=rng, burn_in_steps=burn)
         ref = substream(4, 1)
         normals = ref.standard_normal(2 + 4 * (burn + n_steps))
         assert same_position(rng, ref)
