@@ -15,7 +15,8 @@ from typing import Optional
 
 from .design import DeviceSpec
 from .ensemble import TorusGeometry
-from .langevin import ThermalEnv
+from .langevin import (ThermalEnv, _check_fit_start, _cutoff_lag,
+                       _fit_lags)
 from .materials import MaterialParams
 
 SUBCOMMANDS = ("simulate", "rates", "fields", "design", "selftest")
@@ -215,20 +216,17 @@ def _check_rate_windows(env: ThermalEnv, dt: float, n_steps: int,
                         sample_stride: int, t_min: float, t_max: float,
                         cutoff: float):
     """Reject before the run what rate_from_msd/rate_from_green_kubo would
-    refuse after it, with their exact conditions on the run's series."""
-    if t_min < 10.0 / env.gamma - 1e-12:
-        raise ConfigError(f"'fit.t_min' ({t_min}) is below the diffusive "
-                          f"regime 10/gamma = {10.0 / env.gamma}")
-    dt_s = sample_stride * dt       # alpha is sampled n_steps // stride times
-    lag_lo = max(1, int(round(t_min / dt_s)))
-    lag_hi = min(n_steps // sample_stride, int(round(t_max / dt_s)))
-    if lag_hi <= lag_lo:
-        raise ConfigError(f"'fit.t_max' ({t_max}) leaves no MSD lag above "
-                          f"'fit.t_min' ({t_min}) at sample spacing {dt_s}")
-    lag_max = int(round(cutoff / dt))
-    if lag_max >= n_steps:
-        raise ConfigError(f"'green_kubo_cutoff' lag {lag_max} must be below "
-                          f"the {n_steps} steps of 'total_time'")
+    refuse after it: their own rules, applied to the run's series shapes."""
+    # alpha is sampled n_steps // stride times after t = 0
+    for key, rule, args in (
+            ("fit.t_min", _check_fit_start, (t_min, env.gamma)),
+            ("fit.t_max", _fit_lags, (t_min, t_max, sample_stride * dt,
+                                      n_steps // sample_stride + 1)),
+            ("green_kubo_cutoff", _cutoff_lag, (cutoff, dt, n_steps))):
+        try:
+            rule(*args)
+        except ValueError as err:
+            raise ConfigError(f"'{key}': {err}") from err
 
 
 def parse_config(text: str, subcommand: str) -> RunConfig:

@@ -33,7 +33,8 @@ from typing import Optional
 import numpy as np
 from scipy.signal import lfilter
 
-from .langevin import OUPropagator, ThermalEnv, _lag_products
+from .langevin import (OUPropagator, ThermalEnv, _check_fit_start,
+                       _cutoff_lag, _fit_lags, _lag_products)
 from .rng import substream
 
 
@@ -185,16 +186,16 @@ def _propagate_chunk(rng: np.random.Generator, prop: OUPropagator,
 
 
 def _chunks(rng: np.random.Generator, prop: OUPropagator, vel: np.ndarray,
-            burn_in_steps: int, n_steps: int, chunk_steps: int):
-    """Propagate burn-in, then the recorded steps, chunk by chunk.
+            burn_in_steps: int, n_steps: int):
+    """Propagate burn-in, then the recorded steps, in CHUNK_STEPS chunks.
 
     Yields (recording, done, vseq, dxy) per chunk, done being the chunk's
     first step within its phase; the velocity is carried between chunks.
     """
     for total, recording in ((burn_in_steps, False), (n_steps, True)):
-        for done in range(0, total, chunk_steps):
+        for done in range(0, total, CHUNK_STEPS):
             vseq, dxy = _propagate_chunk(rng, prop, vel,
-                                         min(chunk_steps, total - done))
+                                         min(CHUNK_STEPS, total - done))
             vel = vseq[-1].copy()
             yield recording, done, vseq, dxy
 
@@ -226,19 +227,17 @@ def _windings(inc_x, inc_y, dt: float, sample_stride: int) -> WindingResult:
 def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
                 dt: float, n_steps: int, master_seed: int = 0,
                 stream_id: int = 0, *,
-                rng: Optional[np.random.Generator] = None,
                 sample_stride: int = 10,
                 burn_in_steps: int = 0,
                 init_velocities: str = "stationary",
                 velocity_series_walkers: int = 0,
-                position_stride: int = 0,
-                chunk_steps: int = CHUNK_STEPS) -> ReplicaResult:
+                position_stride: int = 0) -> ReplicaResult:
     """Run one replica with chunked, vectorized per-walker propagation.
 
     Each step applies the exact OUPropagator recurrence to every walker.
     All noise is consumed in (step, walker, axis, role) order, so the
-    trajectory is a pure function of the generator (by default the
-    Philox stream of (master_seed, stream_id)) and the physical arguments.
+    trajectory is a pure function of the Philox stream of
+    (master_seed, stream_id) and the physical arguments.
     Use it where walkers matter: velocity series, positions, equipartition;
     run_winding gives the winding series alone in O(1) draws per step.
 
@@ -248,8 +247,7 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
     position_stride-th recorded step.
     """
     _check_steps(dt, n_steps)
-    if rng is None:
-        rng = substream(master_seed, stream_id)
+    rng = substream(master_seed, stream_id)
     state = initial_state(env, geometry, n_v, n_a, rng,
                           init_velocities=init_velocities)
     prop = OUPropagator.build(env, dt)
@@ -268,7 +266,7 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
     pos_unwrapped = state.pos.copy()
     if n:
         for recording, done, vseq, dxy in _chunks(
-                rng, prop, state.vel, burn_in_steps, n_steps, chunk_steps):
+                rng, prop, state.vel, burn_in_steps, n_steps):
             m = dxy.shape[0]
             if recording:
                 _record_increments(dxy, charges, geo, inc_x, inc_y, done)
@@ -340,7 +338,7 @@ def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
         vel = rng.normal(0.0, np.sqrt(collective.temperature / env.mass),
                          size=(1, 2))
         for recording, done, _, dxy in _chunks(
-                rng, prop, vel, burn_in_steps, n_steps, CHUNK_STEPS):
+                rng, prop, vel, burn_in_steps, n_steps):
             if recording:
                 _record_increments(dxy, _UNIT_CHARGE, geometry, inc_x, inc_y,
                                    done)
@@ -359,7 +357,7 @@ def mean_population(env: ThermalEnv, geometry: TorusGeometry,
 
 
 def sample_population(env: ThermalEnv, geometry: TorusGeometry, f0: float,
-                      rng: Optional[np.random.Generator] = None):
+                      rng: np.random.Generator):
     """Draw (n_v, n_a): Poisson total, rounded to the nearest even, split equally.
 
     An odd total sits exactly between two even numbers; the tie is broken
@@ -368,8 +366,6 @@ def sample_population(env: ThermalEnv, geometry: TorusGeometry, f0: float,
     an error.
     """
     mean = mean_population(env, geometry, f0)
-    if rng is None:
-        rng = np.random.default_rng()
     total = int(rng.poisson(mean))
     if total % 2:
         total += 1 if rng.random() < 0.5 else -1
@@ -443,9 +439,8 @@ def _estimate(rates: np.ndarray, method: str) -> RateEstimate:
                         method=method, per_row=rates)
 
 
-def rate_from_msd(times, alphas, fit_window=None, *, gamma=None,
-                  min_segments: int = 20, max_fit_points: int = 40
-                  ) -> RateEstimate:
+def rate_from_msd(times, alphas, fit_window, *, gamma=None,
+                  min_segments: int = 20) -> RateEstimate:
     """Rate from the slope of the winding-number MSD.
 
     Parameters
@@ -455,12 +450,12 @@ def rate_from_msd(times, alphas, fit_window=None, *, gamma=None,
     alphas : (S,) or (R, S) array
         Winding-number samples; rows are independent replicas. A single
         row is split into min_segments consecutive blocks.
-    fit_window : (t_min, t_max), optional
-        Lag-time window for the least-squares line. Defaults to
-        (10/gamma, duration/2), which requires passing gamma.
+    fit_window : (t_min, t_max)
+        Lag-time window for the least-squares line, fitted at up to 40
+        lags; a window that rounds to fewer than two lags is refused.
     gamma : float, optional
-        Velocity relaxation rate eta/M, used for the default window and
-        the diffusive-regime precondition t_min >= 10/gamma.
+        Velocity relaxation rate eta/M; when given, the window must start
+        in the diffusive regime, t_min >= 10/gamma.
 
     Returns
     -------
@@ -470,27 +465,14 @@ def rate_from_msd(times, alphas, fit_window=None, *, gamma=None,
     """
     times = np.asarray(times, dtype=float)
     dt_s = times[1] - times[0]
-    duration = times[-1] - times[0]
-    if fit_window is None:
-        if gamma is None:
-            raise ValueError("need fit_window or gamma for the default")
-        fit_window = (10.0 / gamma, duration / 2.0)
     t_min, t_max = fit_window
-    if gamma is not None and t_min < 10.0 / gamma - 1e-12:
-        raise ValueError(f"fit window starts at {t_min}, below the "
-                         f"diffusive regime 10/gamma = {10.0 / gamma}")
+    if gamma is not None:
+        _check_fit_start(t_min, gamma)
 
     rows = _as_segments(alphas, min_segments)
     n_cols = rows.shape[1]
-    lag_lo = max(1, int(round(t_min / dt_s)))
-    lag_hi = min(n_cols - 1, int(round(t_max / dt_s)))
-    if lag_hi <= lag_lo:
-        raise ValueError(f"fit window ({t_min}, {t_max}) leaves no usable "
-                         f"lags at sample spacing {dt_s}")
-    lags = np.unique(np.linspace(lag_lo, lag_hi,
-                                 min(max_fit_points, lag_hi - lag_lo + 1)
-                                 ).astype(int))
-    origins = np.arange(0, n_cols - lag_hi, lag_hi)
+    lags = _fit_lags(t_min, t_max, dt_s, n_cols)
+    origins = np.arange(0, n_cols - lags[-1], lags[-1])
 
     rates = np.empty(rows.shape[0])
     for i, row in enumerate(rows):
@@ -515,11 +497,7 @@ def rate_from_green_kubo(increments, dt: float, cutoff: float,
     row's rate.
     """
     rows = _as_segments(increments, min_segments)
-    n_cols = rows.shape[1]
-    lag_max = int(round(cutoff / dt))
-    if lag_max >= n_cols:
-        raise ValueError(f"cutoff {cutoff} (lag {lag_max}) exceeds series "
-                         f"length {n_cols}")
+    lag_max = _cutoff_lag(cutoff, dt, rows.shape[1])
     acf = _lag_products(rows / dt, lag_max)
     rates = np.maximum(dt * (0.5 * acf[:, 0] + acf[:, 1:].sum(axis=1)), 0.0)
     return _estimate(rates, "GreenKubo")

@@ -11,7 +11,7 @@ results carry no time-step bias, only statistics.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -153,6 +153,41 @@ def _initial_rate_guess(c, dt):
     return 1.0 / dt
 
 
+# The fit-window rules, one owner each: the MSD fits, the Green-Kubo estimator
+# and the config parser (refusing a rates config before it runs) call them.
+
+def _check_fit_start(t_min: float, gamma: float) -> None:
+    """A slope fit must start in the diffusive regime, t_min >= 10/gamma."""
+    # the slack admits a t_min computed as 10/gamma that rounds below it
+    if t_min < 10.0 / gamma - 1e-12:
+        raise ValueError(f"fit window starts at {t_min}, below the "
+                         f"diffusive regime 10/gamma = {10.0 / gamma}")
+
+
+def _fit_lags(t_min: float, t_max: float, spacing: float, n_samples: int,
+              n_points: int = 40) -> np.ndarray:
+    """Up to n_points lags (in samples) spread over the lag-time window
+    [t_min, t_max], rounded and clipped to [1, n_samples - 1]; a window
+    that rounds to fewer than the two lags a line needs is refused."""
+    lag_lo = max(1, int(round(t_min / spacing)))
+    lag_hi = min(n_samples - 1, int(round(t_max / spacing)))
+    if lag_hi <= lag_lo:
+        raise ValueError(f"fit window ({t_min}, {t_max}) leaves no usable "
+                         f"lags at sample spacing {spacing}")
+    return np.unique(np.linspace(lag_lo, lag_hi,
+                                 min(n_points, lag_hi - lag_lo + 1)
+                                 ).astype(int))
+
+
+def _cutoff_lag(cutoff: float, dt: float, n_samples: int) -> int:
+    """Green-Kubo cutoff in steps; it must stay below the series length."""
+    lag_max = int(round(cutoff / dt))
+    if lag_max >= n_samples:
+        raise ValueError(f"cutoff {cutoff} (lag {lag_max}) exceeds series "
+                         f"length {n_samples}")
+    return lag_max
+
+
 @dataclass(frozen=True)
 class DiffusionCheck:
     """Measured diffusion coefficient against the Einstein value T/eta."""
@@ -163,8 +198,7 @@ class DiffusionCheck:
     ratio_err: float
 
 
-def einstein_diffusion_check(positions, dt: float, env: ThermalEnv,
-                             fit_window: Optional[Tuple[float, float]] = None
+def einstein_diffusion_check(positions, dt: float, env: ThermalEnv
                              ) -> DiffusionCheck:
     """Compare the MSD slope of free trajectories with D = T/eta.
 
@@ -172,8 +206,10 @@ def einstein_diffusion_check(positions, dt: float, env: ThermalEnv,
     ----------
     positions : array_like, shape (S, 2) or (S, n, 2)
         Unwrapped positions sampled every dt (S samples, n walkers).
-    fit_window : (t_min, t_max), optional
-        Lag window for the slope fit; defaults to (10/gamma, 50/gamma).
+
+    The slope is fitted over lag times (10/gamma, min(50/gamma, T/2)), T
+    being the trajectory duration, at up to 24 lags; a trajectory too short
+    to give two lags in that window is refused.
 
     Returns
     -------
@@ -186,16 +222,8 @@ def einstein_diffusion_check(positions, dt: float, env: ThermalEnv,
         pos = pos[:, None, :]
     n_samples = pos.shape[0]
     gamma = env.gamma
-    duration = (n_samples - 1) * dt
-    if duration < 10.0 / gamma:
-        raise ValueError(f"trajectory duration {duration} < 10/gamma "
-                         f"= {10.0 / gamma}")
-    if fit_window is None:
-        fit_window = (10.0 / gamma, min(50.0 / gamma, duration / 2.0))
-    lag_lo = max(1, int(round(fit_window[0] / dt)))
-    lag_hi = min(n_samples - 1, int(round(fit_window[1] / dt)))
-    n_lags = min(24, lag_hi - lag_lo + 1)
-    lags = np.unique(np.linspace(lag_lo, lag_hi, n_lags).astype(int))
+    t_max = min(50.0 / gamma, (n_samples - 1) * dt / 2.0)
+    lags = _fit_lags(10.0 / gamma, t_max, dt, n_samples, n_points=24)
 
     slopes = []
     for w in range(pos.shape[1]):
@@ -207,10 +235,7 @@ def einstein_diffusion_check(positions, dt: float, env: ThermalEnv,
     slopes = np.asarray(slopes)
     d_measured = float(np.mean(slopes))
     d_expected = env.temperature / env.eta
-    if len(slopes) > 1:
-        err = float(np.std(slopes, ddof=1) / np.sqrt(len(slopes)))
-    else:
-        err = float("nan")
+    err = float(np.std(slopes, ddof=1) / np.sqrt(len(slopes)))   # >= 2 slopes
     if d_expected > 0.0:
         ratio, ratio_err = d_measured / d_expected, err / d_expected
     else:

@@ -130,23 +130,21 @@ class RegimeReport:
     dirty_ratio: Optional[float]    # l_tr / xi, None when l_tr missing
 
 
-def classify_regime(params: MaterialParams, scales: DerivedScales,
-                    type_ii_margin: float = 100.0,
-                    dirty_margin: float = 10.0) -> RegimeReport:
-    """Check the extreme type-II and dirty-limit conditions.
+TYPE_II_MARGIN = 100.0     # extreme type II: g^2 zeta^2 <= b / margin
+DIRTY_MARGIN = 10.0        # dirty limit: l_tr <= xi / margin
 
-    "Much less than" thresholds: extreme type-II means
-    g^2 zeta^2 <= b / type_ii_margin (kappa >= ~10 at the default margin);
-    dirty means l_tr <= xi / dirty_margin.
-    """
+
+def classify_regime(params: MaterialParams, scales: DerivedScales
+                    ) -> RegimeReport:
+    """Check the extreme type-II (kappa >= ~10) and dirty-limit conditions."""
     type_ii_ratio = (params.g_coupling * params.zeta)**2 / params.b_coeff
-    extreme = bool(type_ii_ratio <= 1.0 / type_ii_margin)
+    extreme = bool(type_ii_ratio <= 1.0 / TYPE_II_MARGIN)
     if params.l_tr is None:
         dirty: Union[bool, str] = "unknown"
         dirty_ratio = None
     else:
         dirty_ratio = params.l_tr / scales.xi
-        dirty = bool(dirty_ratio <= 1.0 / dirty_margin)
+        dirty = bool(dirty_ratio <= 1.0 / DIRTY_MARGIN)
     return RegimeReport(
         extreme_type_ii=extreme,
         dirty_limit=dirty,

@@ -90,8 +90,9 @@ class TestStateConstruction:
 
 
 def assert_engine_matches_oracle(env, geometry, burn_in_steps,
-                                 init_velocities):
+                                 init_velocities, monkeypatch):
     """run_replica against the stepwise oracle fed the same Philox stream."""
+    monkeypatch.setattr(ensemble, "CHUNK_STEPS", 7)
     dt, n_steps, seed, stream = 0.07, 40, 123, 4
     rng = substream(seed, stream)
     state = initial_state(env, geometry, 3, 3, rng,
@@ -104,9 +105,10 @@ def assert_engine_matches_oracle(env, geometry, burn_in_steps,
         step_ensemble(state, geometry, dt, env, rng)
         alphas.append((state.alpha_x, state.alpha_y))
     rep = run_replica(env, geometry, 3, 3, dt, n_steps, master_seed=seed,
-                      stream_id=stream, sample_stride=1, chunk_steps=7,
+                      stream_id=stream, sample_stride=1,
                       burn_in_steps=burn_in_steps,
                       init_velocities=init_velocities)
+    assert len(rep.chunk_counts) == 6           # 40 steps in chunks of 7
     assert np.array_equal(rep.state.vel, state.vel)
     assert rep.alpha_x[1:].tolist() == [a[0] for a in alphas]
     assert rep.alpha_y[1:].tolist() == [a[1] for a in alphas]
@@ -116,24 +118,30 @@ def assert_engine_matches_oracle(env, geometry, burn_in_steps,
 class TestEngineEquivalence:
     """The chunked fast path must reproduce the stepwise oracle bit for bit."""
 
-    def test_stepwise_and_chunked_match(self, square_torus, basic_env):
+    def test_stepwise_and_chunked_match(self, square_torus, basic_env,
+                                        monkeypatch):
         assert_engine_matches_oracle(basic_env, square_torus, 0,
-                                     "stationary")
+                                     "stationary", monkeypatch)
 
     @pytest.mark.parametrize("burn_in_steps,init_velocities",
                              [(9, "stationary"), (0, "zero"), (16, "zero")])
     def test_stepwise_and_chunked_match_variants(
-            self, square_torus, basic_env, burn_in_steps, init_velocities):
+            self, square_torus, basic_env, burn_in_steps, init_velocities,
+            monkeypatch):
         assert_engine_matches_oracle(basic_env, square_torus, burn_in_steps,
-                                     init_velocities)
+                                     init_velocities, monkeypatch)
 
-    def test_chunk_size_invariance(self, square_torus, basic_env):
-        a = run_replica(basic_env, square_torus, 4, 4, 0.05, 100,
-                        master_seed=9, stream_id=2, chunk_steps=11,
-                        position_stride=7)
-        b = run_replica(basic_env, square_torus, 4, 4, 0.05, 100,
-                        master_seed=9, stream_id=2, chunk_steps=64,
-                        position_stride=7)
+    def test_chunk_size_invariance(self, square_torus, basic_env,
+                                   monkeypatch):
+        runs = []
+        for chunk in (11, 64):
+            monkeypatch.setattr(ensemble, "CHUNK_STEPS", chunk)
+            runs.append(run_replica(basic_env, square_torus, 4, 4, 0.05, 100,
+                                    master_seed=9, stream_id=2,
+                                    position_stride=7))
+        a, b = runs
+        # the chunk length is read when run_replica is called
+        assert (len(a.chunk_counts), len(b.chunk_counts)) == (10, 2)
         assert np.array_equal(a.inc_x, b.inc_x)
         assert np.array_equal(a.inc_y, b.inc_y)
         assert np.array_equal(a.state.vel, b.state.vel)

@@ -164,8 +164,14 @@ class TestEinsteinDiffusion:
         assert 0.95 <= check.ratio <= 1.05
 
     def test_rejects_short_trajectory(self, basic_env):
-        with pytest.raises(ValueError):
-            einstein_diffusion_check(np.zeros((10, 2)), 0.1, basic_env)
+        # gamma = 2, dt = 0.1: the window (5, min(25, duration / 2)) must
+        # hold two lags. 10 samples end before 10/gamma; at 76 the window
+        # (5, 3.75) is empty; at 101 (5, 5) rounds to a single lag
+        walk = np.cumsum(np.random.default_rng(3).normal(0.0, 0.3, (101, 2)),
+                         axis=0)
+        for n_samples in (10, 76, 101):
+            with pytest.raises(ValueError, match="no usable lags"):
+                einstein_diffusion_check(walk[:n_samples], 0.1, basic_env)
 
     def test_timestep_independence(self, basic_env):
         geo = TorusGeometry(l_x=100.0, l_y=100.0)

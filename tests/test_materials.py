@@ -76,10 +76,9 @@ def test_regime_report_unknown_without_mean_free_path():
 
 
 def test_regime_margins_configurable():
-    params = make_params(l_tr=0.1)           # xi/5: dirty only at margin <= 5
+    params = make_params(l_tr=0.1)           # xi/5: not below xi/DIRTY_MARGIN
     scales = derive_scales(params)
     assert classify_regime(params, scales).dirty_limit is False
-    assert classify_regime(params, scales, dirty_margin=4.0).dirty_limit is True
 
 
 @pytest.mark.parametrize("field", ["zeta", "a_coeff", "b_coeff",
