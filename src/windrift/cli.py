@@ -11,9 +11,9 @@ simulate and rates write only charge-weighted sums (windings and their
 rates), so they run the collective engine, ensemble.run_winding.
 
 Numbers are serialized with 17 significant digits so binary doubles
-round-trip exactly; JSON keys are sorted. Reruns with the same config,
-seed and BLAS thread count are byte-identical except for the timestamp
-field, regardless of how many worker lanes execute the replicas.
+round-trip exactly; JSON keys are sorted. Reruns with the same config
+and seed are byte-identical except for the timestamp field, regardless
+of how many worker lanes execute the replicas.
 """
 
 import argparse

@@ -115,8 +115,7 @@ def velocity_autocorrelation(series, dt: float, max_lag: int
         Lag times, unbiased product averages, and the fitted
         amplitude/decay with standard errors.
     """
-    # contiguous rows make every lag product a unit-stride dot
-    series = np.ascontiguousarray(np.atleast_2d(series), dtype=float)
+    series = np.atleast_2d(np.asarray(series, dtype=float))
     n = series.shape[1]
     if n < 10 * max_lag:
         raise ValueError(f"series length {n} < 10 * max_lag = {10 * max_lag}")
@@ -139,10 +138,21 @@ def velocity_autocorrelation(series, dt: float, max_lag: int
 
 
 def _lag_products(rows, max_lag: int) -> np.ndarray:
-    """Unbiased dot(row[:n-k], row[k:]) / (n-k): (R, n) -> (R, max_lag + 1)."""
+    """Unbiased sum_j x[j] x[j+k] / (n-k): (R, n) -> (R, max_lag + 1).
+
+    Wiener-Khinchin, row by row: the inverse FFT of |F|^2, each row
+    zero-padded to a power of two >= n + max_lag so that no lag wraps
+    around. numpy.fft runs on one thread, so the digits do not depend on
+    the BLAS thread count.
+    """
     n = rows.shape[1]
-    return np.array([[np.dot(row[:n - k], row[k:]) / (n - k)
-                      for k in range(max_lag + 1)] for row in rows])
+    size = 1 << (n + max_lag - 1).bit_length()
+    counts = n - np.arange(max_lag + 1)
+    out = np.empty((rows.shape[0], max_lag + 1))
+    for i, row in enumerate(rows):
+        f = np.fft.rfft(row, size)
+        out[i] = np.fft.irfft(f.real**2 + f.imag**2, size)[:max_lag + 1]
+    return out / counts
 
 
 def _initial_rate_guess(c, dt):

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import windrift
 from windrift import (ConfigError, parse_config, rate_from_green_kubo,
                       rate_from_msd)
 from windrift.cli import format_float, json_text, main, run
@@ -280,6 +284,28 @@ class TestMainEntry:
                      str(tmp_path / "out"), "--lanes", "2"])
         assert code == 0
         assert (tmp_path / "out" / "summary.json").exists()
+
+    def test_artifacts_independent_of_blas_threads(self, tmp_path):
+        # the lag products must not sum in an order set by the BLAS threads
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(
+            replicas=2, dt=0.1, total_time=3000.0, sample_stride=5,
+            fit={"t_min": 5.0, "t_max": 50.0}, green_kubo_cutoff=5.0))
+        src = str(Path(windrift.__file__).parents[1])
+        summaries = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from windrift.cli import "
+                 "main; sys.exit(main(sys.argv[1:]))", "rates", "--config",
+                 str(cfg_path), "--out", str(out)],
+                env=env, check=True, capture_output=True)
+            summaries.append(read_without_timestamp(out / "summary.json"))
+        assert summaries[0] == summaries[1]
 
     def test_main_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

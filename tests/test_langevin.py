@@ -5,6 +5,7 @@ from scipy.signal import lfilter
 from windrift import (OUPropagator, ThermalEnv, TorusGeometry,
                       einstein_diffusion_check, rate_from_green_kubo,
                       run_replica, velocity_autocorrelation)
+from windrift.langevin import _lag_products
 
 from oracles import free_langevin_noise_free, lag_products_loop
 
@@ -130,6 +131,13 @@ class TestLagProductKernel:
         _, c, _ = velocity_autocorrelation(rows, 0.1, max_lag=4)
         expected = lag_products_loop(rows, 4).mean(axis=0)
         assert np.allclose(c, expected, rtol=1e-14, atol=0.0)
+
+    def test_every_lag_matches_loop(self, rows):
+        # at max_lag = n - 1 a transform padded below n + max_lag wraps
+        n = rows.shape[1]
+        expected = lag_products_loop(rows, n - 1)
+        err = np.abs(_lag_products(rows, n - 1) - expected).max()
+        assert err <= 1e-14 * np.abs(expected).max()
 
     def test_green_kubo_per_row_matches_loop(self, rows):
         dt = 0.1
