@@ -34,7 +34,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .langevin import (OUPropagator, ThermalEnv, _check_fit_start,
-                       _cutoff_lag, _fit_lags, _lag_products)
+                       _cutoff_lag, _fit_lags, _lag_products, _msd)
 from .rng import substream
 
 
@@ -451,8 +451,8 @@ def rate_from_msd(times, alphas, fit_window, *, gamma=None,
         Winding-number samples; rows are independent replicas. A single
         row is split into min_segments consecutive blocks.
     fit_window : (t_min, t_max)
-        Lag-time window for the least-squares line, fitted at up to 40
-        lags; a window that rounds to fewer than two lags is refused.
+        Lag-time window for the line, fitted at every lag of the
+        all-origin MSD; a window of fewer than two lags is refused.
     gamma : float, optional
         Velocity relaxation rate eta/M; when given, the window must start
         in the diffusive regime, t_min >= 10/gamma.
@@ -470,17 +470,9 @@ def rate_from_msd(times, alphas, fit_window, *, gamma=None,
         _check_fit_start(t_min, gamma)
 
     rows = _as_segments(alphas, min_segments)
-    n_cols = rows.shape[1]
-    lags = _fit_lags(t_min, t_max, dt_s, n_cols)
-    origins = np.arange(0, n_cols - lags[-1], lags[-1])
-
-    rates = np.empty(rows.shape[0])
-    for i, row in enumerate(rows):
-        msd = np.array([np.mean((row[origins + L] - row[origins]) ** 2)
-                        for L in lags])
-        slope = np.polyfit(lags * dt_s, msd, 1)[0]
-        rates[i] = max(slope / 2.0, 0.0)
-    return _estimate(rates, "MSD")
+    lags = _fit_lags(t_min, t_max, dt_s, rows.shape[1])
+    slopes = np.polyfit(lags * dt_s, _msd(rows, lags).T, 1)[0]
+    return _estimate(np.maximum(slopes / 2.0, 0.0), "MSD")
 
 
 def rate_from_green_kubo(increments, dt: float, cutoff: float,

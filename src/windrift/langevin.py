@@ -138,21 +138,30 @@ def velocity_autocorrelation(series, dt: float, max_lag: int
 
 
 def _lag_products(rows, max_lag: int) -> np.ndarray:
-    """Unbiased sum_j x[j] x[j+k] / (n-k): (R, n) -> (R, max_lag + 1).
-
-    Wiener-Khinchin, row by row: the inverse FFT of |F|^2, each row
-    zero-padded to a power of two >= n + max_lag so that no lag wraps
-    around. numpy.fft runs on one thread, so the digits do not depend on
-    the BLAS thread count.
-    """
+    """Unbiased sum_j x[j] x[j+k] / (n-k): (R, n) -> (R, max_lag + 1), row
+    by row as the inverse FFT of |F|^2 (Wiener-Khinchin), zero-padded to a
+    power of two >= n + max_lag so that no lag wraps around."""
     n = rows.shape[1]
-    size = 1 << (n + max_lag - 1).bit_length()
-    counts = n - np.arange(max_lag + 1)
-    out = np.empty((rows.shape[0], max_lag + 1))
-    for i, row in enumerate(rows):
+    size = 1 << int(n + max_lag - 1).bit_length()
+    out = []
+    for row in rows:
         f = np.fft.rfft(row, size)
-        out[i] = np.fft.irfft(f.real**2 + f.imag**2, size)[:max_lag + 1]
-    return out / counts
+        out.append(np.fft.irfft(f.real**2 + f.imag**2, size)[:max_lag + 1])
+    return np.array(out) / (n - np.arange(max_lag + 1))
+
+
+def _msd(rows, lags) -> np.ndarray:
+    """All-origin mean squared displacement at increasing lags >= 1,
+    (R, n) -> (R, len(lags)). On centred rows (Kneller et al., Comput.
+    Phys. Commun. 91, 191 (1995)), MSD(L) = (sum_{j<n-L} x_j^2
+    + sum_{j>=L} x_j^2) / (n-L) - 2 lagprod(L)."""
+    x = rows - rows.mean(axis=1, keepdims=True)
+    n = x.shape[1]
+    squares = np.cumsum(x * x, axis=1)
+    head = squares[:, n - 1 - lags]
+    tail = squares[:, -1:] - squares[:, lags - 1]
+    return ((head + tail) / (n - lags)
+            - 2.0 * _lag_products(x, lags[-1])[:, lags])
 
 
 def _initial_rate_guess(c, dt):
@@ -174,19 +183,17 @@ def _check_fit_start(t_min: float, gamma: float) -> None:
                          f"diffusive regime 10/gamma = {10.0 / gamma}")
 
 
-def _fit_lags(t_min: float, t_max: float, spacing: float, n_samples: int,
-              n_points: int = 40) -> np.ndarray:
-    """Up to n_points lags (in samples) spread over the lag-time window
-    [t_min, t_max], rounded and clipped to [1, n_samples - 1]; a window
-    that rounds to fewer than the two lags a line needs is refused."""
+def _fit_lags(t_min: float, t_max: float, spacing: float,
+              n_samples: int) -> np.ndarray:
+    """Every lag (in samples) in the lag-time window [t_min, t_max], each
+    end rounded and clipped to [1, n_samples - 1]; a window that rounds to
+    fewer than the two lags a line needs is refused."""
     lag_lo = max(1, int(round(t_min / spacing)))
     lag_hi = min(n_samples - 1, int(round(t_max / spacing)))
     if lag_hi <= lag_lo:
         raise ValueError(f"fit window ({t_min}, {t_max}) leaves no usable "
                          f"lags at sample spacing {spacing}")
-    return np.unique(np.linspace(lag_lo, lag_hi,
-                                 min(n_points, lag_hi - lag_lo + 1)
-                                 ).astype(int))
+    return np.arange(lag_lo, lag_hi + 1)
 
 
 def _cutoff_lag(cutoff: float, dt: float, n_samples: int) -> int:
@@ -218,8 +225,8 @@ def einstein_diffusion_check(positions, dt: float, env: ThermalEnv
         Unwrapped positions sampled every dt (S samples, n walkers).
 
     The slope is fitted over lag times (10/gamma, min(50/gamma, T/2)), T
-    being the trajectory duration, at up to 24 lags; a trajectory too short
-    to give two lags in that window is refused.
+    being the trajectory duration, at every lag of the all-origin MSD; a
+    trajectory too short to give two lags in that window is refused.
 
     Returns
     -------
@@ -228,21 +235,12 @@ def einstein_diffusion_check(positions, dt: float, env: ThermalEnv
         is the standard error of that scatter.
     """
     pos = np.asarray(positions, dtype=float)
-    if pos.ndim == 2:
-        pos = pos[:, None, :]
     n_samples = pos.shape[0]
     gamma = env.gamma
     t_max = min(50.0 / gamma, (n_samples - 1) * dt / 2.0)
-    lags = _fit_lags(10.0 / gamma, t_max, dt, n_samples, n_points=24)
-
-    slopes = []
-    for w in range(pos.shape[1]):
-        for axis in range(2):
-            x = pos[:, w, axis]
-            msd = np.array([np.mean((x[L:] - x[:-L]) ** 2) for L in lags])
-            slope = np.polyfit(lags * dt, msd, 1)[0]
-            slopes.append(slope / 2.0)
-    slopes = np.asarray(slopes)
+    lags = _fit_lags(10.0 / gamma, t_max, dt, n_samples)
+    msd = _msd(pos.reshape(n_samples, -1).T, lags)
+    slopes = np.polyfit(lags * dt, msd.T, 1)[0] / 2.0
     d_measured = float(np.mean(slopes))
     d_expected = env.temperature / env.eta
     err = float(np.std(slopes, ddof=1) / np.sqrt(len(slopes)))   # >= 2 slopes

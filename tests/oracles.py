@@ -63,6 +63,12 @@ def lag_products_loop(rows, max_lag):
     return np.array(out)
 
 
+def msd_loop(rows, lags):
+    """All-origin MSD mean_j (x[j+L] - x[j])^2 by an explicit loop over lags."""
+    return np.array([[np.mean((row[lag:] - row[:-lag]) ** 2) for lag in lags]
+                     for row in rows])
+
+
 def e_squared_numeric_angle_average(r, speed, scales, c_light, n_angles=512):
     """Angle-average |E|^2 by brute-force trapezoid over the circle."""
     from windrift.fields import moving_vortex_e

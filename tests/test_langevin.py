@@ -4,10 +4,12 @@ from scipy.signal import lfilter
 
 from windrift import (OUPropagator, ThermalEnv, TorusGeometry,
                       einstein_diffusion_check, rate_from_green_kubo,
-                      run_replica, velocity_autocorrelation)
-from windrift.langevin import _lag_products
+                      run_replica, run_winding, substream,
+                      velocity_autocorrelation)
+from windrift.langevin import _lag_products, _msd
 
-from oracles import free_langevin_noise_free, lag_products_loop
+from oracles import (free_langevin_noise_free, lag_products_loop, msd_loop,
+                     winding_variance)
 
 
 def noise_free_step(env, dt, pos, vel):
@@ -147,6 +149,38 @@ class TestLagProductKernel:
                               0.0)
         assert expected.shape == (3,) and np.any(expected > 0.0)
         assert np.allclose(est.per_row, expected, rtol=1e-14, atol=0.0)
+
+
+class TestAllOriginMsd:
+    """_msd, the MSD behind rate_from_msd and the Einstein check."""
+
+    def test_matches_loop_on_random_walks(self):
+        # MSD(L) is a difference of sums of squares of the size of the row
+        # variance, so its rounding error scales with that variance (about
+        # 7e-12 of it at 20,000 samples), not with the MSD itself
+        rows = np.cumsum(np.random.default_rng(2).normal(size=(4, 20_000)),
+                         axis=1)
+        lags = np.unique(np.geomspace(1, rows.shape[1] - 1, 60).astype(int))
+        err = np.abs(_msd(rows, lags) - msd_loop(rows, lags))
+        assert np.all(err <= 2e-11 * rows.var(axis=1, keepdims=True))
+
+    def test_replica_mean_is_exact_variance(self, basic_env):
+        # stationary increments, so every origin's expectation is
+        # Var[alpha(tau)]; lags at 0.5, 5 and 50 / gamma (gamma = 2), z
+        # from the spread of the R replica values
+        geo = TorusGeometry(l_x=20.0, l_y=10.0)
+        n, dt, replicas = 4, 0.05, 400
+        lags = np.array([5, 50, 500])
+        msd = np.array([_msd(np.stack([res.alpha_x, res.alpha_y]), lags)
+                        for res in (run_winding(basic_env, geo, n, n, dt,
+                                                2000, rng=substream(43, r),
+                                                sample_stride=1)
+                                    for r in range(replicas))])
+        for axis, length in ((0, geo.l_y), (1, geo.l_x)):
+            exact = winding_variance(basic_env, 2 * n, length, lags * dt)
+            z = ((msd[:, axis].mean(axis=0) - exact)
+                 / (msd[:, axis].std(axis=0, ddof=1) / np.sqrt(replicas)))
+            assert np.all(np.abs(z) <= 4.0), (axis, z)
 
 
 class TestEinsteinDiffusion:
