@@ -62,7 +62,7 @@ class RateEstimate:
     stderr: float
     method: str               # MSD | GreenKubo | Analytic | Predicted
     storage_time: Optional[float] = None
-    # estimators only: the clipped rate of each row (replica or block)
+    # estimators only: the unclipped rate of each row (replica or block)
     per_row: Optional[np.ndarray] = field(default=None, compare=False,
                                           repr=False)
 
@@ -432,11 +432,13 @@ def _as_segments(series, min_segments):
 
 
 def _estimate(rates: np.ndarray, method: str) -> RateEstimate:
-    """Mean of the per-row rates with the standard error of that mean."""
+    """Mean of the per-row rates, clipped at 0 (a rate is nonnegative), with
+    the standard error of the unclipped rows; clipping each row instead
+    would bias the mean upward."""
     stderr = (float(np.std(rates, ddof=1) / np.sqrt(len(rates)))
               if len(rates) > 1 else 0.0)
-    return RateEstimate(gamma_rate=float(np.mean(rates)), stderr=stderr,
-                        method=method, per_row=rates)
+    return RateEstimate(gamma_rate=max(float(np.mean(rates)), 0.0),
+                        stderr=stderr, method=method, per_row=rates)
 
 
 def rate_from_msd(times, alphas, fit_window, *, gamma=None,
@@ -472,7 +474,7 @@ def rate_from_msd(times, alphas, fit_window, *, gamma=None,
     rows = _as_segments(alphas, min_segments)
     lags = _fit_lags(t_min, t_max, dt_s, rows.shape[1])
     slopes = np.polyfit(lags * dt_s, _msd(rows, lags).T, 1)[0]
-    return _estimate(np.maximum(slopes / 2.0, 0.0), "MSD")
+    return _estimate(slopes / 2.0, "MSD")
 
 
 def rate_from_green_kubo(increments, dt: float, cutoff: float,
@@ -491,5 +493,5 @@ def rate_from_green_kubo(increments, dt: float, cutoff: float,
     rows = _as_segments(increments, min_segments)
     lag_max = _cutoff_lag(cutoff, dt, rows.shape[1])
     acf = _lag_products(rows / dt, lag_max)
-    rates = np.maximum(dt * (0.5 * acf[:, 0] + acf[:, 1:].sum(axis=1)), 0.0)
+    rates = dt * (0.5 * acf[:, 0] + acf[:, 1:].sum(axis=1))
     return _estimate(rates, "GreenKubo")

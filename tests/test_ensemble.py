@@ -448,7 +448,7 @@ class TestPerRowRates:
         rng = np.random.default_rng(5)
         dt, n = 0.05, 4000
         rows = [synthetic_brownian_alpha(0.3, dt, n, rng) for _ in range(5)]
-        rows.append((np.zeros(n + 1), np.zeros(n)))      # clips to 0
+        rows.append((np.zeros(n + 1), np.zeros(n)))      # rate exactly 0
         alphas, incs = (np.stack(col) for col in zip(*rows))
         return np.arange(n + 1) * dt, alphas, incs, dt
 
@@ -470,6 +470,29 @@ class TestPerRowRates:
         assert est.per_row.tolist() == singles
         assert est.per_row[-1] == 0.0
         assert est.gamma_rate == float(np.mean(est.per_row))
+
+    @pytest.mark.parametrize("n_negative", [1, 4])
+    def test_negative_rows_are_kept(self, n_negative):
+        # only the mean is clipped. Green-Kubo: alternating increments give
+        # dt (C0/2 + C1) = -dt C0 / 2 at a one-lag cutoff; MSD: a period-20
+        # sine's MSD falls over lag times (12, 18)
+        dt, n = 0.1, 4000
+        t = np.arange(n) * dt
+        white = np.random.default_rng(8).normal(0.0, 0.3, size=(4, n))
+        amps = np.arange(1.0, n_negative + 1.0)[:, None]
+        alternating = amps * 0.3 * (-1.0) ** np.arange(n)
+        sine = amps * np.sin(2.0 * np.pi * t / 20.0)
+        walks = np.cumsum(white, axis=1)
+        for est in (rate_from_green_kubo(
+                        np.vstack([white[n_negative:], alternating]), dt,
+                        cutoff=dt, min_segments=4),
+                    rate_from_msd(t, np.vstack([walks[n_negative:], sine]),
+                                  (12.0, 18.0), min_segments=4)):
+            rows = est.per_row
+            assert np.all(rows[-n_negative:] < 0.0) and len(rows) == 4
+            assert est.gamma_rate == max(float(np.mean(rows)), 0.0)
+            assert est.stderr == float(np.std(rows, ddof=1) / 2.0)
+            assert (est.gamma_rate == 0.0) == (n_negative == 4)
 
     def test_closed_forms_have_no_rows(self, basic_env, square_torus):
         assert analytic_rate(basic_env, square_torus, 1, 1).per_row is None
