@@ -70,15 +70,15 @@ def moving_vortex_e(r, v, scales: DerivedScales, c_light: float):
     rad = np.hypot(x, y)
     if np.any(rad <= 0.0):
         raise ValueError("moving_vortex_e requires |r| > 0 (core not modeled)")
-    b, b1, b2 = b_radial_derivatives(rad, scales)
+    b, b1, _ = b_radial_derivatives(rad, scales)
     delta = scales.delta
 
-    # Hessian of B: d_i d_j B = B'' x_i x_j / r^2 + B' (delta_ij/r - x_i x_j/r^3)
-    xx, yy, xy = x * x, y * y, x * y
-    r2, r3 = rad**2, rad**3
-    hxx = b2 * xx / r2 + b1 * (1.0 / rad - xx / r3)
-    hyy = b2 * yy / r2 + b1 * (1.0 / rad - yy / r3)
-    hxy = (b2 - b1 / rad) * xy / r2
+    # Hessian of B, with B'' = B/delta^2 - B'/r so that no ~1/r^2 terms cancel
+    r2, b_d, b1_r = rad**2, b / delta**2, b1 / rad
+    cos_2phi = (x - y) * (x + y) / r2          # x - y is exact near x = y
+    hxx = b_d * x * x / r2 - b1_r * cos_2phi
+    hyy = b_d * y * y / r2 + b1_r * cos_2phi
+    hxy = (b_d - 2.0 * b1_r) * x * y / r2
 
     vx, vy = v[0], v[1]
     ex = -vy * b / c_light + (delta**2 / c_light) * (vy * hxx - vx * hxy)

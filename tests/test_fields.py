@@ -82,6 +82,20 @@ class TestMovingVortexE:
         target = v**2 / (scales.g_coupling**2 * C**2 * r**4)
         assert e[0]**2 + e[1]**2 == pytest.approx(target, rel=0.05)
 
+    @pytest.mark.parametrize("delta_over_r", [1e2, 1e3, 1e4])
+    def test_45_degree_ray_without_cancellation(self, delta_over_r):
+        # with v along x on the 45-degree ray, B'' + B'/r = B/delta^2 makes
+        # the gradient term -v B / (2c), so E_y = v B / (2c) exactly; at
+        # r << delta it is what remains of terms ~(delta/r)^2 larger
+        scales = derive_scales(MaterialParams(        # kappa 200, delta 100
+            zeta=0.5, a_coeff=1.0, b_coeff=50.0, g_coupling=0.1, sigma=1.0,
+            d_thickness=1.0))
+        p = scales.delta / delta_over_r / np.sqrt(2.0)
+        v = 0.3
+        e_y = moving_vortex_e([p, p], [v, 0.0], scales, C)[1]
+        b = static_b(np.hypot(p, p), scales)
+        assert e_y == pytest.approx(v * b / (2.0 * C), rel=1e-13, abs=0.0)
+
     def test_rejects_core(self):
         with pytest.raises(ValueError):
             moving_vortex_e([0.0, 0.0], [1.0, 0.0], unit_scales(), C)
