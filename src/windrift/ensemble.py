@@ -432,9 +432,8 @@ def _as_segments(series, min_segments):
 
 
 def _estimate(rates: np.ndarray, method: str) -> RateEstimate:
-    """Mean of the per-row rates, clipped at 0 (a rate is nonnegative), with
-    the standard error of the unclipped rows; clipping each row instead
-    would bias the mean upward."""
+    """Mean of the per-row rates, clipped at 0, and the standard error of
+    the unclipped rows (clipping each row would bias the mean upward)."""
     stderr = (float(np.std(rates, ddof=1) / np.sqrt(len(rates)))
               if len(rates) > 1 else 0.0)
     return RateEstimate(gamma_rate=max(float(np.mean(rates)), 0.0),

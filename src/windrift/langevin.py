@@ -236,9 +236,8 @@ def einstein_diffusion_check(positions, dt: float, env: ThermalEnv
     """
     pos = np.asarray(positions, dtype=float)
     n_samples = pos.shape[0]
-    gamma = env.gamma
-    t_max = min(50.0 / gamma, (n_samples - 1) * dt / 2.0)
-    lags = _fit_lags(10.0 / gamma, t_max, dt, n_samples)
+    t_max = min(50.0 / env.gamma, (n_samples - 1) * dt / 2.0)
+    lags = _fit_lags(10.0 / env.gamma, t_max, dt, n_samples)
     msd = _msd(pos.reshape(n_samples, -1).T, lags)
     slopes = np.polyfit(lags * dt, msd.T, 1)[0] / 2.0
     d_measured = float(np.mean(slopes))
