@@ -143,11 +143,12 @@ def _lag_products(rows, max_lag: int) -> np.ndarray:
     power of two >= n + max_lag so that no lag wraps around."""
     n = rows.shape[1]
     size = 1 << int(n + max_lag - 1).bit_length()
-    out = []
-    for row in rows:
+    out = np.empty((len(rows), max_lag + 1))
+    for i, row in enumerate(rows):
         f = np.fft.rfft(row, size)
-        out.append(np.fft.irfft(f.real**2 + f.imag**2, size)[:max_lag + 1])
-    return np.array(out) / (n - np.arange(max_lag + 1))
+        out[i] = np.fft.irfft(f.real**2 + f.imag**2, size)[:max_lag + 1]
+    out /= n - np.arange(max_lag + 1)
+    return out
 
 
 def _msd(rows, lags) -> np.ndarray:
@@ -158,9 +159,8 @@ def _msd(rows, lags) -> np.ndarray:
     x = rows - rows.mean(axis=1, keepdims=True)
     n = x.shape[1]
     squares = np.cumsum(x * x, axis=1)
-    head = squares[:, n - 1 - lags]
     tail = squares[:, -1:] - squares[:, lags - 1]
-    return ((head + tail) / (n - lags)
+    return ((squares[:, n - 1 - lags] + tail) / (n - lags)
             - 2.0 * _lag_products(x, lags[-1])[:, lags])
 
 
