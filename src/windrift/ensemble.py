@@ -34,7 +34,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .langevin import (OUPropagator, ThermalEnv, _check_fit_start,
-                       _cutoff_lag, _fit_lags, _lag_products, _msd)
+                       _cutoff_lag, _lag_products, _msd_rates)
 from .rng import substream
 
 
@@ -465,15 +465,11 @@ def rate_from_msd(times, alphas, fit_window, *, gamma=None,
         and per_row holds each row's rate.
     """
     times = np.asarray(times, dtype=float)
-    dt_s = times[1] - times[0]
-    t_min, t_max = fit_window
     if gamma is not None:
-        _check_fit_start(t_min, gamma)
-
+        _check_fit_start(fit_window[0], gamma)
     rows = _as_segments(alphas, min_segments)
-    lags = _fit_lags(t_min, t_max, dt_s, rows.shape[1])
-    slopes = np.polyfit(lags * dt_s, _msd(rows, lags).T, 1)[0]
-    return _estimate(slopes / 2.0, "MSD")
+    return _estimate(_msd_rates(rows, times[1] - times[0], *fit_window),
+                     "MSD")
 
 
 def rate_from_green_kubo(increments, dt: float, cutoff: float,

@@ -164,6 +164,14 @@ def _msd(rows, lags) -> np.ndarray:
             - 2.0 * _lag_products(x, lags[-1])[:, lags])
 
 
+def _msd_rates(rows, spacing: float, t_min: float, t_max: float
+               ) -> np.ndarray:
+    """Half the least-squares slope of each row's all-origin MSD against
+    lag time, at every lag of the window [t_min, t_max]: (R, n) -> (R,)."""
+    lags = _fit_lags(t_min, t_max, spacing, rows.shape[1])
+    return np.polyfit(lags * spacing, _msd(rows, lags).T, 1)[0] / 2.0
+
+
 def _initial_rate_guess(c, dt):
     """Decay-rate seed: first 1/e crossing, else one sample interval."""
     below = np.nonzero(c < c[0] / np.e)[0]
@@ -237,9 +245,8 @@ def einstein_diffusion_check(positions, dt: float, env: ThermalEnv
     pos = np.asarray(positions, dtype=float)
     n_samples = pos.shape[0]
     t_max = min(50.0 / env.gamma, (n_samples - 1) * dt / 2.0)
-    lags = _fit_lags(10.0 / env.gamma, t_max, dt, n_samples)
-    msd = _msd(pos.reshape(n_samples, -1).T, lags)
-    slopes = np.polyfit(lags * dt, msd.T, 1)[0] / 2.0
+    slopes = _msd_rates(pos.reshape(n_samples, -1).T, dt, 10.0 / env.gamma,
+                        t_max)
     d_measured = float(np.mean(slopes))
     d_expected = env.temperature / env.eta
     err = float(np.std(slopes, ddof=1) / np.sqrt(len(slopes)))   # >= 2 slopes
