@@ -38,9 +38,8 @@ def measure(geometry, n_v, n_a, seed):
     times = rows[0].times
     alphas = np.stack([r.alpha_x for r in rows])
     incs = np.stack([r.inc_x for r in rows])
-    msd = rate_from_msd(times, alphas, window, gamma=env.gamma,
-                        min_segments=replicas)
-    gk = rate_from_green_kubo(incs, dt, cutoff, min_segments=replicas)
+    msd = rate_from_msd(times, alphas, window, gamma=env.gamma)
+    gk = rate_from_green_kubo(incs, dt, cutoff)
     return msd, gk
 
 
@@ -71,9 +70,9 @@ rows = [run_winding(env, geo, 100, 100, dt, n_steps, rng=substream(3, r),
                     sample_stride=5) for r in range(replicas)]
 times = rows[0].times
 gx = rate_from_msd(times, np.stack([r.alpha_x for r in rows]), window,
-                   gamma=env.gamma, min_segments=replicas)
+                   gamma=env.gamma)
 gy = rate_from_msd(times, np.stack([r.alpha_y for r in rows]), window,
-                   gamma=env.gamma, min_segments=replicas)
+                   gamma=env.gamma)
 ratio = gx.gamma_rate / gy.gamma_rate
 # the x and y windings come from independent noise, so errors add in quadrature
 ratio_err = ratio * np.hypot(gx.stderr / gx.gamma_rate,

@@ -150,7 +150,6 @@ def _rates_summary(config: RunConfig, results, counts) -> dict:
     gamma = config.env.gamma
     mean_nv = float(np.mean([c[0] for c in counts]))
     mean_na = float(np.mean([c[1] for c in counts]))
-    min_seg = min(20, config.replicas)
 
     rates = {}
     per_replica = {}
@@ -158,10 +157,8 @@ def _rates_summary(config: RunConfig, results, counts) -> dict:
                                      ("y", "alpha_y", "inc_y")):
         alphas = np.stack([getattr(res, alpha_key) for res in results])
         incs = np.stack([getattr(res, inc_key) for res in results])
-        msd = rate_from_msd(times, alphas, window, gamma=gamma,
-                            min_segments=min_seg)
-        gk = rate_from_green_kubo(incs, config.dt, config.gk_cutoff,
-                                  min_segments=min_seg)
+        msd = rate_from_msd(times, alphas, window, gamma=gamma)
+        gk = rate_from_green_kubo(incs, config.dt, config.gk_cutoff)
         analytic = analytic_rate(config.env, config.geometry,
                                  mean_nv, mean_na, axis=axis)
         predicted = (None if config.f0 is None else _rate_dict(

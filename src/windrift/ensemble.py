@@ -62,7 +62,7 @@ class RateEstimate:
     stderr: float
     method: str               # MSD | GreenKubo | Analytic | Predicted
     storage_time: Optional[float] = None
-    # estimators only: the unclipped rate of each row (replica or block)
+    # estimators only: the unclipped rate of each row (replica)
     per_row: Optional[np.ndarray] = field(default=None, compare=False,
                                           repr=False)
 
@@ -416,21 +416,6 @@ def _axis_length(geometry: TorusGeometry, axis: str) -> float:
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def _as_segments(series, min_segments):
-    """Rows of independent series; a single series is cut into blocks."""
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim == 1:
-        block = arr.size // min_segments
-        if block < 2:
-            raise ValueError(
-                f"series of length {arr.size} too short for "
-                f"{min_segments} blocks")
-        arr = arr[:block * min_segments].reshape(min_segments, block)
-    elif arr.shape[0] < min_segments:
-        raise ValueError(f"need >= {min_segments} replicas, got {arr.shape[0]}")
-    return arr
-
-
 def _estimate(rates: np.ndarray, method: str) -> RateEstimate:
     """Mean of the per-row rates, clipped at 0, and the standard error of
     the unclipped rows (clipping each row would bias the mean upward)."""
@@ -440,17 +425,16 @@ def _estimate(rates: np.ndarray, method: str) -> RateEstimate:
                         stderr=stderr, method=method, per_row=rates)
 
 
-def rate_from_msd(times, alphas, fit_window, *, gamma=None,
-                  min_segments: int = 20) -> RateEstimate:
+def rate_from_msd(times, alphas, fit_window, *, gamma=None) -> RateEstimate:
     """Rate from the slope of the winding-number MSD.
 
     Parameters
     ----------
     times : (S,) array
         Uniform sample times of the alpha series.
-    alphas : (S,) or (R, S) array
-        Winding-number samples; rows are independent replicas. A single
-        row is split into min_segments consecutive blocks.
+    alphas : (R, S) array
+        Winding-number samples; rows are independent replicas, and a
+        single (S,) series is one replica (stderr 0).
     fit_window : (t_min, t_max)
         Lag-time window for the line, fitted at every lag of the
         all-origin MSD; a window of fewer than two lags is refused.
@@ -467,13 +451,13 @@ def rate_from_msd(times, alphas, fit_window, *, gamma=None,
     times = np.asarray(times, dtype=float)
     if gamma is not None:
         _check_fit_start(fit_window[0], gamma)
-    rows = _as_segments(alphas, min_segments)
+    rows = np.atleast_2d(np.asarray(alphas, dtype=float))
     return _estimate(_msd_rates(rows, times[1] - times[0], *fit_window),
                      "MSD")
 
 
-def rate_from_green_kubo(increments, dt: float, cutoff: float,
-                         min_segments: int = 20) -> RateEstimate:
+def rate_from_green_kubo(increments, dt: float,
+                         cutoff: float) -> RateEstimate:
     """Rate from the integrated autocorrelation of alpha-dot.
 
     Gamma = (1/2) [C(0) dt + 2 sum_k>=1 C(k) dt] with C the lag
@@ -481,11 +465,10 @@ def rate_from_green_kubo(increments, dt: float, cutoff: float,
     The rectangle sum telescopes to the exact long-time MSD growth rate
     for any dt, so no small-dt extrapolation is needed.
 
-    increments may be (N,) (split into min_segments blocks for the error
-    bar) or (R, N) per-replica rows; per_row of the result holds each
-    row's rate.
+    increments are (R, N) per-replica rows, and a single (N,) series is
+    one replica (stderr 0); per_row of the result holds each row's rate.
     """
-    rows = _as_segments(increments, min_segments)
+    rows = np.atleast_2d(np.asarray(increments, dtype=float))
     lag_max = _cutoff_lag(cutoff, dt, rows.shape[1])
     acf = _lag_products(rows / dt, lag_max)
     rates = dt * (0.5 * acf[:, 0] + acf[:, 1:].sum(axis=1))

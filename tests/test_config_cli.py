@@ -139,9 +139,8 @@ class TestParsing:
                   fit.get("t_max", total_time / 2.0))
         try:
             rate_from_msd(times, np.ones((2, times.size)), window,
-                          gamma=gamma, min_segments=2)
-            rate_from_green_kubo(np.ones((2, n_steps)), dt, cutoff,
-                                 min_segments=2)
+                          gamma=gamma)
+            rate_from_green_kubo(np.ones((2, n_steps)), dt, cutoff)
             refused = False
         except ValueError:
             refused = True

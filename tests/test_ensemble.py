@@ -384,8 +384,7 @@ class TestMsdEstimator:
         rows = [synthetic_brownian_alpha(rate0, dt, n, rng)[0]
                 for _ in range(25)]
         times = np.arange(n + 1) * dt
-        est = rate_from_msd(times, np.stack(rows), fit_window=(1.0, 20.0),
-                            min_segments=20)
+        est = rate_from_msd(times, np.stack(rows), fit_window=(1.0, 20.0))
         assert abs(est.gamma_rate - rate0) < 3.0 * est.stderr + 0.01
 
     def test_diffusive_window_precondition(self):
@@ -394,16 +393,10 @@ class TestMsdEstimator:
             rate_from_msd(times, np.zeros(1000), fit_window=(1.0, 50.0),
                           gamma=1.0)
 
-    def test_insufficient_replicas(self):
-        times = np.arange(100.0)
-        with pytest.raises(ValueError):
-            rate_from_msd(times, np.zeros((5, 100)), fit_window=(2.0, 8.0))
-
     def test_window_beyond_data(self):
         times = np.arange(0.0, 4.0, 1.0)
         with pytest.raises(ValueError):
-            rate_from_msd(times, np.zeros(4), fit_window=(10.0, 20.0),
-                          min_segments=1)
+            rate_from_msd(times, np.zeros(4), fit_window=(10.0, 20.0))
 
 
 class TestGreenKuboEstimator:
@@ -436,8 +429,7 @@ class TestGreenKuboEstimator:
 
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
-            rate_from_green_kubo(np.zeros(100), dt=0.1, cutoff=20.0,
-                                 min_segments=1)
+            rate_from_green_kubo(np.zeros(100), dt=0.1, cutoff=20.0)
 
 
 class TestPerRowRates:
@@ -454,18 +446,16 @@ class TestPerRowRates:
 
     def test_msd(self, series):
         times, alphas, _, _ = series
-        est = rate_from_msd(times, alphas, (1.0, 20.0), min_segments=6)
-        singles = [rate_from_msd(times, row, (1.0, 20.0),
-                                 min_segments=1).gamma_rate
+        est = rate_from_msd(times, alphas, (1.0, 20.0))
+        singles = [rate_from_msd(times, row, (1.0, 20.0)).gamma_rate
                    for row in alphas]
         assert est.per_row.tolist() == singles
         assert est.gamma_rate == float(np.mean(est.per_row))
 
     def test_green_kubo(self, series):
         _, _, incs, dt = series
-        est = rate_from_green_kubo(incs, dt, cutoff=1.0, min_segments=6)
-        singles = [rate_from_green_kubo(row, dt, cutoff=1.0,
-                                        min_segments=1).gamma_rate
+        est = rate_from_green_kubo(incs, dt, cutoff=1.0)
+        singles = [rate_from_green_kubo(row, dt, cutoff=1.0).gamma_rate
                    for row in incs]
         assert est.per_row.tolist() == singles
         assert est.per_row[-1] == 0.0
@@ -485,9 +475,9 @@ class TestPerRowRates:
         walks = np.cumsum(white, axis=1)
         for est in (rate_from_green_kubo(
                         np.vstack([white[n_negative:], alternating]), dt,
-                        cutoff=dt, min_segments=4),
+                        cutoff=dt),
                     rate_from_msd(t, np.vstack([walks[n_negative:], sine]),
-                                  (12.0, 18.0), min_segments=4)):
+                                  (12.0, 18.0))):
             rows = est.per_row
             assert np.all(rows[-n_negative:] < 0.0) and len(rows) == 4
             assert est.gamma_rate == max(float(np.mean(rows)), 0.0)

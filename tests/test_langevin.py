@@ -143,7 +143,7 @@ class TestLagProductKernel:
 
     def test_green_kubo_per_row_matches_loop(self, rows):
         dt = 0.1
-        est = rate_from_green_kubo(rows, dt=dt, cutoff=0.4, min_segments=3)
+        est = rate_from_green_kubo(rows, dt=dt, cutoff=0.4)
         acf = lag_products_loop(rows / dt, 4)
         expected = dt * (0.5 * acf[:, 0] + acf[:, 1:].sum(axis=1))
         assert expected.shape == (3,) and np.any(expected > 0.0)
