@@ -21,6 +21,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -186,18 +187,10 @@ def _config_echo(config: RunConfig) -> dict:
             "sample_stride": config.sample_stride,
             "fit_t_min": config.fit_t_min, "fit_t_max": config.fit_t_max,
             "green_kubo_cutoff": config.gk_cutoff}
-    if config.env:
-        echo["env"] = {"mass": config.env.mass, "eta": config.env.eta,
-                       "temperature": config.env.temperature}
-    if config.geometry:
-        echo["geometry"] = {"l_x": config.geometry.l_x,
-                            "l_y": config.geometry.l_y,
-                            "d": config.geometry.d}
-    if config.population:
-        echo["population"] = {"mode": config.population.mode,
-                              "n_v": config.population.n_v,
-                              "n_a": config.population.n_a,
-                              "f0": config.population.f0}
+    for key in ("env", "geometry", "population"):
+        block = getattr(config, key)
+        if block is not None:
+            echo[key] = asdict(block)
     return echo
 
 
@@ -234,7 +227,6 @@ def run_fields(config: RunConfig, out_dir: Path, lanes: int) -> dict:
                         angle=np.deg2rad(spec.angle_deg))
     write_csv(out_dir / "fields.csv", ["r", "B", "Ex", "Ey", "E2"],
               [table[:, i] for i in range(5)])
-    regime = classify_regime(config.material, scales)
     summary = {
         "schema": "windrift.fields.v1",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -245,14 +237,8 @@ def run_fields(config: RunConfig, out_dir: Path, lanes: int) -> dict:
             "gamma": scales.gamma,
             "estimate_fields": list(scales.estimate_fields),
         },
-        "regime": {
-            "extreme_type_ii": regime.extreme_type_ii,
-            "dirty_limit": regime.dirty_limit,
-            "type_ii_ratio": regime.type_ii_ratio,
-            "dirty_ratio": regime.dirty_ratio,
-        },
-        "grid": {"r_min": r_min, "r_max": r_max, "n_points": spec.n_points,
-                 "speed": spec.speed, "angle_deg": spec.angle_deg},
+        "regime": asdict(classify_regime(config.material, scales)),
+        "grid": asdict(replace(spec, r_min=r_min, r_max=r_max)),
     }
     write_json(out_dir / "summary.json", summary)
     return summary
@@ -270,25 +256,15 @@ def run_design(config: RunConfig, out_dir: Path, lanes: int) -> dict:
     report = {
         "schema": "windrift.design.v1",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "level_splitting": {
-            "energy_natural": split.energy_natural,
-            "wavelength": split.wavelength,
-            "energy_si_joule": split.energy_si_joule,
-            "wavelength_si_m": split.wavelength_si_m,
-            "wavelength_si_mm": split.wavelength_si_m * 1e3,
-            "label": split.label,
-        },
+        "level_splitting": dict(asdict(split),
+                                wavelength_si_mm=split.wavelength_si_m * 1e3),
         "boltzmann_suppression": design_mod.solid_torus_suppression(dev),
         "equivalence_classes": {
             "level_1": class_1,
             "level_2": class_2,
             "distinct": class_1 != class_2,
         },
-        "loop_current": (None if current is None else {
-            "inductance": current.inductance,
-            "current": current.current,
-            "label": current.label,
-        }),
+        "loop_current": None if current is None else asdict(current),
         "anyon_prefactor_log": (
             design_mod.anyon_prefactor_log(config.anyon.l_prime,
                                            config.anyon.rho_min)
@@ -370,7 +346,6 @@ def main(argv=None) -> int:
         text = Path(args.config).read_text() if args.config else "{}"
         config = parse_config(text, args.subcommand)
         if args.seed is not None:
-            from dataclasses import replace
             config = replace(config, master_seed=args.seed)
         summary = run(config, lanes=args.lanes, output_dir=args.out)
     except (ConfigError, ValueError, OSError) as err:
