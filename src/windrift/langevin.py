@@ -167,9 +167,11 @@ def _msd(rows, lags) -> np.ndarray:
 def _msd_rates(rows, spacing: float, t_min: float, t_max: float
                ) -> np.ndarray:
     """Half the least-squares slope of each row's all-origin MSD against
-    lag time, at every lag of the window [t_min, t_max]: (R, n) -> (R,)."""
+    lag time, at every lag of the window [t_min, t_max]: (R, n) -> (R,).
+    Row by row, so the transient memory is O(n + lags) whatever R."""
     lags = _fit_lags(t_min, t_max, spacing, rows.shape[1])
-    return np.polyfit(lags * spacing, _msd(rows, lags).T, 1)[0] / 2.0
+    return np.array([np.polyfit(lags * spacing, _msd(rows[i:i + 1], lags)[0],
+                                1)[0] for i in range(len(rows))]) / 2.0
 
 
 def _initial_rate_guess(c, dt):
