@@ -339,8 +339,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.lanes < 1:
         parser.error(f"--lanes must be >= 1, got {args.lanes}")
-    if args.seed is not None and args.seed < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
+    if args.seed is not None and not 0 <= args.seed < 1 << 64:
+        parser.error(f"--seed must be in [0, 2**64), got {args.seed}")
 
     try:
         text = Path(args.config).read_text() if args.config else "{}"

@@ -299,6 +299,12 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         _check_rate_windows(env, dt, n_steps, sample_stride, fit_t_min,
                             fit_t_max, gk_cutoff)
 
+    master_seed = _number(doc, "master_seed", "", default=0, integer=True,
+                          nonnegative=True)
+    if master_seed >= 1 << 64:          # a Philox key word (rng.substream)
+        raise ConfigError(f"'master_seed' must be below 2**64, got "
+                          f"{master_seed}")
+
     anyon = None
     if "anyon" in doc:
         _check_keys(doc["anyon"], ("l_prime", "rho_min"), "anyon.")
@@ -320,8 +326,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         burn_in=_number(doc, "burn_in", "", default=0.0, nonnegative=True),
         replicas=_number(doc, "replicas", "", default=20, integer=True,
                          positive=True),
-        master_seed=_number(doc, "master_seed", "", default=0, integer=True,
-                            nonnegative=True),
+        master_seed=master_seed,
         output_dir=str(doc.get("output_dir", "windrift_out")),
         sample_stride=sample_stride,
         fit_t_min=fit_t_min,

@@ -20,11 +20,12 @@ Replica r of a `rates` or `simulate` run uses the stream
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 
 def substream(master_seed: int, stream_id: int) -> np.random.Generator:
-    """Generator for one replica (or other independent unit of work)."""
-    key = np.array([master_seed & _MASK64, stream_id & _MASK64],
-                   dtype=np.uint64)
+    """Generator for one replica (or other independent unit of work). Both
+    key words must lie in [0, 2**64), the range of a Philox key word."""
+    if not (0 <= master_seed < 1 << 64 and 0 <= stream_id < 1 << 64):
+        raise ValueError(f"master_seed {master_seed} and stream_id "
+                         f"{stream_id} must lie in [0, 2**64)")
+    key = np.array([master_seed, stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -85,6 +85,14 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"{block}.{key}.*finite"):
             parse_config(text, "rates")
 
+    @pytest.mark.parametrize("seed", [2**64, 1e20])
+    def test_master_seed_beyond_64_bits_names_key(self, seed):
+        # rng.substream would refuse it after parsing; masked to 64 bits,
+        # 2**64 used to reproduce seed 0
+        with pytest.raises(ConfigError, match="'master_seed'"):
+            parse_config(config_text(master_seed=seed), "rates")
+        parse_config(config_text(master_seed=2**64 - 1), "rates")
+
     def test_rates_need_one_sample(self):
         doc = json.loads(config_text(dt=0.1, total_time=0.5))
         del doc["sample_stride"]        # default 10 > 5 steps
@@ -335,7 +343,8 @@ class TestMainEntry:
         assert "sample_stride" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [("--lanes", "0"),
-                                            ("--seed", "-1")])
+                                            ("--seed", "-1"),
+                                            ("--seed", str(2**64))])
     def test_main_rejects_bad_flag(self, tmp_path, capsys, flag, value):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(config_text())

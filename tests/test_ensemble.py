@@ -163,6 +163,13 @@ class TestEngineEquivalence:
         assert np.array_equal(a.inc_x, b.inc_x)
         assert not np.array_equal(a.inc_x, c.inc_x)
 
+    @pytest.mark.parametrize("key", [(2**64, 0), (-1, 0), (0, 2**64)],
+                             ids=["seed-2**64", "seed--1", "stream-2**64"])
+    def test_substream_refuses_aliasing_keys(self, key):
+        # Philox keys are 64-bit words: masking 2**64 reproduced seed 0
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            substream(*key)
+
     def test_winding_additivity(self, square_torus, basic_env):
         res = run_replica(basic_env, square_torus, 4, 4, 0.05, 157,
                           master_seed=2, stream_id=0, sample_stride=1)
