@@ -253,6 +253,12 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
     prop = OUPropagator.build(env, dt)
     geo = geometry
     n = n_v + n_a
+    if not 0 <= velocity_series_walkers <= n:
+        raise ValueError(f"velocity_series_walkers must be in [0, {n}], got "
+                         f"{velocity_series_walkers}")
+    if position_stride < 0:
+        raise ValueError(f"position_stride must be >= 0, got "
+                         f"{position_stride}")
     charges = state.charges
 
     inc_x = np.zeros(n_steps)

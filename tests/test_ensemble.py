@@ -170,6 +170,16 @@ class TestEngineEquivalence:
         with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
             substream(*key)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"velocity_series_walkers": 9}, "velocity_series_walkers"),
+        ({"velocity_series_walkers": -1}, "velocity_series_walkers"),
+        ({"position_stride": -1}, "position_stride")],
+        ids=["walkers-above-count", "walkers-negative", "stride-negative"])
+    def test_recording_arguments_name_themselves(self, square_torus,
+                                                 basic_env, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            run_replica(basic_env, square_torus, 4, 4, 0.05, 50, **kwargs)
+
     def test_winding_additivity(self, square_torus, basic_env):
         res = run_replica(basic_env, square_torus, 4, 4, 0.05, 157,
                           master_seed=2, stream_id=0, sample_stride=1)
