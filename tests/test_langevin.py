@@ -4,7 +4,7 @@ from scipy.signal import lfilter
 
 from windrift import (OUPropagator, ThermalEnv, TorusGeometry,
                       einstein_diffusion_check, rate_from_green_kubo,
-                      run_replica, run_winding, substream,
+                      rate_from_msd, run_replica, run_winding, substream,
                       velocity_autocorrelation)
 from windrift.langevin import _lag_products, _msd
 
@@ -190,6 +190,21 @@ class TestEinsteinDiffusion:
         check = einstein_diffusion_check(res.positions, 0.5, basic_env)
         assert check.d_expected == pytest.approx(0.5, rel=1e-15)
         assert 0.8 < check.ratio < 1.2
+
+    def test_same_line_fit_as_rate_from_msd(self, basic_env):
+        # one owner of the MSD line fit: the Einstein check is
+        # rate_from_msd on the coordinate rows at its own window
+        geo = TorusGeometry(l_x=100.0, l_y=100.0)
+        res = run_replica(basic_env, geo, 4, 4, 0.01, 20_000, master_seed=5,
+                          stream_id=1, position_stride=10)
+        pos, dt = res.positions, 0.1
+        s, gamma = pos.shape[0], basic_env.gamma
+        window = (10.0 / gamma, min(50.0 / gamma, (s - 1) * dt / 2.0))
+        est = rate_from_msd(np.arange(s) * dt, pos.reshape(s, -1).T, window)
+        check = einstein_diffusion_check(pos, dt, basic_env)
+        assert len(est.per_row) == 16 and est.gamma_rate > 0.0
+        assert check.d_measured == est.gamma_rate
+        assert check.ratio_err == est.stderr / check.d_expected
 
     def test_frozen_at_zero_temperature(self):
         env = ThermalEnv(mass=1.0, eta=2.0, temperature=0.0)
