@@ -170,8 +170,9 @@ def _msd_rates(rows, spacing: float, t_min: float, t_max: float
     lag time, at every lag of the window [t_min, t_max]: (R, n) -> (R,).
     Row by row, so the transient memory is O(n + lags) whatever R."""
     lags = _fit_lags(t_min, t_max, spacing, rows.shape[1])
-    return np.array([np.polyfit(lags * spacing, _msd(rows[i:i + 1], lags)[0],
-                                1)[0] for i in range(len(rows))]) / 2.0
+    slopes = [np.polyfit(lags * spacing, _msd(row[None], lags)[0], 1)[0]
+              for row in rows]
+    return np.array(slopes) / 2.0
 
 
 def _initial_rate_guess(c, dt):
