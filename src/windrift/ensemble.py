@@ -257,8 +257,7 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
         raise ValueError(f"velocity_series_walkers must be in [0, {n}], got "
                          f"{velocity_series_walkers}")
     if position_stride < 0:
-        raise ValueError(f"position_stride must be >= 0, got "
-                         f"{position_stride}")
+        raise ValueError(f"position_stride {position_stride} must be >= 0")
     charges = state.charges
 
     inc_x = np.zeros(n_steps)

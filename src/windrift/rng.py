@@ -23,9 +23,10 @@ import numpy as np
 
 def substream(master_seed: int, stream_id: int) -> np.random.Generator:
     """Generator for one replica (or other independent unit of work). Both
-    key words must lie in [0, 2**64), the range of a Philox key word."""
-    if not (0 <= master_seed < 1 << 64 and 0 <= stream_id < 1 << 64):
+    key words must be integers in [0, 2**64), the range of a Philox key."""
+    if not all(isinstance(k, (int, np.integer)) and 0 <= k < 1 << 64
+               for k in (master_seed, stream_id)):
         raise ValueError(f"master_seed {master_seed} and stream_id "
-                         f"{stream_id} must lie in [0, 2**64)")
+                         f"{stream_id} must be integers in [0, 2**64)")
     key = np.array([master_seed, stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -163,11 +163,14 @@ class TestEngineEquivalence:
         assert np.array_equal(a.inc_x, b.inc_x)
         assert not np.array_equal(a.inc_x, c.inc_x)
 
-    @pytest.mark.parametrize("key", [(2**64, 0), (-1, 0), (0, 2**64)],
-                             ids=["seed-2**64", "seed--1", "stream-2**64"])
+    @pytest.mark.parametrize("key", [(2**64, 0), (-1, 0), (0, 2**64),
+                                     (1.5, 0)],
+                             ids=["seed-2**64", "seed--1", "stream-2**64",
+                                  "seed-1.5"])
     def test_substream_refuses_aliasing_keys(self, key):
-        # Philox keys are 64-bit words: masking 2**64 reproduced seed 0
-        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        # Philox keys are 64-bit words: masking 2**64 reproduced seed 0,
+        # and a float key would be truncated to another seed
+        with pytest.raises(ValueError, match=r"integers in \[0, 2\*\*64\)"):
             substream(*key)
 
     @pytest.mark.parametrize("kwargs,name", [
