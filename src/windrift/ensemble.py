@@ -13,7 +13,7 @@ independent ways: the slope of <[alpha(t)-alpha(0)]^2> (MSD), the
 integrated autocorrelation of alpha-dot (Green-Kubo), and the closed-form
 T*(N_v+N_a)/(eta*l^2).
 
-Two engines share one chunk kernel. run_replica propagates every walker
+Two engines share one propagation kernel. run_replica propagates every walker
 and can record velocities and positions. run_winding propagates only the
 charge-weighted sums V = sum q v and D = sum q dx per axis: the walkers do
 not interact and q^2 = 1, so (V, D) of n walkers at temperature T is
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .langevin import (OUPropagator, ThermalEnv, _check_fit_start,
                        _cutoff_lag, _lag_products, _msd_rates)
@@ -161,41 +160,67 @@ class ReplicaResult(WindingResult):
 CHUNK_STEPS = 8192
 
 
-def _propagate_chunk(rng: np.random.Generator, prop: OUPropagator,
-                     vel: np.ndarray, m: int):
-    """Advance velocities vel (k, 2) by m steps; returns (vseq, dxy).
+def lfilter(v: np.ndarray, decay: float, *, stepwise: bool) -> np.ndarray:
+    """The OU velocity recurrence v[i] += decay * v[i-1] along axis 0, in
+    place; returns v.
 
-    Draws the chunk's noise as (step, walker, axis, role) normals. vseq
-    holds the velocity after each step and dxy each step's displacement,
-    both (m, k, 2). The velocity recurrence runs as a first-order linear
-    filter, which reproduces the stepwise arithmetic bit for bit.
+    Row 0 is the starting velocity and row i holds sigma_v * n1 of step i
+    on entry. stepwise=True advances one step at a time, the stepwise
+    arithmetic bit for bit. Otherwise a doubling scan (Hillis & Steele,
+    Commun. ACM 29, 1170 (1986)) adds decay**k * v[i-k] for k = 1, 2, 4,
+    ...: after the pass at k, row i sums its terms decay**j * u[i-j] for
+    j < 2k, so log2(N) whole-array passes give the recurrence to rounding.
+    A pass whose factor underflows to 0 adds nothing, and none follows.
     """
-    noise = rng.standard_normal((m,) + vel.shape + (2,))
+    n = len(v)
+    if stepwise:
+        tmp = np.empty(v.shape[1:])
+        for i in range(1, n):
+            np.multiply(v[i - 1], decay, out=tmp)
+            v[i] += tmp
+        return v
+    tmp = np.empty_like(v[1:])
+    k = 1
+    while k < n and decay ** k > 0.0:
+        np.multiply(v[:-k], decay ** k, out=tmp[:n - k])
+        v[k:] += tmp[:n - k]
+        k *= 2
+    return v
+
+
+def _propagate(noise: np.ndarray, prop: OUPropagator, vel: np.ndarray,
+               stepwise: bool):
+    """Advance velocities vel by the steps whose normals noise holds.
+
+    noise is indexed [step, ..., role], its middle axes shaped as vel.
+    Returns (vseq, dxy): the velocity after each step and each step's
+    displacement, both shaped noise[..., 0].
+    """
     n1 = noise[..., 0]
-    n2 = noise[..., 1]
-    zi = (prop.decay * vel)[None, :, :]
-    vseq, _ = lfilter([prop.sigma_v], [1.0, -prop.decay], n1, axis=0, zi=zi)
-    # dxy = drift * vprev + c1 * n1 + c2 * n2, built in place in the
-    # fresh vprev array: the same operations in the same order, two fewer
-    # chunk-sized temporaries (a caller holds its last chunk meanwhile)
-    dxy = np.concatenate([vel[None, :, :], vseq[:-1]], axis=0)
-    dxy *= prop.drift
+    v = np.empty((len(noise) + 1,) + vel.shape)
+    v[0] = vel
+    np.multiply(n1, prop.sigma_v, out=v[1:])
+    lfilter(v, prop.decay, stepwise=stepwise)
+    # dxy = drift * vprev + c1 * n1 + c2 * n2, in one fresh array
+    dxy = v[:-1] * prop.drift
     dxy += prop.c1 * n1
-    dxy += prop.c2 * n2
-    return vseq, dxy
+    dxy += prop.c2 * noise[..., 1]
+    return v[1:], dxy
 
 
 def _chunks(rng: np.random.Generator, prop: OUPropagator, vel: np.ndarray,
             burn_in_steps: int, n_steps: int):
     """Propagate burn-in, then the recorded steps, in CHUNK_STEPS chunks.
 
-    Yields (recording, done, vseq, dxy) per chunk, done being the chunk's
+    Draws each chunk's noise as (step, walker, axis, role) normals and
+    yields (recording, done, vseq, dxy) per chunk, done being the chunk's
     first step within its phase; the velocity is carried between chunks.
     """
     for total, recording in ((burn_in_steps, False), (n_steps, True)):
         for done in range(0, total, CHUNK_STEPS):
-            vseq, dxy = _propagate_chunk(rng, prop, vel,
-                                         min(CHUNK_STEPS, total - done))
+            m = min(CHUNK_STEPS, total - done)
+            noise = rng.standard_normal((m,) + vel.shape + (2,))
+            vseq, dxy = _propagate(noise, prop, vel, stepwise=True)
             vel = vseq[-1].copy()
             yield recording, done, vseq, dxy
 
