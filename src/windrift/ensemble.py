@@ -13,8 +13,9 @@ independent ways: the slope of <[alpha(t)-alpha(0)]^2> (MSD), the
 integrated autocorrelation of alpha-dot (Green-Kubo), and the closed-form
 T*(N_v+N_a)/(eta*l^2).
 
-Two engines share one propagation kernel. run_replica propagates every walker
-and can record velocities and positions. run_winding propagates only the
+Two engines share one propagation kernel. run_replica propagates every
+walker, chunk by chunk, and can record velocities and positions.
+run_winding propagates, over the whole series at once, only the
 charge-weighted sums V = sum q v and D = sum q dx per axis: the walkers do
 not interact and q^2 = 1, so (V, D) of n walkers at temperature T is
 exactly one walker at temperature nT (noise scaled by sqrt(n)), and the
@@ -155,8 +156,8 @@ class ReplicaResult(WindingResult):
     position_times: Optional[np.ndarray] = None
 
 
-# steps per propagated chunk; a chunk of n walkers draws 4 * n * CHUNK_STEPS
-# normals, so this bounds the engines' working memory
+# steps per propagated chunk of run_replica; a chunk of n walkers draws
+# 4 * n * CHUNK_STEPS normals, so this bounds its working memory
 CHUNK_STEPS = 8192
 
 
@@ -338,10 +339,6 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
     )
 
 
-# run_winding's pseudo-walker: the charges are already summed into V and D
-_UNIT_CHARGE = np.ones(1)
-
-
 def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
                 n_a: int, dt: float, n_steps: int, *,
                 rng: np.random.Generator, sample_stride: int = 10,
@@ -353,26 +350,28 @@ def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
     temperature nT: the noise is scaled by sqrt(n) and V starts from the
     stationary N(0, nT/M). So the windings have exactly the law of
     run_replica's, from 2 normals plus 4 per step instead of 4n per step.
-    Draw order: V_0 (x, y), then per step (axis, role). An empty
-    ensemble draws nothing and has zero increments. The windings are
-    zeroed after burn-in and the series start at (t=0, alpha=0).
+    Draw order: V_0 (x, y), then per step (axis, role), burn-in first.
+    V runs through the whole series at once, as lfilter's doubling scan,
+    so the memory is O(burn_in_steps + n_steps). An empty ensemble draws
+    nothing and has zero increments. The windings are zeroed after
+    burn-in and the series start at (t=0, alpha=0).
     """
     _check_steps(dt, n_steps)
     _check_counts(n_v, n_a)
     n = n_v + n_a
-    inc_x = np.zeros(n_steps)
-    inc_y = np.zeros(n_steps)
-    if n:
-        collective = ThermalEnv(env.mass, env.eta, n * env.temperature)
-        prop = OUPropagator.build(collective, dt)
-        vel = rng.normal(0.0, np.sqrt(collective.temperature / env.mass),
-                         size=(1, 2))
-        for recording, done, _, dxy in _chunks(
-                rng, prop, vel, burn_in_steps, n_steps):
-            if recording:
-                _record_increments(dxy, _UNIT_CHARGE, geometry, inc_x, inc_y,
-                                   done)
-    return _windings(inc_x, inc_y, dt, sample_stride)
+    if not n:
+        return _windings(np.zeros(n_steps), np.zeros(n_steps), dt,
+                         sample_stride)
+    collective = ThermalEnv(env.mass, env.eta, n * env.temperature)
+    prop = OUPropagator.build(collective, dt)
+    vel = rng.normal(0.0, np.sqrt(collective.temperature / env.mass),
+                     size=2)
+    noise = rng.standard_normal((burn_in_steps + n_steps, 2, 2))
+    dxy = _propagate(noise, prop, vel, stepwise=False)[1]
+    del noise   # 32 bytes per step, not needed by the cumulative sums
+    return _windings(dxy[burn_in_steps:, 1] / geometry.l_y,
+                     dxy[burn_in_steps:, 0] / geometry.l_x, dt,
+                     sample_stride)
 
 
 def mean_population(env: ThermalEnv, geometry: TorusGeometry,
