@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 
 @dataclass(frozen=True)
@@ -122,19 +121,71 @@ def velocity_autocorrelation(series, dt: float, max_lag: int
     c = _lag_products(series, max_lag).mean(axis=0)
     tau = np.arange(max_lag + 1) * dt
 
-    def model(t, amp, rate):
-        return amp * np.exp(-rate * t)
-
     rate0 = _initial_rate_guess(c, dt)
     try:
-        popt, pcov = curve_fit(model, tau, c, p0=(c[0], rate0),
-                               maxfev=10000)
-        perr = np.sqrt(np.diag(pcov))
+        popt, perr = _fit_exponential(tau, c, (c[0], rate0))
     except RuntimeError:
         popt, perr = (c[0], rate0), (np.nan, np.nan)
     fit = AcfFit(amplitude=float(popt[0]), rate=float(popt[1]),
                  amplitude_err=float(perr[0]), rate_err=float(perr[1]))
     return tau, c, fit
+
+
+# Levenberg-Marquardt limits: the fit has converged when a step changes no
+# parameter by more than _FIT_XTOL relative or lowers the SSR by no more
+# than _FIT_FTOL relative; it fails after _FIT_MAX_ITER trial steps
+_FIT_XTOL = 1e-12
+_FIT_FTOL = 1e-15
+_FIT_MAX_ITER = 200
+
+
+def _fit_exponential(tau, c, p0):
+    """Least-squares fit of amp * exp(-rate * tau) to c from p0 = (amp,
+    rate), by damped Gauss-Newton (Levenberg-Marquardt with Marquardt's
+    column scaling) on the analytic Jacobian.
+
+    Returns (popt, perr) with perr from inv(J^T J) * SSR / (n - 2), as
+    scipy's curve_fit gives it, or inf where J^T J is singular to working
+    precision (a rate so large that exp(-rate * tau) underflows at every
+    tau > 0, as white noise gives). Raises RuntimeError if the fit does
+    not converge.
+    """
+    if not np.all(np.isfinite(c)):
+        raise ValueError("autocorrelation contains NaN or inf")
+
+    def residual_and_jacobian(p):
+        e = np.exp(-p[1] * tau)
+        return p[0] * e - c, np.column_stack([e, -p[0] * tau * e])
+
+    p = np.array(p0, dtype=float)
+    r, jac = residual_and_jacobian(p)
+    ssr = r @ r
+    scale = np.zeros(2)
+    damping = 1e-3
+    for _ in range(_FIT_MAX_ITER):
+        a = jac.T @ jac
+        scale = np.maximum(scale, np.diag(a))
+        step = np.linalg.solve(
+            a + damping * np.diag(np.where(scale > 0.0, scale, 1.0)),
+            -(jac.T @ r))
+        r_new, jac_new = residual_and_jacobian(p + step)
+        ssr_new = r_new @ r_new
+        converged = np.all(np.abs(step) <= _FIT_XTOL * np.abs(p))
+        if ssr_new <= ssr:
+            p += step
+            converged |= ssr - ssr_new <= _FIT_FTOL * ssr
+            r, jac, ssr = r_new, jac_new, ssr_new
+            damping /= 10.0
+        else:
+            damping *= 10.0
+        if converged:
+            break
+    else:
+        raise RuntimeError("exponential fit did not converge")
+    a = jac.T @ jac
+    if np.linalg.cond(a) < 1.0 / np.finfo(float).eps:
+        return p, np.sqrt(np.diag(np.linalg.inv(a)) * ssr / (len(c) - 2))
+    return p, np.full(2, np.inf)
 
 
 def _lag_products(rows, max_lag: int) -> np.ndarray:
