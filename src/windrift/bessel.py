@@ -3,12 +3,18 @@
 A checked front end to scipy.special.k0/k1. Both underflow past z ~ 700;
 there the result is exactly 0.0 with a RuntimeWarning, not a subnormal
 number that has lost its digits.
+
+Importing windrift loads the scipy package alone (about 15 ms, which
+makes scipy.__version__ readable); scipy.special (about 0.3 s) is
+imported by the first bessel_k call, so the simulation and estimator
+paths never load it. The plain import in the function works on every
+scipy version, whether or not it loads submodules on attribute access.
 """
 
 import warnings
 
 import numpy as np
-from scipy.special import k0, k1
+import scipy
 
 # K(z) ~ sqrt(pi/2z) e^-z; below ~1e-304 doubles go subnormal and lose digits
 UNDERFLOW_CUTOFF = 700.0
@@ -26,7 +32,9 @@ def bessel_k(order, z):
     if np.any(z_arr <= 0.0):
         raise ValueError("bessel_k requires z > 0")
 
-    out = np.atleast_1d(k0(z_arr) if order == 0 else k1(z_arr))
+    import scipy.special
+    kernel = scipy.special.k0 if order == 0 else scipy.special.k1
+    out = np.atleast_1d(kernel(z_arr))
     under = np.atleast_1d(z_arr > UNDERFLOW_CUTOFF)
     if np.any(under):
         warnings.warn(

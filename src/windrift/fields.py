@@ -14,7 +14,6 @@ evaluated at r < xi by the energy integrals, and r = 0 is rejected.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bessel import bessel_k
 from .materials import DerivedScales
@@ -135,9 +134,11 @@ def field_energy(r_min: float, r_max: float, v: float,
         return (d / 4.0) * r**2 * e_squared_angle_average(
             r, v, scales, c_light)
 
+    import scipy.integrate   # on first use, as bessel_k loads scipy.special
     # log substitution flattens the 1/r^3 integrand near the lower cutoff
-    energy, _ = quad(integrand_log, np.log(r_min), np.log(r_max),
-                     epsabs=0.0, epsrel=1e-10, limit=400)
+    energy, _ = scipy.integrate.quad(integrand_log, np.log(r_min),
+                                     np.log(r_max), epsabs=0.0,
+                                     epsrel=1e-10, limit=400)
     return EnergyIntegral(
         r_min=r_min,
         r_max=r_max,
