@@ -219,11 +219,17 @@ def _msd_rates(rows, spacing: float, t_min: float, t_max: float
                ) -> np.ndarray:
     """Half the least-squares slope of each row's all-origin MSD against
     lag time, at every lag of the window [t_min, t_max]: (R, n) -> (R,).
-    Row by row, so the transient memory is O(n + lags) whatever R."""
+    The slope is the closed form sum(t y) / sum(t^2) on lag times and MSD
+    both centred. Row by row, so the transient memory is O(n + lags)
+    whatever R."""
     lags = _fit_lags(t_min, t_max, spacing, rows.shape[1])
-    slopes = [np.polyfit(lags * spacing, _msd(row[None], lags)[0], 1)[0]
-              for row in rows]
-    return np.array(slopes) / 2.0
+    t = lags * spacing
+    t -= t.mean()
+    slopes = []
+    for row in rows:
+        msd = _msd(row[None], lags)[0]
+        slopes.append(np.sum(t * (msd - msd.mean())))
+    return np.array(slopes) / (2.0 * np.sum(t * t))
 
 
 def _initial_rate_guess(c, dt):
