@@ -97,11 +97,16 @@ def _check_counts(n_v: int, n_a: int) -> None:
         raise ValueError("counts must be nonnegative")
 
 
-def _check_steps(dt: float, n_steps: int) -> None:
+def _check_steps(dt: float, n_steps: int, sample_stride: int,
+                 burn_in_steps: int) -> None:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if sample_stride < 1:
+        raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
+    if burn_in_steps < 0:
+        raise ValueError(f"burn_in_steps must be >= 0, got {burn_in_steps}")
 
 
 def initial_state(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
@@ -272,7 +277,7 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
     position_stride, unwrapped positions are recorded after every
     position_stride-th recorded step.
     """
-    _check_steps(dt, n_steps)
+    _check_steps(dt, n_steps, sample_stride, burn_in_steps)
     rng = substream(master_seed, stream_id)
     state = initial_state(env, geometry, n_v, n_a, rng,
                           init_velocities=init_velocities)
@@ -356,7 +361,7 @@ def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
     nothing and has zero increments. The windings are zeroed after
     burn-in and the series start at (t=0, alpha=0).
     """
-    _check_steps(dt, n_steps)
+    _check_steps(dt, n_steps, sample_stride, burn_in_steps)
     _check_counts(n_v, n_a)
     n = n_v + n_a
     if not n:

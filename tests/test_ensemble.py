@@ -291,6 +291,22 @@ class TestWindingEngine:
                         rng=substream(0, 0))
         assert str(collective.value) == str(per_walker.value)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"sample_stride": 0}, "sample_stride"),
+        ({"sample_stride": -2}, "sample_stride"),
+        ({"burn_in_steps": -1}, "burn_in_steps")],
+        ids=["stride-0", "stride-negative", "burn-in-negative"])
+    def test_step_arguments_name_themselves(self, square_torus, basic_env,
+                                            kwargs, name):
+        # a zero stride divided by zero, a negative one sampled only t=0,
+        # and a negative burn-in was skipped without a word
+        with pytest.raises(ValueError, match=name) as per_walker:
+            run_replica(basic_env, square_torus, 2, 2, 0.1, 20, **kwargs)
+        with pytest.raises(ValueError, match=name) as collective:
+            run_winding(basic_env, square_torus, 2, 2, 0.1, 20,
+                        rng=substream(0, 0), **kwargs)
+        assert str(collective.value) == str(per_walker.value)
+
 
 class TestPopulation:
     def test_mean_formula(self, basic_env):
