@@ -2,13 +2,16 @@
 
 These deliberately avoid the code paths they check: the Bessel oracle
 integrates the defining representation with adaptive quadrature, the
-Langevin oracles are closed-form solutions, and the winding oracles are
-direct random-walk constructions. The one exception is step_ensemble, the
-step-by-step reference that the chunked engine must match bit for bit.
+Langevin oracles are closed-form solutions, the winding oracles are
+direct random-walk constructions, and the exponential fit is scipy's
+curve_fit. The exceptions are step_ensemble and recurrence_loop, the
+step-by-step references that the engines must match bit for bit
+(run_replica) or to rounding (run_winding's doubling scan).
 """
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import curve_fit
 
 
 def bessel_k_quadrature(order: int, z: float) -> float:
@@ -45,6 +48,21 @@ def winding_variance(env, n_walkers, length, tau):
     gamma = env.gamma
     return (2.0 * n_walkers * env.temperature / (env.eta * length**2)
             * (tau + np.expm1(-gamma * tau) / gamma))
+
+
+def recurrence_loop(u, decay):
+    """v[0] = u[0], then v[i] = u[i] + decay * v[i-1] one row at a time."""
+    v = np.array(u, dtype=float)
+    for i in range(1, len(v)):
+        v[i] = v[i] + decay * v[i - 1]
+    return v
+
+
+def curve_fit_exponential(tau, c, p0):
+    """curve_fit of amp * exp(-rate * tau) to c from p0: (popt, perr)."""
+    popt, pcov = curve_fit(lambda t, amp, rate: amp * np.exp(-rate * t),
+                           tau, c, p0=p0, maxfev=10000)
+    return popt, np.sqrt(np.diag(pcov))
 
 
 def synthetic_brownian_alpha(rate, dt, n_steps, rng):

@@ -314,6 +314,39 @@ class TestMainEntry:
             summaries.append(read_without_timestamp(out / "summary.json"))
         assert summaries[0] == summaries[1]
 
+    def test_simulation_paths_load_no_scipy_submodule(self, tmp_path):
+        # only fields and design need scipy.special / scipy.integrate;
+        # importing scipy itself loads scipy.version and private modules
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text())
+        script = """if True:
+            import sys
+            from windrift.cli import main
+            from windrift import (ThermalEnv, TorusGeometry,
+                                  einstein_diffusion_check, run_replica,
+                                  velocity_autocorrelation)
+            assert main(["rates", "--config", sys.argv[1], "--out",
+                         sys.argv[2]]) == 0
+            env = ThermalEnv(1.0, 2.0, 1.0)
+            res = run_replica(env, TorusGeometry(10.0, 10.0), 2, 2, 0.1,
+                              400, velocity_series_walkers=4,
+                              position_stride=1)
+            einstein_diffusion_check(res.positions, 0.1, env)
+            velocity_autocorrelation(res.vel_series.T, 0.1, max_lag=10)
+            print(" ".join(sorted(
+                name for name in sys.modules
+                if name.startswith("scipy.") and name != "scipy.version"
+                and not name.split(".")[1].startswith("_"))))
+        """
+        src = str(Path(windrift.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(cfg_path),
+             str(tmp_path / "out")],
+            env=env, check=True, capture_output=True, text=True)
+        assert done.stdout.strip() == ""
+
     def test_main_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(config_text())

@@ -9,7 +9,8 @@ from windrift import (SimulationState, ThermalEnv, TorusGeometry,
 from windrift import ensemble
 from windrift.langevin import OUPropagator
 
-from oracles import step_ensemble, synthetic_brownian_alpha, winding_variance
+from oracles import (recurrence_loop, step_ensemble, synthetic_brownian_alpha,
+                     winding_variance)
 
 
 def drift_state(velocities, charges):
@@ -306,6 +307,40 @@ class TestWindingEngine:
             run_winding(basic_env, square_torus, 2, 2, 0.1, 20,
                         rng=substream(0, 0), **kwargs)
         assert str(collective.value) == str(per_walker.value)
+
+
+def recurrence_input(gamma_dt, n_steps, seed):
+    """lfilter's input at T/M = 1: a stationary start, then sigma_v * n1."""
+    rng = np.random.default_rng(seed)
+    u = np.empty((n_steps + 1, 2))
+    u[0] = rng.standard_normal(2)
+    u[1:] = np.sqrt(-np.expm1(-2.0 * gamma_dt)) * rng.standard_normal(
+        (n_steps, 2))
+    return u
+
+
+class TestVelocityRecurrence:
+    """ensemble.lfilter against the step-by-step recurrence oracle."""
+
+    @pytest.mark.parametrize("gamma_dt", [1e-3, 0.04, 0.2, 5.0])
+    def test_matches_stepwise_loop(self, gamma_dt):
+        decay = np.exp(-gamma_dt)
+        u = recurrence_input(gamma_dt, 100_000, 1)
+        expected = recurrence_loop(u, decay)
+        assert np.array_equal(
+            ensemble.lfilter(u.copy(), decay, stepwise=True), expected)
+        scan = ensemble.lfilter(u.copy(), decay, stepwise=False)
+        assert (np.abs(scan - expected).max()
+                <= 1e-14 * np.abs(expected).max())
+
+    def test_scan_prefix_independent_of_length(self):
+        decay = np.exp(-0.04)
+        u = recurrence_input(0.04, 100_000, 2)
+        full = ensemble.lfilter(u.copy(), decay, stepwise=False)
+        for n in (1, 2, 3, 1000, 4097, 65_537):
+            assert np.array_equal(
+                ensemble.lfilter(u[:n].copy(), decay, stepwise=False),
+                full[:n]), n
 
 
 class TestPopulation:

@@ -6,10 +6,10 @@ from windrift import (OUPropagator, ThermalEnv, TorusGeometry,
                       einstein_diffusion_check, rate_from_green_kubo,
                       rate_from_msd, run_replica, run_winding, substream,
                       velocity_autocorrelation)
-from windrift.langevin import _lag_products, _msd
+from windrift.langevin import _initial_rate_guess, _lag_products, _msd
 
-from oracles import (free_langevin_noise_free, lag_products_loop, msd_loop,
-                     winding_variance)
+from oracles import (curve_fit_exponential, free_langevin_noise_free,
+                     lag_products_loop, msd_loop, winding_variance)
 
 
 def noise_free_step(env, dt, pos, vel):
@@ -116,6 +116,32 @@ class TestVelocityAutocorrelation:
         assert fit.amplitude == pytest.approx(series.var(), rel=0.05)
         assert fit.rate > 0.2 / dt         # decays within ~a sample interval
         assert abs(c[1]) < 0.01 * c[0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fit_matches_curve_fit(self, seed):
+        # 8 OU rows as the diagnostics workload records them; curve_fit
+        # stops at 1.5e-8 relative with a finite-difference Jacobian, which
+        # moves its error estimates by a few 1e-6
+        dt = 0.01
+        series = ou_series(1.0, 2.0, dt, 100_000,
+                           np.random.default_rng(seed), n_rows=8)
+        tau, c, fit = velocity_autocorrelation(series, dt, max_lag=400)
+        popt, perr = curve_fit_exponential(
+            tau, c, (c[0], _initial_rate_guess(c, dt)))
+        assert np.allclose([fit.amplitude, fit.rate], popt, rtol=1e-6,
+                           atol=0.0)
+        assert np.allclose([fit.amplitude_err, fit.rate_err], perr,
+                           rtol=1e-5, atol=0.0)
+
+    def test_white_noise_rows_give_inf_errors(self):
+        # the fitted rate makes exp(-rate * tau) negligible at every
+        # tau > 0, so J^T J is singular to working precision
+        rows = np.random.default_rng(17).normal(0.0, 1.5, size=(3, 40))
+        tau, c, fit = velocity_autocorrelation(rows, 0.1, max_lag=4)
+        popt, _ = curve_fit_exponential(
+            tau, c, (c[0], _initial_rate_guess(c, 0.1)))
+        assert fit.amplitude == pytest.approx(popt[0], rel=1e-6)
+        assert fit.amplitude_err == fit.rate_err == np.inf
 
     def test_rejects_short_series(self):
         with pytest.raises(ValueError):
