@@ -181,9 +181,9 @@ def lfilter(v: np.ndarray, decay: float, *, stepwise: bool) -> np.ndarray:
     n = len(v)
     if stepwise:
         tmp = np.empty(v.shape[1:])
-        for i in range(1, n):
-            np.multiply(v[i - 1], decay, out=tmp)
-            v[i] += tmp
+        for prev, row in zip(v[:-1], v[1:]):   # row views, updated in turn
+            np.multiply(prev, decay, out=tmp)
+            row += tmp
         return v
     tmp = np.empty_like(v[1:])
     k = 1
