@@ -178,13 +178,13 @@ def lfilter(v: np.ndarray, decay: float, *, stepwise: bool) -> np.ndarray:
     j < 2k, so log2(N) whole-array passes give the recurrence to rounding.
     A pass whose factor underflows to 0 adds nothing, and none follows.
     """
-    n = len(v)
     if stepwise:
         tmp = np.empty(v.shape[1:])
         for prev, row in zip(v[:-1], v[1:]):   # row views, updated in turn
             np.multiply(prev, decay, out=tmp)
             row += tmp
         return v
+    n = len(v)
     tmp = np.empty_like(v[1:])
     k = 1
     while k < n and decay ** k > 0.0:

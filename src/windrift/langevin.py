@@ -146,9 +146,9 @@ def _fit_exponential(tau, c, p0):
 
     Returns (popt, perr) with perr from inv(J^T J) * SSR / (n - 2), as
     scipy's curve_fit gives it, or inf where J^T J is singular to working
-    precision (a rate so large that exp(-rate * tau) underflows at every
-    tau > 0, as white noise gives). Raises RuntimeError if the fit does
-    not converge.
+    precision (white noise fits a rate so large that exp(-rate * tau) is
+    negligible at every tau > 0). Raises RuntimeError if the fit does not
+    converge.
     """
     if not np.all(np.isfinite(c)):
         raise ValueError("autocorrelation contains NaN or inf")
