@@ -28,14 +28,14 @@ import numpy as np
 
 from . import design as design_mod
 from .bessel import bessel_k
-from .config import SUBCOMMANDS, ConfigError, RunConfig, parse_config
+from .config import SUBCOMMANDS, RunConfig, parse_config
 from .ensemble import (RateEstimate, TorusGeometry, analytic_rate,
                        even_mean_population, mean_population, predicted_rate,
                        rate_from_green_kubo, rate_from_msd, run_replica,
                        run_winding, sample_population)
 from .fields import field_table, helmholtz_residual
 from .langevin import ThermalEnv
-from .materials import classify_regime, derive_scales
+from .materials import MaterialParams, classify_regime, derive_scales
 from .rng import substream
 
 
@@ -86,11 +86,8 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_csv(path: Path, header, columns) -> None:
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    lines = [",".join(header)]
-    for i in range(len(cols[0])):
-        lines.append(",".join(format(c[i], ".17g") for c in cols))
-    path.write_text("\n".join(lines) + "\n")
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def _rate_dict(est: RateEstimate) -> dict:
@@ -104,39 +101,25 @@ def _rate_dict(est: RateEstimate) -> dict:
 # ---------------------------------------------------------------------------
 # subcommand runners
 
-def _resolve_counts(config: RunConfig):
-    """Per-replica (n_v, n_a, rng); boltzmann mode draws from the replica stream."""
-    pop = config.population
-    counts = []
-    rngs = []
-    for r in range(config.replicas):
-        rng = substream(config.master_seed, r)
-        if pop.mode == "fixed":
-            pair = (pop.n_v, pop.n_a)
-        elif pop.mode == "mean":
-            pair = even_mean_population(config.env, config.geometry, pop.f0)
-        else:  # boltzmann: Poisson draw first, then the stream feeds the run
-            pair = sample_population(config.env, config.geometry, pop.f0,
-                                     rng=rng)
-        counts.append(pair)
-        rngs.append(rng)
-    return counts, rngs
-
-
 def _run_ensemble(config: RunConfig, lanes: int):
-    n_steps = int(round(config.total_time / config.dt))
-    burn_steps = int(round(config.burn_in / config.dt))
-    counts, rngs = _resolve_counts(config)
+    """Per-replica results and (n_v, n_a) counts, in replica order."""
+    env, geo, pop = config.env, config.geometry, config.population
 
     def one(r):
-        n_v, n_a = counts[r]
-        return run_winding(config.env, config.geometry, n_v, n_a,
-                           config.dt, n_steps, rng=rngs[r],
-                           sample_stride=config.sample_stride,
-                           burn_in_steps=burn_steps)
+        rng = substream(config.master_seed, r)
+        if pop.mode == "fixed":
+            n_v, n_a = pop.n_v, pop.n_a
+        elif pop.mode == "mean":
+            n_v, n_a = even_mean_population(env, geo, pop.f0)
+        else:  # boltzmann: Poisson draw first, then the stream feeds the run
+            n_v, n_a = sample_population(env, geo, pop.f0, rng=rng)
+        return (run_winding(env, geo, n_v, n_a, config.dt, config.n_steps,
+                            rng=rng, sample_stride=config.sample_stride,
+                            burn_in_steps=config.burn_in_steps),
+                (n_v, n_a))
 
     with ThreadPoolExecutor(max_workers=lanes) as pool:
-        results = list(pool.map(one, range(config.replicas)))
+        results, counts = zip(*pool.map(one, range(config.replicas)))
     return results, counts
 
 
@@ -162,9 +145,9 @@ def _rates_summary(config: RunConfig, results, counts) -> dict:
         gk = rate_from_green_kubo(incs, config.dt, config.gk_cutoff)
         analytic = analytic_rate(config.env, config.geometry,
                                  mean_nv, mean_na, axis=axis)
-        predicted = (None if config.f0 is None else _rate_dict(
-            predicted_rate(config.env, config.geometry, config.f0,
-                           axis=axis)))
+        f0 = config.population.f0
+        predicted = (None if f0 is None else _rate_dict(
+            predicted_rate(config.env, config.geometry, f0, axis=axis)))
         rates[axis] = {"msd": _rate_dict(msd), "green_kubo": _rate_dict(gk),
                        "analytic": _rate_dict(analytic),
                        "predicted": predicted}
@@ -188,9 +171,7 @@ def _config_echo(config: RunConfig) -> dict:
             "fit_t_min": config.fit_t_min, "fit_t_max": config.fit_t_max,
             "green_kubo_cutoff": config.gk_cutoff}
     for key in ("env", "geometry", "population"):
-        block = getattr(config, key)
-        if block is not None:
-            echo[key] = asdict(block)
+        echo[key] = asdict(getattr(config, key))
     return echo
 
 
@@ -217,16 +198,11 @@ def run_ensemble(config: RunConfig, out_dir: Path, lanes: int) -> dict:
 
 def run_fields(config: RunConfig, out_dir: Path, lanes: int) -> dict:
     scales = derive_scales(config.material, c_light=config.c_light)
-    spec = config.field_table
-    r_min = spec.r_min if spec.r_min is not None else scales.xi
-    r_max = spec.r_max if spec.r_max is not None else 5.0 * scales.delta
-    if r_min >= r_max:
-        raise ConfigError("'fields.r_min' must be below 'fields.r_max'")
-    r = np.geomspace(r_min, r_max, spec.n_points)
-    table = field_table(scales, r, spec.speed, config.c_light,
-                        angle=np.deg2rad(spec.angle_deg))
-    write_csv(out_dir / "fields.csv", ["r", "B", "Ex", "Ey", "E2"],
-              [table[:, i] for i in range(5)])
+    grid = config.field_table
+    r = np.geomspace(grid.r_min, grid.r_max, grid.n_points)
+    table = field_table(scales, r, grid.speed, config.c_light,
+                        angle=np.deg2rad(grid.angle_deg))
+    write_csv(out_dir / "fields.csv", ["r", "B", "Ex", "Ey", "E2"], table.T)
     summary = {
         "schema": "windrift.fields.v1",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -238,7 +214,7 @@ def run_fields(config: RunConfig, out_dir: Path, lanes: int) -> dict:
             "estimate_fields": list(scales.estimate_fields),
         },
         "regime": asdict(classify_regime(config.material, scales)),
-        "grid": asdict(replace(spec, r_min=r_min, r_max=r_max)),
+        "grid": asdict(grid),
     }
     write_json(out_dir / "summary.json", summary)
     return summary
@@ -276,7 +252,6 @@ def run_design(config: RunConfig, out_dir: Path, lanes: int) -> dict:
 
 def run_selftest(config: RunConfig, out_dir: Path, lanes: int) -> dict:
     """Fast internal consistency checks; one PASS/FAIL line each."""
-    from .materials import MaterialParams
     checks = []
 
     def check(name, ok):
@@ -348,7 +323,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config = replace(config, master_seed=args.seed)
         summary = run(config, lanes=args.lanes, output_dir=args.out)
-    except (ConfigError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:     # ConfigError is a ValueError
         print(f"windrift: error: {err}", file=sys.stderr)
         return 2
     if args.subcommand == "selftest" and not summary.get("passed", True):

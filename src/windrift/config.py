@@ -1,11 +1,26 @@
 """Config-file parsing and validation for the windrift CLI.
 
-Configs are JSON documents. Parsing is strict: unknown keys are errors
-(no silently ignored typos), every numeric value is range-checked against
-the preconditions of the module that will consume it, and the diagnostic
-always names the offending key. Parsing the same document twice yields
-equal RunConfig objects; together with the master seed this makes runs
-fully reproducible.
+Configs are JSON documents. Each subcommand accepts exactly the keys it
+reads, plus `master_seed` and `output_dir` (which `--seed` and `--out`
+override for every subcommand):
+
+  simulate, rates  env, geometry, population, fit, dt, total_time,
+                   burn_in, replicas, sample_stride, green_kubo_cutoff
+  fields           material, fields, c_light
+  design           device, anyon, c_light, r_unit_m, design_g_coupling
+  selftest         (nothing else)
+
+A `fixed` population takes `n_v` and `n_a`; `boltzmann` and `mean` take
+`f0`. Every block goes through one reader, `_read`, which refuses a block
+that is not a JSON object and any key outside the block's table, and
+checks each number against the table's rule (finite; integer, > 0 or
+>= 0 where the consumer needs it). Every diagnostic names the key.
+
+The parser also resolves what the runs would otherwise derive: step
+counts, the fit-window and Green-Kubo defaults, and the field grid. A
+RunConfig field the subcommand does not read is None. Parsing the same
+document twice yields equal RunConfig objects; together with the master
+seed this makes runs fully reproducible.
 """
 
 import json
@@ -17,9 +32,7 @@ from .design import DeviceSpec
 from .ensemble import TorusGeometry
 from .langevin import (ThermalEnv, _check_fit_start, _cutoff_lag,
                        _fit_lags)
-from .materials import MaterialParams
-
-SUBCOMMANDS = ("simulate", "rates", "fields", "design", "selftest")
+from .materials import MaterialParams, derive_scales
 
 
 class ConfigError(ValueError):
@@ -43,10 +56,10 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class FieldTableSpec:
-    """Grid and kinematics of the exported field table."""
+    """Grid and kinematics of the exported field table (grid resolved)."""
 
-    r_min: Optional[float]    # None -> xi
-    r_max: Optional[float]    # None -> 5 delta
+    r_min: float
+    r_max: float
     n_points: int
     speed: float
     angle_deg: float
@@ -60,156 +73,150 @@ class AnyonSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated, fully resolved run description."""
+    """Validated, fully resolved run description; unread fields are None."""
 
     subcommand: str
-    env: Optional[ThermalEnv]
-    geometry: Optional[TorusGeometry]
-    population: Optional[PopulationSpec]
-    material: Optional[MaterialParams]
-    device: Optional[DeviceSpec]
-    dt: float
-    total_time: float
-    burn_in: float
-    replicas: int
     master_seed: int
     output_dir: str
-    sample_stride: int
-    fit_t_min: Optional[float]
-    fit_t_max: Optional[float]
-    gk_cutoff: Optional[float]
-    c_light: float
-    field_table: Optional[FieldTableSpec]
-    anyon: Optional[AnyonSpec]
-    r_unit_m: float
-    design_g_coupling: float
+    # simulate, rates
+    env: Optional[ThermalEnv] = None
+    geometry: Optional[TorusGeometry] = None
+    population: Optional[PopulationSpec] = None
+    dt: Optional[float] = None
+    total_time: Optional[float] = None
+    n_steps: Optional[int] = None
+    burn_in: Optional[float] = None
+    burn_in_steps: Optional[int] = None
+    replicas: Optional[int] = None
+    sample_stride: Optional[int] = None
+    fit_t_min: Optional[float] = None
+    fit_t_max: Optional[float] = None
+    gk_cutoff: Optional[float] = None
+    # fields; c_light also design
+    material: Optional[MaterialParams] = None
+    field_table: Optional[FieldTableSpec] = None
+    c_light: Optional[float] = None
+    # design
+    device: Optional[DeviceSpec] = None
+    anyon: Optional[AnyonSpec] = None
+    r_unit_m: Optional[float] = None
+    design_g_coupling: Optional[float] = None
 
-    @property
-    def f0(self) -> Optional[float]:
-        return self.population.f0 if self.population else None
 
+# Block tables: key -> (rule, default). A rule is ">0", ">=0", "int>0",
+# "int>=0" or "real" for a number, "text" for a string, or a nested table
+# for a block; a table may also be a function of the block that returns
+# its table. Default REQUIRED: the key must be given; None: it may be
+# left out and reads None.
+REQUIRED = object()
 
-_TOP_KEYS = {
-    "env", "geometry", "population", "material", "device", "fields", "fit",
-    "anyon", "dt", "total_time", "burn_in", "replicas", "master_seed",
-    "output_dir", "sample_stride", "green_kubo_cutoff", "c_light",
-    "r_unit_m", "design_g_coupling",
+_ENV = {"mass": (">0", REQUIRED), "eta": (">0", REQUIRED),
+        "temperature": (">=0", REQUIRED)}
+_GEOMETRY = {"l_x": (">0", REQUIRED), "l_y": (">0", REQUIRED),
+             "d": (">0", 1.0)}
+_POPULATION = {
+    "fixed": {"mode": ("text", "fixed"), "n_v": ("int>=0", REQUIRED),
+              "n_a": ("int>=0", REQUIRED)},
+    "boltzmann": {"mode": ("text", REQUIRED), "f0": (">=0", REQUIRED)},
 }
+_POPULATION["mean"] = _POPULATION["boltzmann"]
+_FIT = {"t_min": (">0", None), "t_max": (">0", None)}
+_MATERIAL = dict({key: (">0", REQUIRED) for key in (
+    "zeta", "a_coeff", "b_coeff", "g_coupling", "sigma", "d_thickness")},
+    l_tr=(">0", None))
+_FIELDS = {"r_min": (">0", None), "r_max": (">0", None),
+           "n_points": ("int>0", 200), "speed": (">0", 1.0),
+           "angle_deg": ("real", 45.0)}
+_DEVICE = {"r_eff": (">0", REQUIRED), "n1": ("int>=0", REQUIRED),
+           "n2": ("int>0", REQUIRED), "l_x": (">0", REQUIRED),
+           "l_y": (">0", REQUIRED), "epsilon_line": (">=0", REQUIRED),
+           "temperature": (">0", REQUIRED)}
+_ANYON = {"l_prime": (">0", REQUIRED), "rho_min": (">0", REQUIRED)}
 
 
-def _check_keys(block: dict, allowed, where: str):
-    unknown = set(block) - set(allowed)
-    if unknown:
-        name = sorted(unknown)[0]
-        raise ConfigError(f"unknown key '{where}{name}'")
+def _population_table(block: dict) -> dict:
+    mode = block.get("mode", "fixed")
+    if not isinstance(mode, str) or mode not in _POPULATION:
+        raise ConfigError(f"'population.mode' must be fixed|boltzmann|mean, "
+                          f"got {mode!r}")
+    return _POPULATION[mode]
 
 
-def _number(block: dict, key: str, where: str, *, default=None,
-            positive=False, nonnegative=False, integer=False):
-    if key not in block:
-        if default is None:
-            raise ConfigError(f"missing required key '{where}{key}'")
-        return default
-    value = block[key]
+_COMMON = {"master_seed": ("int>=0", 0),
+           "output_dir": ("text", "windrift_out")}
+_SIMULATION = dict(
+    _COMMON, env=(_ENV, REQUIRED), geometry=(_GEOMETRY, REQUIRED),
+    population=(_population_table, REQUIRED), fit=(_FIT, {}),
+    dt=(">0", REQUIRED), total_time=(">0", REQUIRED), burn_in=(">=0", 0.0),
+    replicas=("int>0", 20), sample_stride=("int>0", 10),
+    green_kubo_cutoff=(">0", None))
+_TABLES = {
+    "simulate": _SIMULATION,
+    "rates": _SIMULATION,
+    "fields": dict(_COMMON, material=(_MATERIAL, REQUIRED),
+                   fields=(_FIELDS, {}), c_light=(">0", 1.0)),
+    "design": dict(_COMMON, device=(_DEVICE, REQUIRED), anyon=(_ANYON, None),
+                   c_light=(">0", 1.0), r_unit_m=(">0", 1.0),
+                   design_g_coupling=(">0", 1.0)),
+    "selftest": _COMMON,
+}
+SUBCOMMANDS = tuple(_TABLES)
+
+
+def _number(value, name: str, rule: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{where}{key}' must be a number, got {value!r}")
+        raise ConfigError(f"'{name}' must be a number, got {value!r}")
     try:
         finite = math.isfinite(value)
     except OverflowError:       # an integer literal beyond the float range
         finite = False
     if not finite:
-        raise ConfigError(f"'{where}{key}' must be finite, got {value!r}")
+        raise ConfigError(f"'{name}' must be finite, got {value!r}")
+    integer = rule.startswith("int")
     if integer and int(value) != value:
-        raise ConfigError(f"'{where}{key}' must be an integer, got {value!r}")
-    if positive and not value > 0:
-        raise ConfigError(f"'{where}{key}' must be strictly positive, "
+        raise ConfigError(f"'{name}' must be an integer, got {value!r}")
+    if rule.endswith(">0") and not value > 0:
+        raise ConfigError(f"'{name}' must be strictly positive, "
                           f"got {value!r}")
-    if nonnegative and value < 0:
-        raise ConfigError(f"'{where}{key}' must be >= 0, got {value!r}")
+    if rule.endswith(">=0") and value < 0:
+        raise ConfigError(f"'{name}' must be >= 0, got {value!r}")
     return int(value) if integer else float(value)
 
 
-def _parse_env(block: dict) -> ThermalEnv:
-    _check_keys(block, ("mass", "eta", "temperature"), "env.")
-    return ThermalEnv(
-        mass=_number(block, "mass", "env.", positive=True),
-        eta=_number(block, "eta", "env.", positive=True),
-        temperature=_number(block, "temperature", "env.", nonnegative=True),
-    )
+def _value(value, name: str, rule):
+    if rule == "text":
+        if not isinstance(value, str):
+            raise ConfigError(f"'{name}' must be a string, got {value!r}")
+        return value
+    if isinstance(rule, str):
+        return _number(value, name, rule)
+    return _read(value, name + ".", rule)
 
 
-def _parse_geometry(block: dict) -> TorusGeometry:
-    _check_keys(block, ("l_x", "l_y", "d"), "geometry.")
-    geo = dict(
-        l_x=_number(block, "l_x", "geometry.", positive=True),
-        l_y=_number(block, "l_y", "geometry.", positive=True),
-        d=_number(block, "d", "geometry.", default=1.0, positive=True),
-    )
-    if geo["l_x"] < geo["l_y"]:
-        raise ConfigError("'geometry.l_x' must be >= 'geometry.l_y'")
-    return TorusGeometry(**geo)
+def _read(block, where: str, table) -> dict:
+    """Read one block by its table; every config value passes through here.
 
-
-def _parse_population(block: dict) -> PopulationSpec:
-    _check_keys(block, ("mode", "n_v", "n_a", "f0"), "population.")
-    mode = block.get("mode", "fixed")
-    if mode not in ("fixed", "boltzmann", "mean"):
-        raise ConfigError(f"'population.mode' must be fixed|boltzmann|mean, "
-                          f"got {mode!r}")
-    if mode == "fixed":
-        n_v = _number(block, "n_v", "population.", integer=True,
-                      nonnegative=True)
-        n_a = _number(block, "n_a", "population.", integer=True,
-                      nonnegative=True)
-        if n_v != n_a:
-            raise ConfigError("'population.n_v' must equal 'population.n_a' "
-                              "(neutral ensemble)")
-        return PopulationSpec(mode=mode, n_v=n_v, n_a=n_a)
-    f0 = _number(block, "f0", "population.", nonnegative=True)
-    return PopulationSpec(mode=mode, f0=f0)
-
-
-def _parse_material(block: dict) -> MaterialParams:
-    keys = ("zeta", "a_coeff", "b_coeff", "g_coupling", "sigma",
-            "d_thickness", "l_tr")
-    _check_keys(block, keys, "material.")
-    kwargs = {k: _number(block, k, "material.", positive=True)
-              for k in keys[:-1]}
-    if "l_tr" in block:
-        kwargs["l_tr"] = _number(block, "l_tr", "material.", positive=True)
-    return MaterialParams(**kwargs)
-
-
-def _parse_device(block: dict) -> DeviceSpec:
-    keys = ("r_eff", "n1", "n2", "l_x", "l_y", "epsilon_line", "temperature")
-    _check_keys(block, keys, "device.")
-    return DeviceSpec(
-        r_eff=_number(block, "r_eff", "device.", positive=True),
-        n1=_number(block, "n1", "device.", integer=True, nonnegative=True),
-        n2=_number(block, "n2", "device.", integer=True, positive=True),
-        l_x=_number(block, "l_x", "device.", positive=True),
-        l_y=_number(block, "l_y", "device.", positive=True),
-        epsilon_line=_number(block, "epsilon_line", "device.",
-                             nonnegative=True),
-        temperature=_number(block, "temperature", "device.", positive=True),
-    )
-
-
-def _parse_fields(block: dict) -> FieldTableSpec:
-    _check_keys(block, ("r_min", "r_max", "n_points", "speed", "angle_deg"),
-                "fields.")
-    r_min = (_number(block, "r_min", "fields.", positive=True)
-             if "r_min" in block else None)
-    r_max = (_number(block, "r_max", "fields.", positive=True)
-             if "r_max" in block else None)
-    return FieldTableSpec(
-        r_min=r_min,
-        r_max=r_max,
-        n_points=_number(block, "n_points", "fields.", default=200,
-                         integer=True, positive=True),
-        speed=_number(block, "speed", "fields.", default=1.0, positive=True),
-        angle_deg=_number(block, "angle_deg", "fields.", default=45.0),
-    )
+    Refuses a block that is not a JSON object and keys outside the table;
+    returns {key: checked value} with defaults filled in.
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{where[:-1]}' must be a JSON object, "
+                          f"got {block!r}")
+    if callable(table):
+        table = table(block)
+    unknown = set(block) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown key '{where}{sorted(unknown)[0]}'")
+    out = {}
+    for key, (rule, default) in table.items():
+        if key in block:
+            out[key] = _value(block[key], where + key, rule)
+        elif default is REQUIRED:
+            raise ConfigError(f"missing required key '{where}{key}'")
+        else:
+            out[key] = None if default is None else _value(default,
+                                                           where + key, rule)
+    return out
 
 
 def _check_rate_windows(env: ThermalEnv, dt: float, n_steps: int,
@@ -229,6 +236,63 @@ def _check_rate_windows(env: ThermalEnv, dt: float, n_steps: int,
             raise ConfigError(f"'{key}': {err}") from err
 
 
+def _simulation(v: dict, subcommand: str) -> dict:
+    env = ThermalEnv(**v["env"])
+    if v["geometry"]["l_x"] < v["geometry"]["l_y"]:
+        raise ConfigError("'geometry.l_x' must be >= 'geometry.l_y'")
+    pop = v["population"]
+    if pop["mode"] == "fixed" and pop["n_v"] != pop["n_a"]:
+        raise ConfigError("'population.n_v' must equal 'population.n_a' "
+                          "(neutral ensemble)")
+    dt, total_time, stride = v["dt"], v["total_time"], v["sample_stride"]
+    if total_time < dt:
+        raise ConfigError("'total_time' must be at least one step 'dt'")
+    n_steps = int(round(total_time / dt))
+    if subcommand == "rates" and n_steps < stride:
+        raise ConfigError(f"'sample_stride' ({stride}) exceeds the "
+                          f"{n_steps} steps of 'total_time'; "
+                          f"rates need at least one sample after t=0")
+    fit, cutoff = v["fit"], v["green_kubo_cutoff"]
+    t_min = fit["t_min"] if fit["t_min"] is not None else 10.0 / env.gamma
+    t_max = fit["t_max"] if fit["t_max"] is not None else total_time / 2.0
+    cutoff = cutoff if cutoff is not None else 20.0 / env.gamma
+    if subcommand == "rates":
+        _check_rate_windows(env, dt, n_steps, stride, t_min, t_max, cutoff)
+    return dict(env=env, geometry=TorusGeometry(**v["geometry"]),
+                population=PopulationSpec(**pop), dt=dt,
+                total_time=total_time, n_steps=n_steps, burn_in=v["burn_in"],
+                burn_in_steps=int(round(v["burn_in"] / dt)),
+                replicas=v["replicas"], sample_stride=stride,
+                fit_t_min=t_min, fit_t_max=t_max, gk_cutoff=cutoff)
+
+
+def _fields(v: dict, subcommand: str) -> dict:
+    """Resolve the grid: r_min defaults to xi, r_max to 5 delta."""
+    material = MaterialParams(**v["material"])
+    scales = derive_scales(material, c_light=v["c_light"])
+    grid = dict(v["fields"], r_min=v["fields"]["r_min"] or scales.xi,
+                r_max=v["fields"]["r_max"] or 5.0 * scales.delta)  # set: > 0
+    if grid["r_min"] >= grid["r_max"]:
+        raise ConfigError("'fields.r_min' must be below 'fields.r_max'")
+    return dict(material=material, field_table=FieldTableSpec(**grid),
+                c_light=v["c_light"])
+
+
+def _design(v: dict, subcommand: str) -> dict:
+    if v["device"]["n2"] <= v["device"]["n1"]:
+        raise ConfigError("'device.n2' must exceed 'device.n1'")
+    anyon = v["anyon"] and AnyonSpec(**v["anyon"])
+    if anyon and anyon.l_prime <= anyon.rho_min:
+        raise ConfigError("'anyon.l_prime' must exceed 'anyon.rho_min'")
+    return dict(device=DeviceSpec(**v["device"]), anyon=anyon,
+                c_light=v["c_light"], r_unit_m=v["r_unit_m"],
+                design_g_coupling=v["design_g_coupling"])
+
+
+_RESOLVE = {"simulate": _simulation, "rates": _simulation, "fields": _fields,
+            "design": _design, "selftest": lambda v, subcommand: {}}
+
+
 def parse_config(text: str, subcommand: str) -> RunConfig:
     """Parse and validate a JSON config document for the given subcommand.
 
@@ -243,101 +307,17 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         raise ConfigError(f"malformed JSON config: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "")
-
-    needs_sim = subcommand in ("simulate", "rates")
-    for key, needed in (("env", needs_sim), ("geometry", needs_sim),
-                        ("population", needs_sim),
-                        ("material", subcommand == "fields"),
-                        ("device", subcommand == "design")):
-        if needed and key not in doc:
+    table = _TABLES[subcommand]
+    for key, (rule, default) in table.items():
+        if default is REQUIRED and not isinstance(rule, str) \
+                and key not in doc:
             raise ConfigError(f"subcommand '{subcommand}' requires the "
                               f"'{key}' block")
-
-    try:
-        env = _parse_env(doc["env"]) if "env" in doc else None
-        geometry = _parse_geometry(doc["geometry"]) if "geometry" in doc else None
-        population = (_parse_population(doc["population"])
-                      if "population" in doc else None)
-        material = _parse_material(doc["material"]) if "material" in doc else None
-        device = _parse_device(doc["device"]) if "device" in doc else None
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-
-    dt = _number(doc, "dt", "", default=0.01 if not needs_sim else None,
-                 positive=True)
-    total_time = _number(doc, "total_time", "",
-                         default=1.0 if not needs_sim else None,
-                         positive=True)
-    if needs_sim and total_time < dt:
-        raise ConfigError("'total_time' must be at least one step 'dt'")
-    n_steps = int(round(total_time / dt))
-    sample_stride = _number(doc, "sample_stride", "", default=10,
-                            integer=True, positive=True)
-    if subcommand == "rates" and n_steps < sample_stride:
-        raise ConfigError(f"'sample_stride' ({sample_stride}) exceeds the "
-                          f"{n_steps} steps of 'total_time'; "
-                          f"rates need at least one sample after t=0")
-
-    fit_t_min = fit_t_max = None
-    if "fit" in doc:
-        _check_keys(doc["fit"], ("t_min", "t_max"), "fit.")
-        if "t_min" in doc["fit"]:
-            fit_t_min = _number(doc["fit"], "t_min", "fit.", positive=True)
-        if "t_max" in doc["fit"]:
-            fit_t_max = _number(doc["fit"], "t_max", "fit.", positive=True)
-    if fit_t_min is None and env is not None:
-        fit_t_min = 10.0 / env.gamma          # documented default
-    if fit_t_max is None and needs_sim:
-        fit_t_max = total_time / 2.0          # documented default
-    gk_cutoff = (_number(doc, "green_kubo_cutoff", "", positive=True)
-                 if "green_kubo_cutoff" in doc
-                 else (20.0 / env.gamma if env is not None else None))
-    if subcommand == "rates":
-        _check_rate_windows(env, dt, n_steps, sample_stride, fit_t_min,
-                            fit_t_max, gk_cutoff)
-
-    master_seed = _number(doc, "master_seed", "", default=0, integer=True,
-                          nonnegative=True)
-    if master_seed >= 1 << 64:          # a Philox key word (rng.substream)
+    values = _read(doc, "", table)
+    if values["master_seed"] >= 1 << 64:    # a Philox key word (rng.substream)
         raise ConfigError(f"'master_seed' must be below 2**64, got "
-                          f"{master_seed}")
-
-    anyon = None
-    if "anyon" in doc:
-        _check_keys(doc["anyon"], ("l_prime", "rho_min"), "anyon.")
-        anyon = AnyonSpec(
-            l_prime=_number(doc["anyon"], "l_prime", "anyon.", positive=True),
-            rho_min=_number(doc["anyon"], "rho_min", "anyon.", positive=True))
-        if anyon.l_prime <= anyon.rho_min:
-            raise ConfigError("'anyon.l_prime' must exceed 'anyon.rho_min'")
-
-    return RunConfig(
-        subcommand=subcommand,
-        env=env,
-        geometry=geometry,
-        population=population,
-        material=material,
-        device=device,
-        dt=dt,
-        total_time=total_time,
-        burn_in=_number(doc, "burn_in", "", default=0.0, nonnegative=True),
-        replicas=_number(doc, "replicas", "", default=20, integer=True,
-                         positive=True),
-        master_seed=master_seed,
-        output_dir=str(doc.get("output_dir", "windrift_out")),
-        sample_stride=sample_stride,
-        fit_t_min=fit_t_min,
-        fit_t_max=fit_t_max,
-        gk_cutoff=gk_cutoff,
-        c_light=_number(doc, "c_light", "", default=1.0, positive=True),
-        field_table=(_parse_fields(doc["fields"]) if "fields" in doc
-                     else (_parse_fields({}) if subcommand == "fields"
-                           else None)),
-        anyon=anyon,
-        r_unit_m=_number(doc, "r_unit_m", "", default=1.0, positive=True),
-        design_g_coupling=_number(doc, "design_g_coupling", "", default=1.0,
-                                  positive=True),
-    )
+                          f"{values['master_seed']}")
+    return RunConfig(subcommand=subcommand,
+                     master_seed=values["master_seed"],
+                     output_dir=values["output_dir"],
+                     **_RESOLVE[subcommand](values, subcommand))

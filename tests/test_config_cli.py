@@ -24,6 +24,16 @@ MINIMAL_RATES = {
 }
 
 
+FIELDS_DOC = {"material": {"zeta": 1.0, "a_coeff": 5000.0, "b_coeff": 5000.0,
+                           "g_coupling": 1.0, "sigma": 1.0,
+                           "d_thickness": 1.0}}
+DESIGN_DOC = {"device": {"r_eff": 0.02, "n1": 0, "n2": 1, "l_x": 0.05,
+                         "l_y": 0.001, "epsilon_line": 1.0,
+                         "temperature": 1.0}}
+BASE_DOCS = {"rates": MINIMAL_RATES, "simulate": MINIMAL_RATES,
+             "fields": FIELDS_DOC, "design": DESIGN_DOC, "selftest": {}}
+
+
 def config_text(**overrides):
     doc = dict(MINIMAL_RATES)
     doc.update(overrides)
@@ -157,6 +167,98 @@ class TestParsing:
     def test_selftest_accepts_empty_config(self):
         cfg = parse_config("{}", "selftest")
         assert cfg.subcommand == "selftest"
+
+
+class TestKeySets:
+    """Each subcommand accepts exactly the keys it reads."""
+
+    @pytest.mark.parametrize("subcommand,key,value", [
+        ("rates", "env", 5), ("rates", "env", None), ("rates", "fit", 3),
+        ("rates", "population", 7), ("design", "anyon", "x"),
+        ("fields", "fields", [])])
+    def test_non_object_block_names_block(self, tmp_path, capsys,
+                                          subcommand, key, value):
+        text = json.dumps(dict(BASE_DOCS[subcommand], **{key: value}))
+        message = f"'{key}' must be a JSON object"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text, subcommand)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        code = main([subcommand, "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [None, 5, ["out"]])
+    def test_non_string_output_dir_names_key(self, value):
+        with pytest.raises(ConfigError, match="'output_dir' must be a "
+                                              "string"):
+            parse_config(config_text(output_dir=value), "rates")
+
+    @pytest.mark.parametrize("subcommand,key,value", [
+        ("fields", "dt", 0.1), ("design", "env", MINIMAL_RATES["env"]),
+        ("selftest", "material", FIELDS_DOC["material"]),
+        ("rates", "material", FIELDS_DOC["material"]),
+        ("simulate", "c_light", 1.0), ("fields", "r_unit_m", 1.0),
+        ("design", "fields", {})])
+    def test_other_subcommands_key_refused(self, subcommand, key, value):
+        text = json.dumps(dict(BASE_DOCS[subcommand], **{key: value}))
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(text, subcommand)
+
+    @pytest.mark.parametrize("population,key", [
+        ({"mode": "fixed", "n_v": 4, "n_a": 4, "f0": 0.5}, "f0"),
+        ({"n_v": 4, "n_a": 4, "f0": 0.5}, "f0"),
+        ({"mode": "boltzmann", "f0": 0.5, "n_v": 4}, "n_v"),
+        ({"mode": "mean", "f0": 0.5, "n_a": 4}, "n_a")])
+    def test_population_keys_follow_mode(self, population, key):
+        with pytest.raises(ConfigError,
+                           match=f"unknown key 'population.{key}'"):
+            parse_config(config_text(population=population), "rates")
+
+    @pytest.mark.parametrize("mode", ["poisson", 3, ["fixed"]])
+    def test_bad_population_mode_names_key(self, mode):
+        with pytest.raises(ConfigError, match="'population.mode'"):
+            parse_config(config_text(population={"mode": mode, "f0": 0.5}),
+                         "rates")
+
+    @pytest.mark.parametrize("grid", [{"r_min": 0.5, "r_max": 0.5},
+                                      {"r_min": 0.6, "r_max": 0.5},
+                                      {"r_min": 1e6}])
+    def test_empty_field_grid_refused_by_parser(self, grid):
+        text = json.dumps(dict(FIELDS_DOC, fields=grid))
+        with pytest.raises(ConfigError, match="'fields.r_min' must be "
+                                              "below 'fields.r_max'"):
+            parse_config(text, "fields")
+
+    def test_device_levels_name_key(self):
+        device = dict(DESIGN_DOC["device"], n1=1, n2=1)
+        with pytest.raises(ConfigError, match="'device.n2' must exceed"):
+            parse_config(json.dumps({"device": device}), "design")
+
+    def test_field_grid_resolved(self):
+        scales = windrift.derive_scales(
+            windrift.MaterialParams(**FIELDS_DOC["material"]), c_light=2.0)
+        cfg = parse_config(json.dumps(dict(FIELDS_DOC, c_light=2.0)),
+                           "fields")
+        assert (cfg.field_table.r_min, cfg.field_table.r_max) == \
+            (scales.xi, 5.0 * scales.delta)
+        cfg = parse_config(json.dumps(dict(FIELDS_DOC, fields={
+            "r_min": 0.002})), "fields")
+        assert cfg.field_table.r_min == 0.002
+
+    def test_step_counts_resolved(self):
+        cfg = parse_config(config_text(dt=0.1, total_time=60.04,
+                                       burn_in=0.26), "rates")
+        assert (cfg.n_steps, cfg.burn_in_steps) == (600, 3)
+
+    @pytest.mark.parametrize("subcommand", ["fields", "design", "selftest"])
+    def test_unread_fields_are_none(self, subcommand):
+        cfg = parse_config(json.dumps(BASE_DOCS[subcommand]), subcommand)
+        for name in ("env", "dt", "total_time", "n_steps", "replicas",
+                     "sample_stride", "fit_t_min", "gk_cutoff"):
+            assert getattr(cfg, name) is None
+        assert (cfg.master_seed, cfg.output_dir) == (0, "windrift_out")
 
 
 class TestSerialization:
