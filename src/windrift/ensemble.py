@@ -14,7 +14,10 @@ integrated autocorrelation of alpha-dot (Green-Kubo), and the closed-form
 T*(N_v+N_a)/(eta*l^2).
 
 Two engines share one propagation kernel. run_replica propagates every
-walker, chunk by chunk, and can record velocities and positions.
+walker, chunk by chunk, and can record velocities and positions; one
+helper thread draws the next chunk's normals while the current chunk
+propagates, and the chunks reuse fixed buffers, so beyond the arrays it
+returns it holds about 13 doubles per walker and CHUNK_STEPS steps.
 run_winding propagates, over the whole series at once, only the
 charge-weighted sums V = sum q v and D = sum q dx per axis: the walkers do
 not interact and q^2 = 1, so (V, D) of n walkers at temperature T is
@@ -24,10 +27,14 @@ winding series cost O(1) draws per step whatever the walker count.
 Reproducibility: all noise comes from Philox streams keyed by
 (master_seed, stream_id); draws happen in a fixed (step, walker, axis,
 role) order, with run_winding's pseudo-walker as the only walker (rng.py
-gives each engine's full layout). Replicas are the unit of parallelism
-and are never split, so results are bit-identical for any worker count.
+gives each engine's full layout). run_replica's helper thread is the only
+thread that draws once the initial state is drawn, one chunk at a time in
+chunk order, so the stream is consumed as by one thread. Replicas are the
+unit of parallelism and are never split, so results are bit-identical for
+any worker count.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -195,22 +202,28 @@ def lfilter(v: np.ndarray, decay: float, *, stepwise: bool) -> np.ndarray:
 
 
 def _propagate(noise: np.ndarray, prop: OUPropagator, vel: np.ndarray,
-               stepwise: bool):
+               stepwise: bool, *, v: Optional[np.ndarray] = None,
+               dxy: Optional[np.ndarray] = None):
     """Advance velocities vel by the steps whose normals noise holds.
 
-    noise is indexed [step, ..., role], its middle axes shaped as vel.
-    Returns (vseq, dxy): the velocity after each step and each step's
-    displacement, both shaped noise[..., 0].
+    noise is indexed [step, ..., role], its middle axes shaped as vel; its
+    normals are spent (overwritten). Returns (vseq, dxy): the velocity
+    after each step and each step's displacement, both shaped
+    noise[..., 0], written into v (one row longer) and dxy when given.
     """
-    n1 = noise[..., 0]
-    v = np.empty((len(noise) + 1,) + vel.shape)
+    n1, n2 = noise[..., 0], noise[..., 1]
+    if v is None:
+        v = np.empty((len(noise) + 1,) + vel.shape)
     v[0] = vel
     np.multiply(n1, prop.sigma_v, out=v[1:])
     lfilter(v, prop.decay, stepwise=stepwise)
-    # dxy = drift * vprev + c1 * n1 + c2 * n2, in one fresh array
-    dxy = v[:-1] * prop.drift
-    dxy += prop.c1 * n1
-    dxy += prop.c2 * noise[..., 1]
+    # dxy = drift * vprev + c1 * n1 + c2 * n2, the products formed in the
+    # spent normals
+    dxy = np.multiply(v[:-1], prop.drift, out=dxy)
+    n1 *= prop.c1
+    dxy += n1
+    n2 *= prop.c2
+    dxy += n2
     return v[1:], dxy
 
 
@@ -218,17 +231,38 @@ def _chunks(rng: np.random.Generator, prop: OUPropagator, vel: np.ndarray,
             burn_in_steps: int, n_steps: int):
     """Propagate burn-in, then the recorded steps, in CHUNK_STEPS chunks.
 
-    Draws each chunk's noise as (step, walker, axis, role) normals and
-    yields (recording, done, vseq, dxy) per chunk, done being the chunk's
+    Yields (recording, done, vseq, dxy) per chunk, done being the chunk's
     first step within its phase; the velocity is carried between chunks.
+    vseq and dxy are views of buffers that the next chunk overwrites.
+    One helper thread draws each chunk's (step, walker, axis, role)
+    normals, in chunk order, into one of two reused buffers while this
+    thread propagates the chunk before; nothing else draws from rng
+    meanwhile, so the stream is consumed as by one thread. The with block
+    joins the helper however the generator ends.
     """
-    for total, recording in ((burn_in_steps, False), (n_steps, True)):
-        for done in range(0, total, CHUNK_STEPS):
-            m = min(CHUNK_STEPS, total - done)
-            noise = rng.standard_normal((m,) + vel.shape + (2,))
-            vseq, dxy = _propagate(noise, prop, vel, stepwise=True)
+    plan = [(recording, done, min(CHUNK_STEPS, total - done))
+            for total, recording in ((burn_in_steps, False), (n_steps, True))
+            for done in range(0, total, CHUNK_STEPS)]
+    rows = max(m for _, _, m in plan)
+    noise = np.empty((2, rows) + vel.shape + (2,))
+    v = np.empty((rows + 1,) + vel.shape)
+    dxy = np.empty((rows,) + vel.shape)
+
+    def draw(i):
+        m = plan[i][2]
+        return rng.standard_normal((m,) + vel.shape + (2,),
+                                   out=noise[i % 2, :m])
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(draw, 0)
+        for i, (recording, done, m) in enumerate(plan):
+            chunk = pending.result()
+            if i + 1 < len(plan):
+                pending = helper.submit(draw, i + 1)
+            vseq, dxy_m = _propagate(chunk, prop, vel, stepwise=True,
+                                     v=v[:m + 1], dxy=dxy[:m])
             vel = vseq[-1].copy()
-            yield recording, done, vseq, dxy
+            yield recording, done, vseq, dxy_m
 
 
 def _record_increments(dxy, charges, geometry: TorusGeometry, inc_x, inc_y,
@@ -357,7 +391,8 @@ def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
     run_replica's, from 2 normals plus 4 per step instead of 4n per step.
     Draw order: V_0 (x, y), then per step (axis, role), burn-in first.
     V runs through the whole series at once, as lfilter's doubling scan,
-    so the memory is O(burn_in_steps + n_steps). An empty ensemble draws
+    so the memory is O(burn_in_steps + n_steps): 8 doubles per step at
+    the peak (normals, velocities, displacements). An empty ensemble draws
     nothing and has zero increments. The windings are zeroed after
     burn-in and the series start at (t=0, alpha=0).
     """

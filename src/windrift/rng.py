@@ -15,7 +15,8 @@ Replica r of a `rates` or `simulate` run uses the stream
    extra position noise; an empty ensemble draws nothing. The per-walker
    engine (ensemble.run_replica) draws the positions (walker, axis), the
    stationary velocities (walker, axis), then per step (walker, axis,
-   role).
+   role); the steps' normals are drawn on one helper thread, chunk after
+   chunk, which keeps this order.
 """
 
 import numpy as np

@@ -1,3 +1,6 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -341,6 +344,80 @@ class TestVelocityRecurrence:
             assert np.array_equal(
                 ensemble.lfilter(u[:n].copy(), decay, stepwise=False),
                 full[:n]), n
+
+
+class TestChunkHelperThread:
+    """_chunks draws on one helper thread, joined however it ends."""
+
+    def test_run_replica_leaves_no_thread(self, square_torus, basic_env):
+        before = threading.active_count()
+        run_replica(basic_env, square_torus, 4, 4, 0.05, 100,
+                    burn_in_steps=30)
+        assert threading.active_count() == before
+
+    def test_closed_generator_leaves_no_thread(self, basic_env,
+                                               monkeypatch):
+        monkeypatch.setattr(ensemble, "CHUNK_STEPS", 7)
+        before = threading.active_count()
+        chunks = ensemble._chunks(substream(1, 0),
+                                  OUPropagator.build(basic_env, 0.05),
+                                  np.zeros((4, 2)), 9, 30)
+        next(chunks)
+        # the helper is drawing (or has drawn) the second chunk
+        assert threading.active_count() == before + 1
+        chunks.close()
+        assert threading.active_count() == before
+
+    def test_raising_consumer_leaves_no_thread(self, square_torus, basic_env,
+                                               monkeypatch):
+        def fail(*args):
+            raise RuntimeError("consumer failed")
+
+        monkeypatch.setattr(ensemble, "CHUNK_STEPS", 7)
+        monkeypatch.setattr(ensemble, "_record_increments", fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            run_replica(basic_env, square_torus, 4, 4, 0.05, 100,
+                        burn_in_steps=9)
+        assert threading.active_count() == before
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, peak bytes that tracemalloc saw while fn ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBounds:
+    """Peak working memory of the engines, in doubles (tracemalloc)."""
+
+    def test_run_winding_peak_per_step(self, square_torus, basic_env):
+        # normals (4), velocities (2) and displacements (2) per step; the
+        # position-noise products go into the spent normals
+        burn, n_steps = 1000, 200_000
+        _, peak = traced_peak(run_winding, basic_env, square_torus, 5, 5,
+                              0.05, n_steps, rng=substream(3, 1),
+                              sample_stride=5, burn_in_steps=burn)
+        assert peak / 8 / (burn + n_steps) <= 8.5
+
+    def test_run_replica_transient_peak_per_chunk(self):
+        # in walkers x CHUNK_STEPS doubles: two noise buffers (8), the
+        # velocity and displacement buffers (2 + 2) and one reduction
+        # temporary (1); fresh arrays for every chunk would reach 14
+        n = 100
+        env, geo = ThermalEnv(2.0, 2.0, 4.0), TorusGeometry(100.0, 100.0)
+        res, peak = traced_peak(
+            run_replica, env, geo, n // 2, n // 2, 0.01, 55_000,
+            master_seed=3, burn_in_steps=500, init_velocities="zero",
+            velocity_series_walkers=8, position_stride=50)
+        kept = sum(a.nbytes for a in (*vars(res).values(), res.state.pos,
+                                      res.state.vel, res.state.charges)
+                   if isinstance(a, np.ndarray))
+        assert (peak - kept) / 8 / (n * ensemble.CHUNK_STEPS) <= 13.5
 
 
 class TestPopulation:
