@@ -19,9 +19,8 @@ from .ensemble import (RateEstimate, ReplicaResult, SimulationState,
                        predicted_rate, rate_from_green_kubo, rate_from_msd,
                        run_replica, run_winding, sample_population)
 from .fields import (EnergyIntegral, e_divergence_residual,
-                     e_squared_angle_average, faraday_residual, field_energy,
-                     field_table, helmholtz_residual, moving_vortex_e,
-                     static_b)
+                     e_squared_angle_average, field_energy, field_table,
+                     helmholtz_residual, moving_vortex_e, static_b)
 from .langevin import (OUPropagator, ThermalEnv, einstein_diffusion_check,
                        velocity_autocorrelation)
 from .materials import (DerivedScales, MaterialParams, RegimeReport,
@@ -41,8 +40,8 @@ __all__ = [
     "rate_from_green_kubo", "rate_from_msd", "run_replica", "run_winding",
     "sample_population",
     "EnergyIntegral", "e_divergence_residual", "e_squared_angle_average",
-    "faraday_residual", "field_energy", "field_table", "helmholtz_residual",
-    "moving_vortex_e", "static_b",
+    "field_energy", "field_table", "helmholtz_residual", "moving_vortex_e",
+    "static_b",
     "OUPropagator", "ThermalEnv", "einstein_diffusion_check",
     "velocity_autocorrelation",
     "DerivedScales", "MaterialParams", "RegimeReport", "classify_regime",

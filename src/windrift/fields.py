@@ -177,28 +177,6 @@ def e_divergence_residual(point, v, scales: DerivedScales, c_light: float,
     return float(abs((ex_p - ex_m) / (2.0 * h) + (ey_p - ey_m) / (2.0 * h)))
 
 
-def faraday_residual(point, v, scales: DerivedScales, c_light: float,
-                     h: float) -> float:
-    """|(-v . grad B) + c (curl E)_z| with the curl by central differences.
-
-    The convected time derivative of B must match Faraday's law for the
-    constructed E field.
-    """
-    point = np.asarray(point, dtype=float)
-    v = np.asarray(v, dtype=float)
-    x, y = point
-    rad = np.hypot(x, y)
-    _, b1, _ = b_radial_derivatives(rad, scales)
-    dbdt = -(v[0] * b1 * x / rad + v[1] * b1 * y / rad)
-
-    ey_xp = moving_vortex_e(point + [h, 0.0], v, scales, c_light)[1]
-    ey_xm = moving_vortex_e(point - [h, 0.0], v, scales, c_light)[1]
-    ex_yp = moving_vortex_e(point + [0.0, h], v, scales, c_light)[0]
-    ex_ym = moving_vortex_e(point - [0.0, h], v, scales, c_light)[0]
-    curl_z = (ey_xp - ey_xm) / (2.0 * h) - (ex_yp - ex_ym) / (2.0 * h)
-    return float(abs(dbdt + c_light * curl_z))
-
-
 def field_table(scales: DerivedScales, r_values, speed: float,
                 c_light: float, angle: float = np.pi / 4):
     """Tabulate the profiles for export: columns r, B, E_x, E_y, E^2.

@@ -6,7 +6,9 @@ Langevin oracles are closed-form solutions, the winding oracles are
 direct random-walk constructions, and the exponential fit is scipy's
 curve_fit. The exceptions are step_ensemble and recurrence_loop, the
 step-by-step references that the engines must match bit for bit
-(run_replica) or to rounding (run_winding's doubling scan).
+(run_replica) or to rounding (run_winding's doubling scan), and
+lag_products_fft_rows, the fresh-arrays-per-row transform that the
+correlation kernel must match bit for bit.
 """
 
 import numpy as np
@@ -81,6 +83,18 @@ def lag_products_loop(rows, max_lag):
     return np.array(out)
 
 
+def lag_products_fft_rows(rows, max_lag):
+    """Unbiased lag products as irfft(|rfft|^2) of each row, zero-padded to
+    a power of two >= n + max_lag, with fresh transform arrays per row."""
+    n = rows.shape[1]
+    size = 1 << int(n + max_lag - 1).bit_length()
+    out = np.empty((len(rows), max_lag + 1))
+    for i, row in enumerate(rows):
+        f = np.fft.rfft(row, size)
+        out[i] = np.fft.irfft(f.real**2 + f.imag**2, size)[:max_lag + 1]
+    return out / (n - np.arange(max_lag + 1))
+
+
 def msd_loop(rows, lags):
     """All-origin MSD mean_j (x[j+L] - x[j])^2 by an explicit loop over lags."""
     return np.array([[np.mean((row[lag:] - row[:-lag]) ** 2) for lag in lags]
@@ -120,3 +134,25 @@ def step_ensemble(state, geometry, dt, env, rng):
         state.alpha_y = (state.alpha_y
                          + (state.charges * dxy[:, 0]).sum() / geometry.l_x)
     return state
+
+
+def faraday_residual(point, v, scales, c_light, h):
+    """|(-v . grad B) + c (curl E)_z| with the curl by central differences.
+
+    The convected time derivative of B must match Faraday's law for the
+    constructed E field.
+    """
+    from windrift.fields import b_radial_derivatives, moving_vortex_e
+    point = np.asarray(point, dtype=float)
+    v = np.asarray(v, dtype=float)
+    x, y = point
+    rad = np.hypot(x, y)
+    _, b1, _ = b_radial_derivatives(rad, scales)
+    dbdt = -(v[0] * b1 * x / rad + v[1] * b1 * y / rad)
+
+    ey_xp = moving_vortex_e(point + [h, 0.0], v, scales, c_light)[1]
+    ey_xm = moving_vortex_e(point - [h, 0.0], v, scales, c_light)[1]
+    ex_yp = moving_vortex_e(point + [0.0, h], v, scales, c_light)[0]
+    ex_ym = moving_vortex_e(point - [0.0, h], v, scales, c_light)[0]
+    curl_z = (ey_xp - ey_xm) / (2.0 * h) - (ex_yp - ex_ym) / (2.0 * h)
+    return float(abs(dbdt + c_light * curl_z))

@@ -10,7 +10,7 @@ import pytest
 import windrift
 from windrift import (ConfigError, parse_config, rate_from_green_kubo,
                       rate_from_msd)
-from windrift.cli import format_float, json_text, main, run
+from windrift.cli import format_float, json_text, main, run, write_csv
 
 MINIMAL_RATES = {
     "env": {"mass": 1.0, "eta": 2.0, "temperature": 1.0},
@@ -275,6 +275,21 @@ class TestSerialization:
         assert a.index('"a"') < a.index('"b"')
         assert json_text({"b": 1, "a": [1.5, None, True]}) == a
 
+    @pytest.mark.parametrize("columns", [
+        [np.linspace(0.0, 1.0, 7), np.random.default_rng(1).normal(size=7)],
+        [np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7e308])],
+        [np.array([]), np.array([])],
+        np.arange(12.0).reshape(3, 4) / 7.0])
+    def test_write_csv_matches_savetxt(self, columns, tmp_path):
+        k = np.column_stack(columns).shape[1]
+        header = [f"c{j}" for j in range(k)]
+        write_csv(tmp_path / "a.csv", header, columns)
+        np.savetxt(tmp_path / "b.csv", np.column_stack(columns),
+                   fmt="%.17g", delimiter=",", header=",".join(header),
+                   comments="")
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -331,6 +346,39 @@ class TestRunRates:
         run(cfg, lanes=1, output_dir=tmp_path)
         assert read_without_timestamp(tmp_path / "summary.json") != \
             read_without_timestamp(out / "summary.json")
+
+
+class TestBenchPatchedNames:
+    """bench/tracer.py times layers by replacing these module attributes;
+    if one is missing, every traced benchmark job fails."""
+
+    @pytest.mark.parametrize("module, name", [
+        *(("cli", n) for n in ("substream", "run_replica", "rate_from_msd",
+                               "rate_from_green_kubo", "ThreadPoolExecutor",
+                               "write_csv", "write_json")),
+        *(("ensemble", n) for n in ("substream", "run_replica", "lfilter")),
+        ("langevin", "velocity_autocorrelation"),
+        ("langevin", "einstein_diffusion_check")])
+    def test_name_exists(self, module, name):
+        assert callable(getattr(getattr(windrift, module), name))
+
+    def test_lanes_call_estimators_through_cli(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("rate_from_msd", "rate_from_green_kubo"):
+            monkeypatch.setattr(windrift.cli, name,
+                                counted(name, getattr(windrift.cli, name)))
+        run(parse_config(config_text(), "rates"), lanes=2,
+            output_dir=tmp_path)
+        # one (x, y) call per estimator and replica
+        assert sorted(calls) == ["rate_from_green_kubo"] * 4 \
+            + ["rate_from_msd"] * 4
 
 
 class TestOtherSubcommands:

@@ -1,3 +1,4 @@
+import json
 import threading
 import tracemalloc
 
@@ -6,10 +7,10 @@ import pytest
 
 from windrift import (SimulationState, ThermalEnv, TorusGeometry,
                       analytic_rate, even_mean_population, initial_state,
-                      mean_population, predicted_rate, rate_from_green_kubo,
-                      rate_from_msd, run_replica, run_winding,
-                      sample_population, substream)
-from windrift import ensemble
+                      mean_population, parse_config, predicted_rate,
+                      rate_from_green_kubo, rate_from_msd, run_replica,
+                      run_winding, sample_population, substream)
+from windrift import cli, ensemble
 from windrift.langevin import OUPropagator
 
 from oracles import (recurrence_loop, step_ensemble, synthetic_brownian_alpha,
@@ -418,6 +419,25 @@ class TestMemoryBounds:
                                       res.state.vel, res.state.charges)
                    if isinstance(a, np.ndarray))
         assert (peak - kept) / 8 / (n * ensemble.CHUNK_STEPS) <= 13.5
+
+    def test_rates_peak_does_not_grow_with_replicas(self, tmp_path):
+        # each lane reduces its replica and drops the series, so 4x the
+        # replicas may add less than one replica's increments at the peak
+        n_steps = 20_000
+        doc = {"env": {"mass": 1.0, "eta": 2.0, "temperature": 1.0},
+               "geometry": {"l_x": 10.0, "l_y": 10.0},
+               "population": {"mode": "fixed", "n_v": 5, "n_a": 5},
+               "dt": 0.1, "total_time": 0.1 * n_steps, "sample_stride": 5,
+               "fit": {"t_min": 5.0, "t_max": 100.0},
+               "green_kubo_cutoff": 10.0, "master_seed": 4}
+        peaks = []
+        for replicas in (3, 12):
+            cfg = parse_config(json.dumps(dict(doc, replicas=replicas)),
+                               "rates")
+            out = tmp_path / str(replicas)
+            peaks.append(traced_peak(cli.run, cfg, lanes=1,
+                                     output_dir=out)[1])
+        assert peaks[1] - peaks[0] < 8 * 2 * n_steps
 
 
 class TestPopulation:

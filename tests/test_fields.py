@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from windrift import (MaterialParams, derive_scales, e_divergence_residual,
-                      e_squared_angle_average, faraday_residual, field_energy,
-                      field_table, helmholtz_residual, moving_vortex_e,
-                      static_b)
+                      e_squared_angle_average, field_energy, field_table,
+                      helmholtz_residual, moving_vortex_e, static_b)
 from windrift.fields import b_radial_derivatives
 
-from oracles import e_squared_numeric_angle_average
+from oracles import e_squared_numeric_angle_average, faraday_residual
 
 C = 1.0
 
