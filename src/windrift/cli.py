@@ -17,6 +17,7 @@ of how many worker lanes execute the replicas.
 """
 
 import argparse
+import ctypes
 import math
 import sys
 import time
@@ -30,8 +31,8 @@ import numpy as np
 from . import design as design_mod
 from .bessel import bessel_k
 from .config import SUBCOMMANDS, RunConfig, parse_config
-from .ensemble import (RateEstimate, TorusGeometry, _estimate,
-                       analytic_rate, even_mean_population, mean_population,
+from .ensemble import (RateEstimate, TorusGeometry, analytic_rate,
+                       even_mean_population, mean_population, pool_replicas,
                        predicted_rate, rate_from_green_kubo, rate_from_msd,
                        run_replica, run_winding, sample_population)
 from .fields import field_table, helmholtz_residual
@@ -86,13 +87,20 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json_text(obj) + "\n")
 
 
+CSV_BLOCK_ROWS = 4096
+
+
 def write_csv(path: Path, header, columns) -> None:
-    """The bytes np.savetxt writes with fmt %.17g, from one % format of
-    the whole table instead of one per row."""
+    """The bytes np.savetxt writes with fmt %.17g, from one % format per
+    block of CSV_BLOCK_ROWS rows instead of one per row, so the text held
+    at once is bounded whatever the row count."""
     table = np.column_stack(columns)
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    path.write_text(",".join(header) + "\n"
-                    + row * len(table) % tuple(table.ravel().tolist()))
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _rate_dict(est: RateEstimate) -> dict:
@@ -112,9 +120,35 @@ class _Reduced:
 
     counts: tuple                 # (n_v, n_a)
     final: tuple                  # (alpha_x, alpha_y) at the last step
-    msd: Optional[np.ndarray] = None          # rates: per-row (x, y) rates
-    green_kubo: Optional[np.ndarray] = None
+    msd: Optional[RateEstimate] = None        # rates: on the (x, y) rows
+    green_kubo: Optional[RateEstimate] = None
     trajectory: Optional[list] = None         # replica 0: times, alpha_x, y
+
+
+# glibc's mallopt parameters (malloc.h) and the largest heap block it
+# accepts on 64-bit hosts
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_KEEP_BYTES = 32 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep freed blocks of up to 32 MB for reuse.
+
+    A lane frees each replica's arrays just before the next replica
+    allocates the same sizes. By default glibc maps blocks above a moving
+    threshold separately and trims the free top of a heap past twice it,
+    so each replica faults the same pages in again: 35.7k minor faults
+    for the 20-replica, 1e5-step criterion-3 run at one lane, against
+    4.3k with heap blocks and a trim threshold of 32 MB. The settings
+    hold for the rest of the process; a C library without mallopt is
+    left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _KEEP_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _KEEP_BYTES)
 
 
 def _run_ensemble(config: RunConfig, lanes: int):
@@ -124,10 +158,7 @@ def _run_ensemble(config: RunConfig, lanes: int):
     one, so memory grows with the lane count, not the replica count. Each
     estimator gets one (x, y) call per replica: per-axis calls would make
     two lanes contend for the interpreter lock over many small numpy
-    operations. Green-Kubo runs before MSD: in that order glibc's malloc
-    hands one replica's freed pages to the next on 5e4-step series (2.6k
-    minor faults per 40-replica run, 38.8k in the other order); 1e5-step
-    series re-fault them in either order.
+    operations.
     """
     env, geo, pop = config.env, config.geometry, config.population
     window = (config.fit_t_min, config.fit_t_max)
@@ -150,12 +181,13 @@ def _run_ensemble(config: RunConfig, lanes: int):
         if config.subcommand == "rates":
             out.green_kubo = rate_from_green_kubo(
                 np.stack([res.inc_x, res.inc_y]), config.dt,
-                config.gk_cutoff).per_row
+                config.gk_cutoff)
             out.msd = rate_from_msd(
                 res.times, np.stack([res.alpha_x, res.alpha_y]), window,
-                gamma=env.gamma).per_row
+                gamma=env.gamma)
         return out
 
+    _keep_freed_memory()
     with ThreadPoolExecutor(max_workers=lanes) as pool:
         return list(pool.map(one, range(config.replicas)))
 
@@ -169,12 +201,11 @@ def _rates_summary(config: RunConfig, records) -> dict:
     mean_nv = float(np.mean([rec.counts[0] for rec in records]))
     mean_na = float(np.mean([rec.counts[1] for rec in records]))
 
+    msd_xy = pool_replicas([rec.msd for rec in records])
+    gk_xy = pool_replicas([rec.green_kubo for rec in records])
     rates = {}
     per_replica = {}
-    for i, axis in enumerate(("x", "y")):
-        msd = _estimate(np.array([rec.msd[i] for rec in records]), "MSD")
-        gk = _estimate(np.array([rec.green_kubo[i] for rec in records]),
-                       "GreenKubo")
+    for axis, msd, gk in zip(("x", "y"), msd_xy, gk_xy):
         analytic = analytic_rate(config.env, config.geometry,
                                  mean_nv, mean_na, axis=axis)
         f0 = config.population.f0

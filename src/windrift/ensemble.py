@@ -36,7 +36,7 @@ any worker count.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -542,3 +542,18 @@ def rate_from_green_kubo(increments, dt: float,
     acf = _lag_products(rows / dt, lag_max)
     rates = dt * (0.5 * acf[:, 0] + acf[:, 1:].sum(axis=1))
     return _estimate(rates, "GreenKubo")
+
+
+def pool_replicas(estimates) -> Tuple[RateEstimate, ...]:
+    """Pool one estimator's per-replica calls into one estimate per row.
+
+    estimates holds one RateEstimate per replica, each from a call on the
+    same rows of that replica (e.g. its x and y series). Row i of the
+    result pools row i of every call, with the rule of a single call on
+    all replicas' rows: per_row holds the replicas' rates in order, the
+    mean is clipped at 0 and the standard error is over the replicas.
+    """
+    per_row = [est.per_row for est in estimates]
+    method = estimates[0].method
+    return tuple(_estimate(np.array([rates[i] for rates in per_row]), method)
+                 for i in range(len(per_row[0])))

@@ -191,25 +191,13 @@ def _fit_exponential(tau, c, p0):
 def _lag_products(rows, max_lag: int) -> np.ndarray:
     """Unbiased sum_j x[j] x[j+k] / (n-k): (R, n) -> (R, max_lag + 1), row
     by row as the inverse FFT of |F|^2 (Wiener-Khinchin), zero-padded to a
-    power of two >= n + max_lag so that no lag wraps around.
-
-    The transform buffers are allocated once per call and reused for every
-    row, so their pages are not freed and faulted in again row by row."""
+    power of two >= n + max_lag so that no lag wraps around."""
     n = rows.shape[1]
     size = 1 << int(n + max_lag - 1).bit_length()
     out = np.empty((len(rows), max_lag + 1))
-    padded = np.zeros(size)
-    f = np.empty(size // 2 + 1, dtype=complex)
-    power = np.zeros_like(f)          # |F|^2 in the real part, imag 0
-    back = np.empty(size)
     for i, row in enumerate(rows):
-        padded[:n] = row
-        np.fft.rfft(padded, out=f)
-        np.multiply(f.real, f.real, out=power.real)
-        np.multiply(f.imag, f.imag, out=f.imag)
-        power.real += f.imag
-        np.fft.irfft(power, size, out=back)
-        out[i] = back[:max_lag + 1]
+        f = np.fft.rfft(row, size)
+        out[i] = np.fft.irfft(f.real**2 + f.imag**2, size)[:max_lag + 1]
     out /= n - np.arange(max_lag + 1)
     return out
 

@@ -6,9 +6,7 @@ Langevin oracles are closed-form solutions, the winding oracles are
 direct random-walk constructions, and the exponential fit is scipy's
 curve_fit. The exceptions are step_ensemble and recurrence_loop, the
 step-by-step references that the engines must match bit for bit
-(run_replica) or to rounding (run_winding's doubling scan), and
-lag_products_fft_rows, the fresh-arrays-per-row transform that the
-correlation kernel must match bit for bit.
+(run_replica) or to rounding (run_winding's doubling scan).
 """
 
 import numpy as np
@@ -81,18 +79,6 @@ def lag_products_loop(rows, max_lag):
         out.append([sum(row[j] * row[j + k] for j in range(n - k)) / (n - k)
                     for k in range(max_lag + 1)])
     return np.array(out)
-
-
-def lag_products_fft_rows(rows, max_lag):
-    """Unbiased lag products as irfft(|rfft|^2) of each row, zero-padded to
-    a power of two >= n + max_lag, with fresh transform arrays per row."""
-    n = rows.shape[1]
-    size = 1 << int(n + max_lag - 1).bit_length()
-    out = np.empty((len(rows), max_lag + 1))
-    for i, row in enumerate(rows):
-        f = np.fft.rfft(row, size)
-        out[i] = np.fft.irfft(f.real**2 + f.imag**2, size)[:max_lag + 1]
-    return out / (n - np.arange(max_lag + 1))
 
 
 def msd_loop(rows, lags):

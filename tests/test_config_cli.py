@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import windrift
+from windrift import cli
 from windrift import (ConfigError, parse_config, rate_from_green_kubo,
                       rate_from_msd)
 from windrift.cli import format_float, json_text, main, run, write_csv
@@ -279,7 +281,9 @@ class TestSerialization:
         [np.linspace(0.0, 1.0, 7), np.random.default_rng(1).normal(size=7)],
         [np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7e308])],
         [np.array([]), np.array([])],
-        np.arange(12.0).reshape(3, 4) / 7.0])
+        np.arange(12.0).reshape(3, 4) / 7.0,
+        # rows on both sides of a block boundary
+        [np.arange(2 * cli.CSV_BLOCK_ROWS + 3) / 3.0]])
     def test_write_csv_matches_savetxt(self, columns, tmp_path):
         k = np.column_stack(columns).shape[1]
         header = [f"c{j}" for j in range(k)]
@@ -289,6 +293,22 @@ class TestSerialization:
                    comments="")
         assert (tmp_path / "a.csv").read_bytes() == \
             (tmp_path / "b.csv").read_bytes()
+
+    def test_write_csv_text_memory_is_bounded(self, tmp_path):
+        # a long stride-1 trajectory: the formatted text of one block, not
+        # the whole table, is held at once (about 60 bytes per value)
+        n = 25 * cli.CSV_BLOCK_ROWS
+        columns = [np.arange(n) * 0.1,
+                   *np.random.default_rng(2).normal(size=(2, n))]
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "t.csv", ["t", "alpha_x", "alpha_y"],
+                      columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table_bytes = 8 * 3 * n
+        assert peak < table_bytes + 100 * 3 * cli.CSV_BLOCK_ROWS
 
 
 @pytest.fixture(scope="module")

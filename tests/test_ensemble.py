@@ -1,4 +1,6 @@
 import json
+import platform
+import resource
 import threading
 import tracemalloc
 
@@ -7,9 +9,10 @@ import pytest
 
 from windrift import (SimulationState, ThermalEnv, TorusGeometry,
                       analytic_rate, even_mean_population, initial_state,
-                      mean_population, parse_config, predicted_rate,
-                      rate_from_green_kubo, rate_from_msd, run_replica,
-                      run_winding, sample_population, substream)
+                      mean_population, parse_config, pool_replicas,
+                      predicted_rate, rate_from_green_kubo, rate_from_msd,
+                      run_replica, run_winding, sample_population,
+                      substream)
 from windrift import cli, ensemble
 from windrift.langevin import OUPropagator
 
@@ -420,24 +423,40 @@ class TestMemoryBounds:
                    if isinstance(a, np.ndarray))
         assert (peak - kept) / 8 / (n * ensemble.CHUNK_STEPS) <= 13.5
 
+    @staticmethod
+    def rates_config(n_steps, replicas):
+        return parse_config(json.dumps({
+            "env": {"mass": 1.0, "eta": 2.0, "temperature": 1.0},
+            "geometry": {"l_x": 10.0, "l_y": 10.0},
+            "population": {"mode": "fixed", "n_v": 5, "n_a": 5},
+            "dt": 0.1, "total_time": 0.1 * n_steps, "replicas": replicas,
+            "sample_stride": 5, "fit": {"t_min": 5.0, "t_max": 100.0},
+            "green_kubo_cutoff": 10.0, "master_seed": 4}), "rates")
+
     def test_rates_peak_does_not_grow_with_replicas(self, tmp_path):
         # each lane reduces its replica and drops the series, so 4x the
         # replicas may add less than one replica's increments at the peak
         n_steps = 20_000
-        doc = {"env": {"mass": 1.0, "eta": 2.0, "temperature": 1.0},
-               "geometry": {"l_x": 10.0, "l_y": 10.0},
-               "population": {"mode": "fixed", "n_v": 5, "n_a": 5},
-               "dt": 0.1, "total_time": 0.1 * n_steps, "sample_stride": 5,
-               "fit": {"t_min": 5.0, "t_max": 100.0},
-               "green_kubo_cutoff": 10.0, "master_seed": 4}
-        peaks = []
-        for replicas in (3, 12):
-            cfg = parse_config(json.dumps(dict(doc, replicas=replicas)),
-                               "rates")
-            out = tmp_path / str(replicas)
-            peaks.append(traced_peak(cli.run, cfg, lanes=1,
-                                     output_dir=out)[1])
+        peaks = [traced_peak(cli.run, self.rates_config(n_steps, replicas),
+                             lanes=1, output_dir=tmp_path / str(replicas))[1]
+                 for replicas in (3, 12)]
         assert peaks[1] - peaks[0] < 8 * 2 * n_steps
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="malloc trimming is glibc's")
+    def test_rates_faults_do_not_grow_with_replicas(self, tmp_path):
+        # a lane reuses the pages of the replica before; if malloc handed
+        # them back to the OS, each extra replica would fault them in again
+        # (about 1,800 pages per replica of 1e5 steps)
+        n_steps = 100_000
+        faults = []
+        for replicas in (2, 8):
+            cfg = self.rates_config(n_steps, replicas)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            cli.run(cfg, lanes=1, output_dir=tmp_path / str(replicas))
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                          - before)
+        assert faults[1] - faults[0] < 8 * 2 * n_steps / 4096
 
 
 class TestPopulation:
@@ -651,6 +670,20 @@ class TestPerRowRates:
             assert est.gamma_rate == max(float(np.mean(rows)), 0.0)
             assert est.stderr == float(np.std(rows, ddof=1) / 2.0)
             assert (est.gamma_rate == 0.0) == (n_negative == 4)
+
+    def test_pooled_replica_calls_equal_one_call(self, series):
+        # cli's lanes call each estimator on one replica's (x, y) rows
+        times, alphas, incs, dt = series
+        pairs = [(i, (i + 1) % len(incs)) for i in range(len(incs))]
+        for call in (lambda rows: rate_from_green_kubo(incs[rows], dt, 1.0),
+                     lambda rows: rate_from_msd(times, alphas[rows],
+                                                (1.0, 20.0))):
+            pooled = pool_replicas([call(list(p)) for p in pairs])
+            for axis, est in enumerate(pooled):
+                whole = call([p[axis] for p in pairs])
+                assert est.per_row.tolist() == whole.per_row.tolist()
+                assert (est.gamma_rate, est.stderr, est.method) == \
+                    (whole.gamma_rate, whole.stderr, whole.method)
 
     def test_closed_forms_have_no_rows(self, basic_env, square_torus):
         assert analytic_rate(basic_env, square_torus, 1, 1).per_row is None

@@ -9,8 +9,7 @@ from windrift import (OUPropagator, ThermalEnv, TorusGeometry,
 from windrift.langevin import _initial_rate_guess, _lag_products, _msd
 
 from oracles import (curve_fit_exponential, free_langevin_noise_free,
-                     lag_products_fft_rows, lag_products_loop, msd_loop,
-                     winding_variance)
+                     lag_products_loop, msd_loop, winding_variance)
 
 
 def noise_free_step(env, dt, pos, vel):
@@ -167,15 +166,6 @@ class TestLagProductKernel:
         expected = lag_products_loop(rows, n - 1)
         err = np.abs(_lag_products(rows, n - 1) - expected).max()
         assert err <= 1e-14 * np.abs(expected).max()
-
-    @pytest.mark.parametrize("n_rows, n, max_lag", [
-        (1, 50_000, 50), (3, 1, 0), (3, 7, 6), (2, 40, 3), (4, 1000, 999),
-        (2, 1025, 100)])
-    def test_reused_buffers_equal_per_row_transform(self, n_rows, n,
-                                                     max_lag):
-        rows = np.random.default_rng(n).normal(size=(n_rows, n))
-        assert np.array_equal(_lag_products(rows, max_lag),
-                              lag_products_fft_rows(rows, max_lag))
 
     def test_green_kubo_per_row_matches_loop(self, rows):
         dt = 0.1
