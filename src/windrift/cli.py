@@ -17,7 +17,6 @@ of how many worker lanes execute the replicas.
 """
 
 import argparse
-import ctypes
 import math
 import sys
 import time
@@ -143,10 +142,14 @@ def _keep_freed_memory() -> None:
     hold for the rest of the process; a C library without mallopt is
     left as it is.
     """
+    import ctypes   # only simulate and rates load it
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # a refused value (return 0) leaves malloc's default: slower, not wrong
     mallopt(_M_MMAP_THRESHOLD, _KEEP_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _KEEP_BYTES)
 
