@@ -138,7 +138,7 @@ def _keep_freed_memory() -> None:
     threshold separately and trims the free top of a heap past twice it,
     so each replica faults the same pages in again: 35.7k minor faults
     for the 20-replica, 1e5-step criterion-3 run at one lane, against
-    4.3k with heap blocks and a trim threshold of 32 MB. The settings
+    3.4k with heap blocks and a trim threshold of 32 MB. The settings
     hold for the rest of the process; a C library without mallopt is
     left as it is.
     """
