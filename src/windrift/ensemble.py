@@ -16,8 +16,12 @@ T*(N_v+N_a)/(eta*l^2).
 Two engines share one propagation kernel. run_replica propagates every
 walker, chunk by chunk, and can record velocities and positions; one
 helper thread draws the next chunk's normals while the current chunk
-propagates, and the chunks reuse fixed buffers, so beyond the arrays it
-returns it holds about 13 doubles per walker and CHUNK_STEPS steps.
+propagates, and the chunks reuse fixed buffers. A chunk holds
+STEP_BYTES (13 doubles) per walker and step, and its length is the most
+steps that fit in CHUNK_BYTES (16 MiB), at least one: beyond the arrays
+it returns, run_replica holds at most CHUNK_BYTES whatever the walker
+count, unless one step of all walkers exceeds it. Among those arrays are
+the per-step v_y^2 sums and walker counts (16 bytes per recorded step).
 run_winding propagates, over the whole series at once, only the
 charge-weighted sums V = sum q v and D = sum q dx per axis: the walkers do
 not interact and q^2 = 1, so (V, D) of n walkers at temperature T is
@@ -162,15 +166,20 @@ class ReplicaResult(WindingResult):
     n_a: int
     state: SimulationState
     vel_series: Optional[np.ndarray] = None       # (N, k) v_y, full rate
-    chunk_vy2_sums: Optional[np.ndarray] = None   # per-chunk sum of v_y^2
-    chunk_counts: Optional[np.ndarray] = None
+    chunk_vy2_sums: Optional[np.ndarray] = None   # (N,) sum of v_y^2 per step
+    chunk_counts: Optional[np.ndarray] = None     # (N,) walkers per step
     positions: Optional[np.ndarray] = None        # (P, n, 2) unwrapped
     position_times: Optional[np.ndarray] = None
 
 
-# steps per propagated chunk of run_replica; a chunk of n walkers draws
-# 4 * n * CHUNK_STEPS normals, so this bounds its working memory
-CHUNK_STEPS = 8192
+# run_replica's chunk buffers per walker and step: two noise buffers
+# (8 doubles), velocities (2), displacements (2) and one reduction
+# temporary (1)
+STEP_BYTES = 13 * 8
+# bytes of chunk buffers run_replica may hold; each chunk then draws
+# CHUNK_BYTES / 26 normals whatever the walker count (below about 11 MB,
+# the per-chunk overhead of the helper thread shows in the wall time)
+CHUNK_BYTES = 16 << 20
 
 
 def lfilter(v: np.ndarray, decay: float, *, stepwise: bool) -> np.ndarray:
@@ -229,7 +238,8 @@ def _propagate(noise: np.ndarray, prop: OUPropagator, vel: np.ndarray,
 
 def _chunks(rng: np.random.Generator, prop: OUPropagator, vel: np.ndarray,
             burn_in_steps: int, n_steps: int):
-    """Propagate burn-in, then the recorded steps, in CHUNK_STEPS chunks.
+    """Propagate burn-in, then the recorded steps, in chunks of the most
+    steps of all walkers whose STEP_BYTES fit in CHUNK_BYTES, at least one.
 
     Yields (recording, done, vseq, dxy) per chunk, done being the chunk's
     first step within its phase; the velocity is carried between chunks.
@@ -240,9 +250,10 @@ def _chunks(rng: np.random.Generator, prop: OUPropagator, vel: np.ndarray,
     meanwhile, so the stream is consumed as by one thread. The with block
     joins the helper however the generator ends.
     """
-    plan = [(recording, done, min(CHUNK_STEPS, total - done))
+    steps = max(1, CHUNK_BYTES // (STEP_BYTES * len(vel)))
+    plan = [(recording, done, min(steps, total - done))
             for total, recording in ((burn_in_steps, False), (n_steps, True))
-            for done in range(0, total, CHUNK_STEPS)]
+            for done in range(0, total, steps)]
     rows = max(m for _, _, m in plan)
     noise = np.empty((2, rows) + vel.shape + (2,))
     v = np.empty((rows + 1,) + vel.shape)
@@ -329,9 +340,8 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
     inc_y = np.zeros(n_steps)
     vel_series = (np.empty((n_steps, velocity_series_walkers))
                   if velocity_series_walkers else None)
+    vy2_sums = np.zeros(n_steps) if n else None
     pos_records = []
-    vy2_sums = []
-    counts = []
 
     pos_unwrapped = state.pos.copy()
     if n:
@@ -343,8 +353,7 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
                 if vel_series is not None:
                     vel_series[done:done + m] = \
                         vseq[:, :velocity_series_walkers, 1]
-                vy2_sums.append(float((vseq[:, :, 1] ** 2).sum()))
-                counts.append(m * n)
+                (vseq[:, :, 1] ** 2).sum(axis=1, out=vy2_sums[done:done + m])
             # the carried position heads the chunk's running sum, so the
             # positions are one sequential sum whatever the chunk size
             dxy[0] += pos_unwrapped
@@ -371,8 +380,8 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
     return ReplicaResult(
         **vars(windings), n_v=n_v, n_a=n_a, state=state,
         vel_series=vel_series,
-        chunk_vy2_sums=np.array(vy2_sums) if vy2_sums else None,
-        chunk_counts=np.array(counts, dtype=float) if counts else None,
+        chunk_vy2_sums=vy2_sums,
+        chunk_counts=np.full(n_steps, float(n)) if n else None,
         positions=np.concatenate(pos_records) if recorded else None,
         position_times=record_steps * dt if recorded else None,
     )
@@ -539,7 +548,7 @@ def rate_from_green_kubo(increments, dt: float,
     """
     rows = np.atleast_2d(np.asarray(increments, dtype=float))
     lag_max = _cutoff_lag(cutoff, dt, rows.shape[1])
-    acf = _lag_products(rows / dt, lag_max)
+    acf = _lag_products(rows, lag_max, divisor=dt)
     rates = dt * (0.5 * acf[:, 0] + acf[:, 1:].sum(axis=1))
     return _estimate(rates, "GreenKubo")
 

@@ -188,15 +188,19 @@ def _fit_exponential(tau, c, p0):
     return p, np.full(2, np.inf)
 
 
-def _lag_products(rows, max_lag: int) -> np.ndarray:
-    """Unbiased sum_j x[j] x[j+k] / (n-k): (R, n) -> (R, max_lag + 1), row
-    by row as the inverse FFT of |F|^2 (Wiener-Khinchin), zero-padded to a
-    power of two >= n + max_lag so that no lag wraps around."""
+def _lag_products(rows, max_lag: int, divisor: float = 1.0) -> np.ndarray:
+    """Unbiased sum_j x[j] x[j+k] / (n-k) of x = row / divisor:
+    (R, n) -> (R, max_lag + 1), row by row as the inverse FFT of |F|^2
+    (Wiener-Khinchin). Each row is divided straight into one reused row,
+    zero-padded to a power of two >= n + max_lag so that no lag wraps
+    around; dividing by 1 is exact."""
     n = rows.shape[1]
     size = 1 << int(n + max_lag - 1).bit_length()
+    padded = np.zeros(size)
     out = np.empty((len(rows), max_lag + 1))
     for i, row in enumerate(rows):
-        f = np.fft.rfft(row, size)
+        np.divide(row, divisor, out=padded[:n])
+        f = np.fft.rfft(padded)
         out[i] = np.fft.irfft(f.real**2 + f.imag**2, size)[:max_lag + 1]
     out /= n - np.arange(max_lag + 1)
     return out

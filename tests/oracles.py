@@ -81,6 +81,20 @@ def lag_products_loop(rows, max_lag):
     return np.array(out)
 
 
+def green_kubo_rates_copied_rows(rows, dt, max_lag):
+    """Per-row Green-Kubo rates from a rows / dt copy, zero-padded by
+    rfft itself; rate_from_green_kubo must match them bit for bit."""
+    rows = rows / dt
+    n = rows.shape[1]
+    size = 1 << int(n + max_lag - 1).bit_length()
+    acf = np.empty((len(rows), max_lag + 1))
+    for i, row in enumerate(rows):
+        f = np.fft.rfft(row, size)
+        acf[i] = np.fft.irfft(f.real**2 + f.imag**2, size)[:max_lag + 1]
+    acf /= n - np.arange(max_lag + 1)
+    return dt * (0.5 * acf[:, 0] + acf[:, 1:].sum(axis=1))
+
+
 def msd_loop(rows, lags):
     """All-origin MSD mean_j (x[j+L] - x[j])^2 by an explicit loop over lags."""
     return np.array([[np.mean((row[lag:] - row[:-lag]) ** 2) for lag in lags]

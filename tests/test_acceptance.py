@@ -17,7 +17,6 @@ from windrift import (MaterialParams, ThermalEnv, TorusGeometry,
                       mean_population, moving_vortex_e, parse_config,
                       predicted_rate, run_replica, static_b,
                       velocity_autocorrelation)
-from windrift import ensemble
 from windrift.cli import run as cli_run
 from windrift.design import DeviceSpec
 
@@ -38,13 +37,10 @@ def equipartition_run():
     """100 walkers, gamma=1, M=2, T=4, dt=0.01, 1e4 time units, burn-in 50."""
     env = ThermalEnv(mass=2.0, eta=2.0, temperature=4.0)
     geo = TorusGeometry(l_x=100.0, l_y=100.0)
-    # 100 chunks of 1e4 steps, summed into the 20 equipartition blocks
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ensemble, "CHUNK_STEPS", 10_000)
-        res = run_replica(env, geo, 50, 50, 0.01, 1_000_000,
-                          master_seed=SEED, stream_id=0, burn_in_steps=5_000,
-                          init_velocities="zero", velocity_series_walkers=8,
-                          sample_stride=100)
+    res = run_replica(env, geo, 50, 50, 0.01, 1_000_000, master_seed=SEED,
+                      stream_id=0, burn_in_steps=5_000,
+                      init_velocities="zero", velocity_series_walkers=8,
+                      sample_stride=100)
     return env, res
 
 
@@ -91,6 +87,7 @@ def test_criterion_01_equipartition(equipartition_run):
     env, res = equipartition_run
     target = env.temperature / env.mass                 # 2.0
     mean_vy2 = res.chunk_vy2_sums.sum() / res.chunk_counts.sum()
+    # the per-step sums, grouped into 20 equipartition blocks of 5e4 steps
     blocks = res.chunk_vy2_sums.reshape(20, -1).sum(axis=1) \
         / res.chunk_counts.reshape(20, -1).sum(axis=1)
     stderr = blocks.std(ddof=1) / np.sqrt(len(blocks))

@@ -400,6 +400,24 @@ class TestBenchPatchedNames:
         assert sorted(calls) == ["rate_from_green_kubo"] * 4 \
             + ["rate_from_msd"] * 4
 
+    def test_replica_result_fields_read_by_bench(self):
+        # bench/job.py reads the v_y^2 ratio, the series, the final state
+        # and the counts; bench/tracer.py the recorded series' sizes
+        env = windrift.ThermalEnv(mass=1.0, eta=2.0, temperature=1.0)
+        geo = windrift.TorusGeometry(l_x=10.0, l_y=10.0)
+        res = windrift.ensemble.run_replica(
+            env, geo, 3, 3, 0.05, 300, master_seed=5,
+            velocity_series_walkers=6, position_stride=10)
+        for name in ("chunk_vy2_sums", "chunk_counts", "vel_series",
+                     "positions", "position_times"):
+            assert isinstance(getattr(res, name), np.ndarray), name
+        assert isinstance(res.state.alpha_x, float)
+        assert isinstance(res.state.alpha_y, float)
+        assert (res.n_v, res.n_a) == (3, 3)
+        # every walker's v_y at every recorded step is in vel_series
+        assert res.chunk_vy2_sums.sum() / res.chunk_counts.sum() == \
+            pytest.approx(np.mean(res.vel_series ** 2), rel=1e-13)
+
 
 class TestOtherSubcommands:
     def test_boltzmann_population_mode(self, tmp_path):

@@ -97,10 +97,31 @@ class TestStateConstruction:
             TorusGeometry(l_x=1.0, l_y=1.0, d=0.0)
 
 
+RECORD_INCREMENTS = ensemble._record_increments
+
+
+def force_chunk_steps(monkeypatch, steps, n_walkers):
+    """Set CHUNK_BYTES to chunks of `steps` steps of n_walkers walkers.
+
+    Returns a list that collects the length of each recorded chunk, so a
+    test can check that the budget forced the chunks it meant to.
+    """
+    monkeypatch.setattr(ensemble, "CHUNK_BYTES",
+                        steps * ensemble.STEP_BYTES * n_walkers)
+    lengths = []
+
+    def spy(dxy, *args):
+        lengths.append(len(dxy))
+        return RECORD_INCREMENTS(dxy, *args)
+
+    monkeypatch.setattr(ensemble, "_record_increments", spy)
+    return lengths
+
+
 def assert_engine_matches_oracle(env, geometry, burn_in_steps,
                                  init_velocities, monkeypatch):
     """run_replica against the stepwise oracle fed the same Philox stream."""
-    monkeypatch.setattr(ensemble, "CHUNK_STEPS", 7)
+    chunks = force_chunk_steps(monkeypatch, 7, 6)
     dt, n_steps, seed, stream = 0.07, 40, 123, 4
     rng = substream(seed, stream)
     state = initial_state(env, geometry, 3, 3, rng,
@@ -116,7 +137,8 @@ def assert_engine_matches_oracle(env, geometry, burn_in_steps,
                       stream_id=stream, sample_stride=1,
                       burn_in_steps=burn_in_steps,
                       init_velocities=init_velocities)
-    assert len(rep.chunk_counts) == 6           # 40 steps in chunks of 7
+    assert chunks == [7] * 5 + [5]              # 40 steps in chunks of 7
+    assert len(rep.chunk_counts) == n_steps     # one count per step
     assert np.array_equal(rep.state.vel, state.vel)
     assert rep.alpha_x[1:].tolist() == [a[0] for a in alphas]
     assert rep.alpha_y[1:].tolist() == [a[1] for a in alphas]
@@ -141,15 +163,17 @@ class TestEngineEquivalence:
 
     def test_chunk_size_invariance(self, square_torus, basic_env,
                                    monkeypatch):
-        runs = []
-        for chunk in (11, 64):
-            monkeypatch.setattr(ensemble, "CHUNK_STEPS", chunk)
+        runs, chunks = [], []
+        for steps in (11, 64):
+            chunks.append(force_chunk_steps(monkeypatch, steps, 8))
             runs.append(run_replica(basic_env, square_torus, 4, 4, 0.05, 100,
                                     master_seed=9, stream_id=2,
+                                    velocity_series_walkers=3,
                                     position_stride=7))
         a, b = runs
         # the chunk length is read when run_replica is called
-        assert (len(a.chunk_counts), len(b.chunk_counts)) == (10, 2)
+        assert chunks == [[11] * 9 + [1], [64, 36]]
+        assert (len(a.chunk_counts), len(b.chunk_counts)) == (100, 100)
         assert np.array_equal(a.inc_x, b.inc_x)
         assert np.array_equal(a.inc_y, b.inc_y)
         assert np.array_equal(a.state.vel, b.state.vel)
@@ -160,6 +184,10 @@ class TestEngineEquivalence:
         assert np.array_equal(a.state.pos, b.state.pos)
         assert np.array_equal(a.position_times, b.position_times)
         assert np.array_equal(a.position_times, np.arange(1, 15) * 7 * 0.05)
+        assert np.array_equal(a.vel_series, b.vel_series)
+        # each step's v_y^2 sum is one row's reduction, so callers group
+        # the same sums into blocks of any length
+        assert np.array_equal(a.chunk_vy2_sums, b.chunk_vy2_sums)
 
     def test_seed_determinism(self, square_torus, basic_env):
         a = run_replica(basic_env, square_torus, 4, 4, 0.05, 50,
@@ -241,9 +269,12 @@ class TestWindingEngine:
 
     def test_chunk_size_invariance(self, square_torus, basic_env,
                                    monkeypatch):
+        # run_winding scans the whole series at once: run_replica's chunk
+        # budget must not reach it
         runs = []
-        for chunk in (7, 64, 8192):
-            monkeypatch.setattr(ensemble, "CHUNK_STEPS", chunk)
+        for steps in (7, 64, 8192):
+            monkeypatch.setattr(ensemble, "CHUNK_BYTES",
+                                steps * ensemble.STEP_BYTES * 6)
             runs.append(run_winding(basic_env, square_torus, 3, 3, 0.05, 500,
                                     rng=substream(9, 2), sample_stride=5,
                                     burn_in_steps=13))
@@ -253,10 +284,9 @@ class TestWindingEngine:
                 assert np.array_equal(getattr(runs[0], name),
                                       getattr(other, name)), name
 
-    def test_stream_layout(self, square_torus, basic_env, monkeypatch):
+    def test_stream_layout(self, square_torus, basic_env):
         # V_0 (x, y), then per step (axis, role); nothing else is drawn
         n, dt, burn, n_steps = 5, 0.05, 3, 40
-        monkeypatch.setattr(ensemble, "CHUNK_STEPS", 16)
         rng = substream(4, 1)
         res = run_winding(basic_env, square_torus, n, n, dt, n_steps,
                           rng=rng, burn_in_steps=burn)
@@ -361,7 +391,8 @@ class TestChunkHelperThread:
 
     def test_closed_generator_leaves_no_thread(self, basic_env,
                                                monkeypatch):
-        monkeypatch.setattr(ensemble, "CHUNK_STEPS", 7)
+        monkeypatch.setattr(ensemble, "CHUNK_BYTES",
+                            7 * ensemble.STEP_BYTES * 4)
         before = threading.active_count()
         chunks = ensemble._chunks(substream(1, 0),
                                   OUPropagator.build(basic_env, 0.05),
@@ -377,7 +408,8 @@ class TestChunkHelperThread:
         def fail(*args):
             raise RuntimeError("consumer failed")
 
-        monkeypatch.setattr(ensemble, "CHUNK_STEPS", 7)
+        monkeypatch.setattr(ensemble, "CHUNK_BYTES",
+                            7 * ensemble.STEP_BYTES * 8)
         monkeypatch.setattr(ensemble, "_record_increments", fail)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="consumer failed"):
@@ -408,20 +440,24 @@ class TestMemoryBounds:
                               sample_stride=5, burn_in_steps=burn)
         assert peak / 8 / (burn + n_steps) <= 8.5
 
-    def test_run_replica_transient_peak_per_chunk(self):
-        # in walkers x CHUNK_STEPS doubles: two noise buffers (8), the
-        # velocity and displacement buffers (2 + 2) and one reduction
-        # temporary (1); fresh arrays for every chunk would reach 14
-        n = 100
+    @pytest.mark.parametrize("n,n_steps", [(2, 100_000), (100, 55_000),
+                                           (2_000, 400)])
+    def test_run_replica_transient_peak_within_budget(self, n, n_steps):
+        # the chunk buffers hold STEP_BYTES per walker and step, as many
+        # steps as fit in CHUNK_BYTES; fresh arrays for every chunk would
+        # reach 14/13 of it. A chunk is 80,659 steps at 2 walkers and 80
+        # at 2,000
         env, geo = ThermalEnv(2.0, 2.0, 4.0), TorusGeometry(100.0, 100.0)
         res, peak = traced_peak(
-            run_replica, env, geo, n // 2, n // 2, 0.01, 55_000,
+            run_replica, env, geo, n // 2, n // 2, 0.01, n_steps,
             master_seed=3, burn_in_steps=500, init_velocities="zero",
-            velocity_series_walkers=8, position_stride=50)
+            velocity_series_walkers=2, position_stride=50)
         kept = sum(a.nbytes for a in (*vars(res).values(), res.state.pos,
                                       res.state.vel, res.state.charges)
                    if isinstance(a, np.ndarray))
-        assert (peak - kept) / 8 / (n * ensemble.CHUNK_STEPS) <= 13.5
+        steps = ensemble.CHUNK_BYTES // (ensemble.STEP_BYTES * n)
+        assert n_steps > steps      # the run spans more than one chunk
+        assert peak - kept <= ensemble.CHUNK_BYTES * 13.5 / 13
 
     @staticmethod
     def rates_config(n_steps, replicas):

@@ -9,7 +9,8 @@ from windrift import (OUPropagator, ThermalEnv, TorusGeometry,
 from windrift.langevin import _initial_rate_guess, _lag_products, _msd
 
 from oracles import (curve_fit_exponential, free_langevin_noise_free,
-                     lag_products_loop, msd_loop, winding_variance)
+                     green_kubo_rates_copied_rows, lag_products_loop,
+                     msd_loop, winding_variance)
 
 
 def noise_free_step(env, dt, pos, vel):
@@ -174,6 +175,16 @@ class TestLagProductKernel:
         expected = dt * (0.5 * acf[:, 0] + acf[:, 1:].sum(axis=1))
         assert expected.shape == (3,) and np.any(expected > 0.0)
         assert np.allclose(est.per_row, expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n", [7, 50_000, 100_000])
+    def test_green_kubo_bits_equal_copied_rows(self, n):
+        # dividing into the padded row is the same IEEE division, and the
+        # transform sees the same zero-padded input as rfft(row / dt, size)
+        dt, cutoff = 0.1, 0.5
+        rows = np.random.default_rng(n).normal(0.0, 0.05, size=(2, n))
+        est = rate_from_green_kubo(rows, dt=dt, cutoff=cutoff)
+        expected = green_kubo_rates_copied_rows(rows, dt, 5)
+        assert np.array_equal(est.per_row, expected)
 
 
 class TestAllOriginMsd:
