@@ -36,8 +36,8 @@ def measure(geometry, n_v, n_a, seed):
                         rng=substream(seed, r), sample_stride=5)
             for r in range(replicas)]
     times = rows[0].times
-    alphas = np.stack([r.alpha_x for r in rows])
-    incs = np.stack([r.inc_x for r in rows])
+    alphas = np.stack([r.alpha[0] for r in rows])
+    incs = np.stack([r.inc[0] for r in rows])
     msd = rate_from_msd(times, alphas, window, gamma=env.gamma)
     gk = rate_from_green_kubo(incs, dt, cutoff)
     return msd, gk
@@ -69,9 +69,9 @@ geo = TorusGeometry(l_x=20.0, l_y=10.0)
 rows = [run_winding(env, geo, 100, 100, dt, n_steps, rng=substream(3, r),
                     sample_stride=5) for r in range(replicas)]
 times = rows[0].times
-gx = rate_from_msd(times, np.stack([r.alpha_x for r in rows]), window,
+gx = rate_from_msd(times, np.stack([r.alpha[0] for r in rows]), window,
                    gamma=env.gamma)
-gy = rate_from_msd(times, np.stack([r.alpha_y for r in rows]), window,
+gy = rate_from_msd(times, np.stack([r.alpha[1] for r in rows]), window,
                    gamma=env.gamma)
 ratio = gx.gamma_rate / gy.gamma_rate
 # the x and y windings come from independent noise, so errors add in quadrature

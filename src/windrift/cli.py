@@ -159,9 +159,9 @@ def _run_ensemble(config: RunConfig, lanes: int):
 
     A lane drops a replica's per-step series before it takes the next
     one, so memory grows with the lane count, not the replica count. Each
-    estimator gets one (x, y) call per replica: per-axis calls would make
-    two lanes contend for the interpreter lock over many small numpy
-    operations.
+    estimator gets one call per replica, on the engine's (x, y) rows as
+    they are: per-axis calls would make two lanes contend for the
+    interpreter lock over many small numpy operations.
     """
     env, geo, pop = config.env, config.geometry, config.population
     window = (config.fit_t_min, config.fit_t_max)
@@ -177,17 +177,14 @@ def _run_ensemble(config: RunConfig, lanes: int):
         res = run_winding(env, geo, n_v, n_a, config.dt, config.n_steps,
                           rng=rng, sample_stride=config.sample_stride,
                           burn_in_steps=config.burn_in_steps)
-        out = _Reduced(counts=(n_v, n_a),
-                       final=(res.final_alpha_x, res.final_alpha_y))
+        out = _Reduced(counts=(n_v, n_a), final=res.final_alpha)
         if r == 0:
-            out.trajectory = [res.times, res.alpha_x, res.alpha_y]
+            out.trajectory = [res.times, *res.alpha]
         if config.subcommand == "rates":
-            out.green_kubo = rate_from_green_kubo(
-                np.stack([res.inc_x, res.inc_y]), config.dt,
-                config.gk_cutoff)
-            out.msd = rate_from_msd(
-                res.times, np.stack([res.alpha_x, res.alpha_y]), window,
-                gamma=env.gamma)
+            out.green_kubo = rate_from_green_kubo(res.inc, config.dt,
+                                                  config.gk_cutoff)
+            out.msd = rate_from_msd(res.times, res.alpha, window,
+                                    gamma=env.gamma)
         return out
 
     _keep_freed_memory()

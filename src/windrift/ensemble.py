@@ -11,7 +11,8 @@ so a single vortex carried once around the short loop shifts alpha_x by
 exactly +1. The topological transition rate Gamma is then extracted three
 independent ways: the slope of <[alpha(t)-alpha(0)]^2> (MSD), the
 integrated autocorrelation of alpha-dot (Green-Kubo), and the closed-form
-T*(N_v+N_a)/(eta*l^2).
+T*(N_v+N_a)/(eta*l^2). A replica's windings and increments are each one
+(2, .) array whose rows are x and y, from the engines to the estimators.
 
 Two engines share one propagation kernel. run_replica propagates every
 walker, chunk by chunk, and can record velocities and positions; one
@@ -150,12 +151,9 @@ class WindingResult:
     """The winding series of one replica: what the rate estimators read."""
 
     times: np.ndarray          # (S+1,), includes t=0
-    alpha_x: np.ndarray        # (S+1,)
-    alpha_y: np.ndarray        # (S+1,)
-    inc_x: np.ndarray          # (N,) per-step alpha_x increments
-    inc_y: np.ndarray          # (N,)
-    final_alpha_x: float
-    final_alpha_y: float
+    alpha: np.ndarray          # (2, S+1), rows alpha_x and alpha_y
+    inc: np.ndarray            # (2, N) per-step increments, rows x and y
+    final_alpha: Tuple[float, float]
 
 
 @dataclass
@@ -165,11 +163,11 @@ class ReplicaResult(WindingResult):
     n_v: int
     n_a: int
     state: SimulationState
-    vel_series: Optional[np.ndarray] = None       # (N, k) v_y, full rate
-    chunk_vy2_sums: Optional[np.ndarray] = None   # (N,) sum of v_y^2 per step
-    chunk_counts: Optional[np.ndarray] = None     # (N,) walkers per step
-    positions: Optional[np.ndarray] = None        # (P, n, 2) unwrapped
-    position_times: Optional[np.ndarray] = None
+    vel_series: np.ndarray       # (N, k) v_y of the first k walkers
+    chunk_vy2_sums: np.ndarray   # (N,) sum of v_y^2 per step
+    chunk_counts: np.ndarray     # (N,) walkers per step
+    positions: np.ndarray        # (P, n, 2) unwrapped, P = 0 unrecorded
+    position_times: np.ndarray   # (P,)
 
 
 # run_replica's chunk buffers per walker and step: two noise buffers
@@ -276,28 +274,25 @@ def _chunks(rng: np.random.Generator, prop: OUPropagator, vel: np.ndarray,
             yield recording, done, vseq, dxy_m
 
 
-def _record_increments(dxy, charges, geometry: TorusGeometry, inc_x, inc_y,
+def _record_increments(dxy, charges, geometry: TorusGeometry, inc,
                        start: int) -> None:
-    """Write a chunk's charge-weighted winding increments from step start."""
+    """Write a chunk's charge-weighted winding increments from step start
+    into the (2, N) rows inc, one contiguous reduction per axis."""
     stop = start + dxy.shape[0]
-    inc_x[start:stop] = (charges[None, :] * dxy[:, :, 1]).sum(axis=1) \
+    inc[0, start:stop] = (charges[None, :] * dxy[:, :, 1]).sum(axis=1) \
         / geometry.l_y
-    inc_y[start:stop] = (charges[None, :] * dxy[:, :, 0]).sum(axis=1) \
+    inc[1, start:stop] = (charges[None, :] * dxy[:, :, 0]).sum(axis=1) \
         / geometry.l_x
 
 
-def _windings(inc_x, inc_y, dt: float, sample_stride: int) -> WindingResult:
+def _windings(inc, dt: float, sample_stride: int) -> WindingResult:
     """Cumulative windings, sampled after every sample_stride-th step."""
-    alpha_x_full = np.cumsum(inc_x)
-    alpha_y_full = np.cumsum(inc_y)
-    sample_idx = np.arange(sample_stride - 1, len(inc_x), sample_stride)
+    full = np.zeros((2, inc.shape[1] + 1))
+    np.cumsum(inc, axis=1, out=full[:, 1:])
     return WindingResult(
-        times=np.concatenate([[0.0], (sample_idx + 1) * dt]),
-        alpha_x=np.concatenate([[0.0], alpha_x_full[sample_idx]]),
-        alpha_y=np.concatenate([[0.0], alpha_y_full[sample_idx]]),
-        inc_x=inc_x, inc_y=inc_y,
-        final_alpha_x=float(alpha_x_full[-1]),
-        final_alpha_y=float(alpha_y_full[-1]))
+        times=np.arange(0, inc.shape[1] + 1, sample_stride) * dt,
+        alpha=full[:, ::sample_stride].copy(), inc=inc,
+        final_alpha=tuple(full[:, -1].tolist()))
 
 
 def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
@@ -336,12 +331,10 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
         raise ValueError(f"position_stride {position_stride} must be >= 0")
     charges = state.charges
 
-    inc_x = np.zeros(n_steps)
-    inc_y = np.zeros(n_steps)
-    vel_series = (np.empty((n_steps, velocity_series_walkers))
-                  if velocity_series_walkers else None)
-    vy2_sums = np.zeros(n_steps) if n else None
-    pos_records = []
+    inc = np.zeros((2, n_steps))
+    vel_series = np.empty((n_steps, velocity_series_walkers))
+    vy2_sums = np.zeros(n_steps)
+    pos_records = [np.empty((0, n, 2))]
 
     pos_unwrapped = state.pos.copy()
     if n:
@@ -349,10 +342,9 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
                 rng, prop, state.vel, burn_in_steps, n_steps):
             m = dxy.shape[0]
             if recording:
-                _record_increments(dxy, charges, geo, inc_x, inc_y, done)
-                if vel_series is not None:
-                    vel_series[done:done + m] = \
-                        vseq[:, :velocity_series_walkers, 1]
+                _record_increments(dxy, charges, geo, inc, done)
+                vel_series[done:done + m] = \
+                    vseq[:, :velocity_series_walkers, 1]
                 (vseq[:, :, 1] ** 2).sum(axis=1, out=vy2_sums[done:done + m])
             # the carried position heads the chunk's running sum, so the
             # positions are one sequential sum whatever the chunk size
@@ -370,21 +362,15 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
         del vseq, dxy  # the last chunk is not kept through the tail
 
     state.pos = pos_unwrapped % [geo.l_x, geo.l_y]
-    windings = _windings(inc_x, inc_y, dt, sample_stride)
-    state.alpha_x = windings.final_alpha_x
-    state.alpha_y = windings.final_alpha_y
-
-    record_steps = (np.arange(position_stride, n_steps + 1, position_stride)
-                    if position_stride and n else np.empty(0))
-    recorded = record_steps.size > 0
+    windings = _windings(inc, dt, sample_stride)
+    state.alpha_x, state.alpha_y = windings.final_alpha
+    positions = np.concatenate(pos_records)
     return ReplicaResult(
         **vars(windings), n_v=n_v, n_a=n_a, state=state,
-        vel_series=vel_series,
-        chunk_vy2_sums=vy2_sums,
-        chunk_counts=np.full(n_steps, float(n)) if n else None,
-        positions=np.concatenate(pos_records) if recorded else None,
-        position_times=record_steps * dt if recorded else None,
-    )
+        vel_series=vel_series, chunk_vy2_sums=vy2_sums,
+        chunk_counts=np.full(n_steps, float(n)), positions=positions,
+        position_times=np.arange(1, len(positions) + 1) * position_stride
+        * dt)
 
 
 def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
@@ -409,8 +395,7 @@ def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
     _check_counts(n_v, n_a)
     n = n_v + n_a
     if not n:
-        return _windings(np.zeros(n_steps), np.zeros(n_steps), dt,
-                         sample_stride)
+        return _windings(np.zeros((2, n_steps)), dt, sample_stride)
     collective = ThermalEnv(env.mass, env.eta, n * env.temperature)
     prop = OUPropagator.build(collective, dt)
     vel = rng.normal(0.0, np.sqrt(collective.temperature / env.mass),
@@ -418,9 +403,10 @@ def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
     noise = rng.standard_normal((burn_in_steps + n_steps, 2, 2))
     dxy = _propagate(noise, prop, vel, stepwise=False)[1]
     del noise   # 32 bytes per step, not needed by the cumulative sums
-    return _windings(dxy[burn_in_steps:, 1] / geometry.l_y,
-                     dxy[burn_in_steps:, 0] / geometry.l_x, dt,
-                     sample_stride)
+    # rows (x, y) are the y and x displacements over the loop they wind
+    inc = np.divide(dxy[burn_in_steps:, ::-1].T,
+                    [[geometry.l_y], [geometry.l_x]], order="C")
+    return _windings(inc, dt, sample_stride)
 
 
 def mean_population(env: ThermalEnv, geometry: TorusGeometry,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -417,6 +418,36 @@ class TestBenchPatchedNames:
         # every walker's v_y at every recorded step is in vel_series
         assert res.chunk_vy2_sums.sum() / res.chunk_counts.sum() == \
             pytest.approx(np.mean(res.vel_series ** 2), rel=1e-13)
+
+
+class TestLaneRows:
+    def test_estimators_get_the_engine_rows(self, monkeypatch, tmp_path):
+        # a lane runs its replica's run_winding and then both estimators
+        # on the same thread; they must get the engine's (x, y) rows
+        # themselves, not a stacked copy
+        lane, calls = threading.local(), []
+        real_winding, real_gk, real_msd = (
+            cli.run_winding, cli.rate_from_green_kubo, cli.rate_from_msd)
+
+        def winding(*args, **kwargs):
+            lane.res = real_winding(*args, **kwargs)
+            return lane.res
+
+        def green_kubo(rows, *args, **kwargs):
+            calls.append(("green_kubo", rows is lane.res.inc))
+            return real_gk(rows, *args, **kwargs)
+
+        def msd(times, rows, *args, **kwargs):
+            calls.append(("msd", rows is lane.res.alpha))
+            return real_msd(times, rows, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_winding", winding)
+        monkeypatch.setattr(cli, "rate_from_green_kubo", green_kubo)
+        monkeypatch.setattr(cli, "rate_from_msd", msd)
+        run(parse_config(config_text(), "rates"), lanes=2,
+            output_dir=tmp_path)
+        assert sorted(calls) == [("green_kubo", True)] * 4 \
+            + [("msd", True)] * 4
 
 
 class TestOtherSubcommands:

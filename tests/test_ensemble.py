@@ -140,8 +140,8 @@ def assert_engine_matches_oracle(env, geometry, burn_in_steps,
     assert chunks == [7] * 5 + [5]              # 40 steps in chunks of 7
     assert len(rep.chunk_counts) == n_steps     # one count per step
     assert np.array_equal(rep.state.vel, state.vel)
-    assert rep.alpha_x[1:].tolist() == [a[0] for a in alphas]
-    assert rep.alpha_y[1:].tolist() == [a[1] for a in alphas]
+    assert rep.alpha[0, 1:].tolist() == [a[0] for a in alphas]
+    assert rep.alpha[1, 1:].tolist() == [a[1] for a in alphas]
     assert np.allclose(rep.state.pos, state.pos, rtol=1e-12, atol=1e-12)
 
 
@@ -174,8 +174,7 @@ class TestEngineEquivalence:
         # the chunk length is read when run_replica is called
         assert chunks == [[11] * 9 + [1], [64, 36]]
         assert (len(a.chunk_counts), len(b.chunk_counts)) == (100, 100)
-        assert np.array_equal(a.inc_x, b.inc_x)
-        assert np.array_equal(a.inc_y, b.inc_y)
+        assert np.array_equal(a.inc, b.inc)
         assert np.array_equal(a.state.vel, b.state.vel)
         assert a.positions.shape == (14, 8, 2)
         # the carried position heads each chunk's running sum, so the
@@ -196,8 +195,8 @@ class TestEngineEquivalence:
                         master_seed=9, stream_id=0)
         c = run_replica(basic_env, square_torus, 4, 4, 0.05, 50,
                         master_seed=9, stream_id=1)
-        assert np.array_equal(a.inc_x, b.inc_x)
-        assert not np.array_equal(a.inc_x, c.inc_x)
+        assert np.array_equal(a.inc, b.inc)
+        assert not np.array_equal(a.inc, c.inc)
 
     @pytest.mark.parametrize("key", [(2**64, 0), (-1, 0), (0, 2**64),
                                      (1.5, 0)],
@@ -222,8 +221,56 @@ class TestEngineEquivalence:
     def test_winding_additivity(self, square_torus, basic_env):
         res = run_replica(basic_env, square_torus, 4, 4, 0.05, 157,
                           master_seed=2, stream_id=0, sample_stride=1)
-        assert res.state.alpha_x == res.alpha_x[-1]
-        assert res.state.alpha_x == pytest.approx(res.inc_x.sum(), rel=1e-12)
+        assert res.state.alpha_x == res.alpha[0, -1]
+        assert res.state.alpha_x == pytest.approx(res.inc[0].sum(), rel=1e-12)
+
+
+class TestReplicaResultArrays:
+    """Every recorded field is a plain array, empty when nothing is
+    recorded, and the winding rows are C-contiguous (2, .) arrays."""
+
+    def test_nothing_recorded(self, square_torus, basic_env):
+        res = run_replica(basic_env, square_torus, 3, 3, 0.05, 40,
+                          master_seed=1, velocity_series_walkers=0,
+                          position_stride=0)
+        assert res.vel_series.shape == (40, 0)
+        assert res.positions.shape == (0, 6, 2)
+        assert res.position_times.shape == (0,)
+
+    def test_no_walkers(self, square_torus, basic_env):
+        res = run_replica(basic_env, square_torus, 0, 0, 0.05, 40,
+                          master_seed=1, position_stride=4)
+        for name in ("chunk_vy2_sums", "chunk_counts"):
+            values = getattr(res, name)
+            assert values.shape == (40,) and not values.any(), name
+        assert res.vel_series.shape == (40, 0)
+        assert res.positions.shape == (0, 0, 2)
+        assert res.position_times.shape == (0,)
+
+    def test_position_times(self, square_torus, basic_env):
+        stride, n_steps, dt = 7, 100, 0.07
+        res = run_replica(basic_env, square_torus, 2, 2, dt, n_steps,
+                          master_seed=1, position_stride=stride)
+        assert res.positions.shape == (14, 4, 2)
+        assert np.array_equal(res.position_times,
+                              np.arange(stride, n_steps + 1, stride) * dt)
+
+    @pytest.mark.parametrize("engine", ["run_replica", "run_winding"])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_winding_rows(self, square_torus, basic_env, engine, n):
+        kwargs = dict(sample_stride=4, burn_in_steps=5)
+        if engine == "run_replica":
+            res = run_replica(basic_env, square_torus, n, n, 0.05, 40,
+                              master_seed=1, **kwargs)
+        else:
+            res = run_winding(basic_env, square_torus, n, n, 0.05, 40,
+                              rng=substream(1, 0), **kwargs)
+        assert res.inc.shape == (2, 40) and res.inc.flags.c_contiguous
+        assert res.alpha.shape == (2, 11) and res.alpha.flags.c_contiguous
+        assert res.times.shape == (11,)
+        # the stride divides the step count: the last sample is the end
+        assert res.final_alpha == tuple(res.alpha[:, -1].tolist())
+        assert all(type(a) is float for a in res.final_alpha)
 
 
 def same_position(rng, ref):
@@ -235,7 +282,7 @@ def same_position(rng, ref):
 def final_windings_collective(env, geometry, n, dt, n_steps, seed, stream):
     res = run_winding(env, geometry, n, n, dt, n_steps,
                       rng=substream(seed, stream), sample_stride=n_steps)
-    return res.final_alpha_x, res.final_alpha_y
+    return res.final_alpha
 
 
 def final_windings_per_walker(env, geometry, n, dt, n_steps, seed, stream):
@@ -279,8 +326,7 @@ class TestWindingEngine:
                                     rng=substream(9, 2), sample_stride=5,
                                     burn_in_steps=13))
         for other in runs[1:]:
-            for name in ("times", "alpha_x", "alpha_y", "inc_x", "inc_y",
-                         "final_alpha_x", "final_alpha_y"):
+            for name in ("times", "alpha", "inc", "final_alpha"):
                 assert np.array_equal(getattr(runs[0], name),
                                       getattr(other, name)), name
 
@@ -302,19 +348,18 @@ class TestWindingEngine:
             v = prop.decay * v + prop.sigma_v * noise[:, 0]
         noise = normals[2 + 4 * burn:6 + 4 * burn].reshape(2, 2)
         dxy = prop.drift * v + prop.c1 * noise[:, 0] + prop.c2 * noise[:, 1]
-        assert res.inc_x[0] == pytest.approx(dxy[1] / square_torus.l_y,
-                                             rel=1e-12)
-        assert res.inc_y[0] == pytest.approx(dxy[0] / square_torus.l_x,
-                                             rel=1e-12)
+        assert res.inc[0, 0] == pytest.approx(dxy[1] / square_torus.l_y,
+                                              rel=1e-12)
+        assert res.inc[1, 0] == pytest.approx(dxy[0] / square_torus.l_x,
+                                              rel=1e-12)
 
     def test_empty_ensemble_draws_nothing(self, square_torus, basic_env):
         rng = substream(3, 0)
         res = run_winding(basic_env, square_torus, 0, 0, 0.1, 50, rng=rng,
                           sample_stride=5, burn_in_steps=7)
         assert same_position(rng, substream(3, 0))
-        assert not res.inc_x.any() and not res.inc_y.any()
-        assert not res.alpha_x.any() and not res.alpha_y.any()
-        assert res.final_alpha_x == res.final_alpha_y == 0.0
+        assert not res.inc.any() and not res.alpha.any()
+        assert res.final_alpha == (0.0, 0.0)
         assert res.times.shape == (11,)
 
     @pytest.mark.parametrize("n_v,n_a,dt,n_steps", [
@@ -734,7 +779,7 @@ class TestSimulatedDiffusion:
         for r in range(20):
             res = run_replica(basic_env, geo, 20, 20, dt, n_steps,
                               master_seed=77, stream_id=r, sample_stride=20)
-            curves.append(res.alpha_x)
+            curves.append(res.alpha[0])
         times = np.arange(0.0, n_steps * dt + 1e-9, dt * 20)
         lags = np.arange(5, 101, 5)            # 5 .. 100 time units
         lag_idx = lags
@@ -756,7 +801,7 @@ class TestSimulatedDiffusion:
                             master_seed=99, stream_id=r, sample_stride=1)
                 for r in range(20)]
         times = rows[0].times
-        alphas = np.stack([r.alpha_x for r in rows])
+        alphas = np.stack([r.alpha[0] for r in rows])
         est = rate_from_msd(times, alphas, fit_window=(5.0, 100.0),
                             gamma=basic_env.gamma)
         target = analytic_rate(basic_env, geo, 20, 20).gamma_rate

@@ -207,7 +207,7 @@ class TestAllOriginMsd:
         geo = TorusGeometry(l_x=20.0, l_y=10.0)
         n, dt, replicas = 4, 0.05, 400
         lags = np.array([5, 50, 500])
-        msd = np.array([_msd(np.stack([res.alpha_x, res.alpha_y]), lags)
+        msd = np.array([_msd(res.alpha, lags)
                         for res in (run_winding(basic_env, geo, n, n, dt,
                                                 2000, rng=substream(43, r),
                                                 sample_stride=1)
