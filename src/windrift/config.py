@@ -112,8 +112,7 @@ REQUIRED = object()
 
 _ENV = {"mass": (">0", REQUIRED), "eta": (">0", REQUIRED),
         "temperature": (">=0", REQUIRED)}
-_GEOMETRY = {"l_x": (">0", REQUIRED), "l_y": (">0", REQUIRED),
-             "d": (">0", 1.0)}
+_GEOMETRY = {"l_x": (">0", REQUIRED), "l_y": (">0", REQUIRED)}
 _POPULATION = {
     "fixed": {"mode": ("text", "fixed"), "n_v": ("int>=0", REQUIRED),
               "n_a": ("int>=0", REQUIRED)},

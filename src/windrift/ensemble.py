@@ -52,18 +52,15 @@ from .rng import substream
 
 @dataclass(frozen=True)
 class TorusGeometry:
-    """Torus circumferences (l_x >= l_y > 0) and film thickness."""
+    """Torus circumferences, l_x >= l_y > 0."""
 
     l_x: float
     l_y: float
-    d: float = 1.0
 
     def __post_init__(self):
         if not (self.l_x >= self.l_y > 0.0):
             raise ValueError(f"require l_x >= l_y > 0, got "
                              f"({self.l_x}, {self.l_y})")
-        if self.d <= 0.0:
-            raise ValueError("thickness d must be positive")
 
 
 @dataclass(frozen=True)

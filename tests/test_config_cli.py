@@ -209,6 +209,13 @@ class TestKeySets:
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(text, subcommand)
 
+    @pytest.mark.parametrize("subcommand", ["rates", "simulate"])
+    def test_geometry_thickness_refused(self, subcommand):
+        # no computation reads a film thickness on the torus
+        geometry = dict(MINIMAL_RATES["geometry"], d=1.0)
+        with pytest.raises(ConfigError, match="unknown key 'geometry.d'"):
+            parse_config(config_text(geometry=geometry), subcommand)
+
     @pytest.mark.parametrize("population,key", [
         ({"mode": "fixed", "n_v": 4, "n_a": 4, "f0": 0.5}, "f0"),
         ({"n_v": 4, "n_a": 4, "f0": 0.5}, "f0"),

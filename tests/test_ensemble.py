@@ -93,8 +93,6 @@ class TestStateConstruction:
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             TorusGeometry(l_x=1.0, l_y=2.0)
-        with pytest.raises(ValueError):
-            TorusGeometry(l_x=1.0, l_y=1.0, d=0.0)
 
 
 RECORD_INCREMENTS = ensemble._record_increments
