@@ -319,14 +319,12 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
     state = initial_state(env, geometry, n_v, n_a, rng,
                           init_velocities=init_velocities)
     prop = OUPropagator.build(env, dt)
-    geo = geometry
     n = n_v + n_a
     if not 0 <= velocity_series_walkers <= n:
         raise ValueError(f"velocity_series_walkers must be in [0, {n}], got "
                          f"{velocity_series_walkers}")
     if position_stride < 0:
         raise ValueError(f"position_stride {position_stride} must be >= 0")
-    charges = state.charges
 
     inc = np.zeros((2, n_steps))
     vel_series = np.empty((n_steps, velocity_series_walkers))
@@ -339,7 +337,7 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
                 rng, prop, state.vel, burn_in_steps, n_steps):
             m = dxy.shape[0]
             if recording:
-                _record_increments(dxy, charges, geo, inc, done)
+                _record_increments(dxy, state.charges, geometry, inc, done)
                 vel_series[done:done + m] = \
                     vseq[:, :velocity_series_walkers, 1]
                 (vseq[:, :, 1] ** 2).sum(axis=1, out=vy2_sums[done:done + m])
@@ -358,16 +356,16 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
         state.vel = vseq[-1].copy()
         del vseq, dxy  # the last chunk is not kept through the tail
 
-    state.pos = pos_unwrapped % [geo.l_x, geo.l_y]
+    state.pos = pos_unwrapped % [geometry.l_x, geometry.l_y]
     windings = _windings(inc, dt, sample_stride)
     state.alpha_x, state.alpha_y = windings.final_alpha
     positions = np.concatenate(pos_records)
+    record_steps = np.arange(1, len(positions) + 1) * position_stride
     return ReplicaResult(
         **vars(windings), n_v=n_v, n_a=n_a, state=state,
         vel_series=vel_series, chunk_vy2_sums=vy2_sums,
         chunk_counts=np.full(n_steps, float(n)), positions=positions,
-        position_times=np.arange(1, len(positions) + 1) * position_stride
-        * dt)
+        position_times=record_steps * dt)
 
 
 def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
