@@ -329,7 +329,7 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
     inc = np.zeros((2, n_steps))
     vel_series = np.empty((n_steps, velocity_series_walkers))
     vy2_sums = np.zeros(n_steps)
-    pos_records = [np.empty((0, n, 2))]
+    pos_records = [np.empty((0, n, 2))]   # (0, n, 2) when none recorded
 
     pos_unwrapped = state.pos.copy()
     if n:
