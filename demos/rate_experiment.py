@@ -20,8 +20,9 @@ engine run_winding, which propagates the charge-weighted sums exactly.
 import numpy as np
 
 from windrift import (ThermalEnv, TorusGeometry, analytic_rate,
-                      even_mean_population, rate_from_green_kubo,
-                      rate_from_msd, run_winding, substream)
+                      collective_normals, even_mean_population,
+                      rate_from_green_kubo, rate_from_msd, run_winding,
+                      substream)
 
 env = ThermalEnv(mass=1.0, eta=2.0, temperature=1.0)
 # each estimate prints its standard error; at 192 replicas the aspect
@@ -33,7 +34,9 @@ window, cutoff = (5.0, 80.0), 10.0
 
 def measure(geometry, n_v, n_a, seed):
     rows = [run_winding(env, geometry, n_v, n_a, dt, n_steps,
-                        rng=substream(seed, r), sample_stride=5)
+                        normals=collective_normals(substream(seed, r),
+                                                   n_v + n_a, n_steps),
+                        sample_stride=5)
             for r in range(replicas)]
     times = rows[0].times
     alphas = np.stack([r.alpha[0] for r in rows])
@@ -66,7 +69,8 @@ print("  (the count grows with the area; the rate does not)")
 
 print("\nAspect-ratio law: Gamma_x/Gamma_y = (l_x/l_y)^2")
 geo = TorusGeometry(l_x=20.0, l_y=10.0)
-rows = [run_winding(env, geo, 100, 100, dt, n_steps, rng=substream(3, r),
+rows = [run_winding(env, geo, 100, 100, dt, n_steps,
+                    normals=collective_normals(substream(3, r), 200, n_steps),
                     sample_stride=5) for r in range(replicas)]
 times = rows[0].times
 gx = rate_from_msd(times, np.stack([r.alpha[0] for r in rows]), window,

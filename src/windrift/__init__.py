@@ -15,10 +15,10 @@ from .design import (DeviceSpec, anyon_prefactor_log, equivalence_class,
                      solid_torus_suppression)
 from .ensemble import (RateEstimate, ReplicaResult, SimulationState,
                        TorusGeometry, WindingResult, analytic_rate,
-                       even_mean_population, initial_state, mean_population,
-                       pool_replicas, predicted_rate, rate_from_green_kubo,
-                       rate_from_msd, run_replica, run_winding,
-                       sample_population)
+                       collective_normals, even_mean_population,
+                       initial_state, mean_population, pool_replicas,
+                       predicted_rate, rate_from_green_kubo, rate_from_msd,
+                       run_replica, run_winding, sample_population)
 from .fields import (EnergyIntegral, e_divergence_residual,
                      e_squared_angle_average, field_energy, field_table,
                      helmholtz_residual, moving_vortex_e, static_b)
@@ -36,8 +36,9 @@ __all__ = [
     "DeviceSpec", "anyon_prefactor_log", "equivalence_class",
     "level_splitting", "loop_current_scale", "solid_torus_suppression",
     "RateEstimate", "ReplicaResult", "SimulationState", "TorusGeometry",
-    "WindingResult", "analytic_rate", "even_mean_population",
-    "initial_state", "mean_population", "pool_replicas", "predicted_rate",
+    "WindingResult", "analytic_rate", "collective_normals",
+    "even_mean_population", "initial_state", "mean_population",
+    "pool_replicas", "predicted_rate",
     "rate_from_green_kubo", "rate_from_msd", "run_replica", "run_winding",
     "sample_population",
     "EnergyIntegral", "e_divergence_residual", "e_squared_angle_average",

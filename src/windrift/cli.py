@@ -17,6 +17,7 @@ of how many worker lanes execute the replicas.
 """
 
 import argparse
+import itertools
 import math
 import sys
 import time
@@ -31,9 +32,11 @@ from . import design as design_mod
 from .bessel import bessel_k
 from .config import SUBCOMMANDS, RunConfig, parse_config
 from .ensemble import (RateEstimate, TorusGeometry, analytic_rate,
+                       collective_normals, collective_size,
                        even_mean_population, mean_population, pool_replicas,
-                       predicted_rate, rate_from_green_kubo, rate_from_msd,
-                       run_replica, run_winding, sample_population)
+                       predicted_rate, prefetched, rate_from_green_kubo,
+                       rate_from_msd, run_replica, run_winding,
+                       sample_population)
 from .fields import field_table, helmholtz_residual
 from .langevin import ThermalEnv
 from .materials import MaterialParams, classify_regime, derive_scales
@@ -157,27 +160,37 @@ def _keep_freed_memory() -> None:
 def _run_ensemble(config: RunConfig, lanes: int):
     """Each replica simulated and reduced in its lane; records in order.
 
-    A lane drops a replica's per-step series before it takes the next
-    one, so memory grows with the lane count, not the replica count. Each
-    estimator gets one call per replica, on the engine's (x, y) rows as
-    they are: per-axis calls would make two lanes contend for the
-    interpreter lock over many small numpy operations.
+    The lanes claim replicas from one shared iterator. Each lane's helper
+    thread (ensemble.prefetched) claims the next replica, draws its
+    population and fills one of two lane-owned buffers with its normals,
+    while the lane runs the replica before through run_winding and the
+    estimators. A lane drops a replica's per-step series before it takes
+    the next one, so memory grows with the lane count, not the replica
+    count. Each estimator gets one call per replica, on the engine's
+    (x, y) rows as they are: per-axis calls would make two lanes contend
+    for the interpreter lock over many small numpy operations.
     """
     env, geo, pop = config.env, config.geometry, config.population
     window = (config.fit_t_min, config.fit_t_max)
+    steps = config.burn_in_steps + config.n_steps
+    replicas = iter(range(config.replicas))
 
-    def one(r):
+    def draw(r, buffer):
         rng = substream(config.master_seed, r)
         if pop.mode == "fixed":
-            n_v, n_a = pop.n_v, pop.n_a
+            counts = pop.n_v, pop.n_a
         elif pop.mode == "mean":
-            n_v, n_a = even_mean_population(env, geo, pop.f0)
+            counts = even_mean_population(env, geo, pop.f0)
         else:  # boltzmann: Poisson draw first, then the stream feeds the run
-            n_v, n_a = sample_population(env, geo, pop.f0, rng=rng)
-        res = run_winding(env, geo, n_v, n_a, config.dt, config.n_steps,
-                          rng=rng, sample_stride=config.sample_stride,
+            counts = sample_population(env, geo, pop.f0, rng=rng)
+        return r, counts, collective_normals(rng, sum(counts), steps,
+                                             out=buffer)
+
+    def reduce(r, counts, normals):
+        res = run_winding(env, geo, *counts, config.dt, config.n_steps,
+                          normals=normals, sample_stride=config.sample_stride,
                           burn_in_steps=config.burn_in_steps)
-        out = _Reduced(counts=(n_v, n_a), final=res.final_alpha)
+        out = _Reduced(counts=counts, final=res.final_alpha)
         if r == 0:
             out.trajectory = [res.times, *res.alpha]
         if config.subcommand == "rates":
@@ -187,9 +200,21 @@ def _run_ensemble(config: RunConfig, lanes: int):
                                     gamma=env.gamma)
         return out
 
+    def lane():
+        # the helper fills one buffer while the lane spends the other;
+        # each has room for any nonempty population
+        buffers = itertools.cycle(np.empty((2, collective_size(1, steps))))
+        return [(r, reduce(r, counts, normals)) for r, counts, normals
+                in prefetched(lambda r: draw(r, next(buffers)), replicas)]
+
     _keep_freed_memory()
+    records = [None] * config.replicas
     with ThreadPoolExecutor(max_workers=lanes) as pool:
-        return list(pool.map(one, range(config.replicas)))
+        for done in [pool.submit(lane)
+                     for _ in range(min(lanes, config.replicas))]:
+            for r, out in done.result():
+                records[r] = out
+    return records
 
 
 def _population(records) -> dict:
@@ -371,8 +396,9 @@ def main(argv=None) -> int:
                         help="override master_seed")
     parser.add_argument("--out", default=None, help="override output_dir")
     parser.add_argument("--lanes", type=int, default=1,
-                        help="parallel replica lanes (does not affect "
-                             "results)")
+                        help="parallel replica lanes, each with one helper "
+                             "thread drawing its next replica (does not "
+                             "affect results)")
     args = parser.parse_args(argv)
     if args.lanes < 1:
         parser.error(f"--lanes must be >= 1, got {args.lanes}")

@@ -32,11 +32,14 @@ winding series cost O(1) draws per step whatever the walker count.
 Reproducibility: all noise comes from Philox streams keyed by
 (master_seed, stream_id); draws happen in a fixed (step, walker, axis,
 role) order, with run_winding's pseudo-walker as the only walker (rng.py
-gives each engine's full layout). run_replica's helper thread is the only
-thread that draws once the initial state is drawn, one chunk at a time in
-chunk order, so the stream is consumed as by one thread. Replicas are the
-unit of parallelism and are never split, so results are bit-identical for
-any worker count.
+gives each engine's full layout). run_winding draws nothing itself: it
+spends one flat array of normals that collective_normals draws, so a
+caller can draw the next replica while this one propagates. prefetched
+owns that overlap, one item ahead on one helper thread; run_replica's
+helper is the only thread that draws once the initial state is drawn,
+one chunk at a time in chunk order, so the stream is consumed as by one
+thread. Replicas are the unit of parallelism and are never split, so
+results are bit-identical for any worker count.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -231,6 +234,35 @@ def _propagate(noise: np.ndarray, prop: OUPropagator, vel: np.ndarray,
     return v[1:], dxy
 
 
+_END = object()
+
+
+def prefetched(make, items):
+    """Yield make(item) for each item of items, in order, one item ahead.
+
+    One helper thread takes the next item and makes it while the caller
+    works on the last one made, so while the caller holds item i no more
+    than item i + 1 has been started; the helper may reuse what item i - 1
+    held. items is advanced on the helper alone, so helpers of several
+    callers may share one thread-safe iterator. An exception raised by
+    make reaches the caller in place of its item. The with block joins
+    the helper however the generator ends: exhausted, closed early, or
+    dropped by a caller that raised.
+    """
+    items = iter(items)
+
+    def make_next():
+        for item in items:
+            return make(item)
+        return _END
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(make_next)
+        while (made := pending.result()) is not _END:
+            pending = helper.submit(make_next)
+            yield made
+
+
 def _chunks(rng: np.random.Generator, prop: OUPropagator, vel: np.ndarray,
             burn_in_steps: int, n_steps: int):
     """Propagate burn-in, then the recorded steps, in chunks of the most
@@ -239,11 +271,10 @@ def _chunks(rng: np.random.Generator, prop: OUPropagator, vel: np.ndarray,
     Yields (recording, done, vseq, dxy) per chunk, done being the chunk's
     first step within its phase; the velocity is carried between chunks.
     vseq and dxy are views of buffers that the next chunk overwrites.
-    One helper thread draws each chunk's (step, walker, axis, role)
+    prefetched's helper draws each chunk's (step, walker, axis, role)
     normals, in chunk order, into one of two reused buffers while this
     thread propagates the chunk before; nothing else draws from rng
-    meanwhile, so the stream is consumed as by one thread. The with block
-    joins the helper however the generator ends.
+    meanwhile, so the stream is consumed as by one thread.
     """
     steps = max(1, CHUNK_BYTES // (STEP_BYTES * len(vel)))
     plan = [(recording, done, min(steps, total - done))
@@ -254,21 +285,17 @@ def _chunks(rng: np.random.Generator, prop: OUPropagator, vel: np.ndarray,
     v = np.empty((rows + 1,) + vel.shape)
     dxy = np.empty((rows,) + vel.shape)
 
-    def draw(i):
-        m = plan[i][2]
-        return rng.standard_normal((m,) + vel.shape + (2,),
-                                   out=noise[i % 2, :m])
+    def draw(item):
+        i, (recording, done, m) = item
+        return recording, done, rng.standard_normal(
+            (m,) + vel.shape + (2,), out=noise[i % 2, :m])
 
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(draw, 0)
-        for i, (recording, done, m) in enumerate(plan):
-            chunk = pending.result()
-            if i + 1 < len(plan):
-                pending = helper.submit(draw, i + 1)
-            vseq, dxy_m = _propagate(chunk, prop, vel, stepwise=True,
-                                     v=v[:m + 1], dxy=dxy[:m])
-            vel = vseq[-1].copy()
-            yield recording, done, vseq, dxy_m
+    for recording, done, chunk in prefetched(draw, enumerate(plan)):
+        m = len(chunk)
+        vseq, dxy_m = _propagate(chunk, prop, vel, stepwise=True,
+                                 v=v[:m + 1], dxy=dxy[:m])
+        vel = vseq[-1].copy()
+        yield recording, done, vseq, dxy_m
 
 
 def _record_increments(dxy, charges, geometry: TorusGeometry, inc,
@@ -282,9 +309,13 @@ def _record_increments(dxy, charges, geometry: TorusGeometry, inc,
         / geometry.l_x
 
 
-def _windings(inc, dt: float, sample_stride: int) -> WindingResult:
-    """Cumulative windings, sampled after every sample_stride-th step."""
-    full = np.zeros((2, inc.shape[1] + 1))
+def _windings(inc, dt: float, sample_stride: int,
+              full: Optional[np.ndarray] = None) -> WindingResult:
+    """Cumulative windings, sampled after every sample_stride-th step;
+    full, when given, is the (2, N + 1) workspace of the running sums."""
+    if full is None:
+        full = np.empty((2, inc.shape[1] + 1))
+    full[:, 0] = 0.0
     np.cumsum(inc, axis=1, out=full[:, 1:])
     return WindingResult(
         times=np.arange(0, inc.shape[1] + 1, sample_stride) * dt,
@@ -329,7 +360,8 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
     inc = np.zeros((2, n_steps))
     vel_series = np.empty((n_steps, velocity_series_walkers))
     vy2_sums = np.zeros(n_steps)
-    pos_records = [np.empty((0, n, 2))]   # (0, n, 2) when none recorded
+    positions = np.empty((n_steps // position_stride
+                          if position_stride and n else 0, n, 2))
 
     pos_unwrapped = state.pos.copy()
     if n:
@@ -346,10 +378,12 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
             dxy[0] += pos_unwrapped
             if recording and position_stride:
                 np.cumsum(dxy, axis=0, out=dxy)
-                # rows where the global 1-based step index hits the stride;
-                # copies, so no chunk array outlives its chunk
+                # rows where the global 1-based step index hits the
+                # stride, records done // stride up to (done + m) // stride
                 start = (position_stride - 1 - done) % position_stride
-                pos_records.append(dxy[start::position_stride].copy())
+                positions[done // position_stride:
+                          (done + m) // position_stride] = \
+                    dxy[start::position_stride]
                 pos_unwrapped = dxy[-1].copy()
             else:
                 pos_unwrapped = dxy.sum(axis=0)
@@ -359,7 +393,6 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
     state.pos = pos_unwrapped % [geometry.l_x, geometry.l_y]
     windings = _windings(inc, dt, sample_stride)
     state.alpha_x, state.alpha_y = windings.final_alpha
-    positions = np.concatenate(pos_records)
     record_steps = np.arange(1, len(positions) + 1) * position_stride
     return ReplicaResult(
         **vars(windings), n_v=n_v, n_a=n_a, state=state,
@@ -368,9 +401,25 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
         position_times=record_steps * dt)
 
 
+def collective_size(n: int, steps: int) -> int:
+    """How many normals run_winding spends on n walkers over steps steps."""
+    return 2 + 4 * steps if n else 0
+
+
+def collective_normals(rng: np.random.Generator, n: int, steps: int, *,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The normals run_winding spends on a replica of n walkers over steps
+    (burn-in plus recorded) steps, as one flat array: V_0 (x, y), then
+    per step (axis, role). An empty ensemble draws nothing and gets an
+    empty array. out, when given, has room for at least that many; they
+    are drawn into its head, which is returned."""
+    size = collective_size(n, steps)
+    return rng.standard_normal(size, out=None if out is None else out[:size])
+
+
 def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
                 n_a: int, dt: float, n_steps: int, *,
-                rng: np.random.Generator, sample_stride: int = 10,
+                normals: np.ndarray, sample_stride: int = 10,
                 burn_in_steps: int = 0) -> WindingResult:
     """Winding series of one replica from the collective coordinates alone.
 
@@ -379,29 +428,37 @@ def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
     temperature nT: the noise is scaled by sqrt(n) and V starts from the
     stationary N(0, nT/M). So the windings have exactly the law of
     run_replica's, from 2 normals plus 4 per step instead of 4n per step.
-    Draw order: V_0 (x, y), then per step (axis, role), burn-in first.
-    V runs through the whole series at once, as lfilter's doubling scan,
-    so the memory is O(burn_in_steps + n_steps): 8 doubles per step at
-    the peak (normals, velocities, displacements). An empty ensemble draws
-    nothing and has zero increments. The windings are zeroed after
-    burn-in and the series start at (t=0, alpha=0).
+    normals are collective_normals(rng, n, burn_in_steps + n_steps), burn-in
+    first; any other length is refused. They are spent: overwritten by
+    the products and then the running sums. V runs through the whole
+    series at once, as lfilter's doubling scan, so beyond the normals (4
+    doubles per step) the memory is 4 doubles per step at the peak
+    (velocities and the scan's temporary, then displacements and
+    increments). An empty ensemble has zero increments. The windings are
+    zeroed after burn-in and the series start at (t=0, alpha=0).
     """
     _check_steps(dt, n_steps, sample_stride, burn_in_steps)
     _check_counts(n_v, n_a)
     n = n_v + n_a
+    steps = burn_in_steps + n_steps
+    size = collective_size(n, steps)
+    if np.shape(normals) != (size,):
+        raise ValueError(f"normals holds {np.size(normals)} values, but "
+                         f"{n} walkers over {steps} steps spend {size}")
     if not n:
         return _windings(np.zeros((2, n_steps)), dt, sample_stride)
     collective = ThermalEnv(env.mass, env.eta, n * env.temperature)
     prop = OUPropagator.build(collective, dt)
-    vel = rng.normal(0.0, np.sqrt(collective.temperature / env.mass),
-                     size=2)
-    noise = rng.standard_normal((burn_in_steps + n_steps, 2, 2))
-    dxy = _propagate(noise, prop, vel, stepwise=False)[1]
-    del noise   # 32 bytes per step, not needed by the cumulative sums
+    vel = np.sqrt(collective.temperature / env.mass) * normals[:2]
+    dxy = _propagate(normals[2:].reshape(steps, 2, 2), prop, vel,
+                     stepwise=False)[1]
     # rows (x, y) are the y and x displacements over the loop they wind
     inc = np.divide(dxy[burn_in_steps:, ::-1].T,
                     [[geometry.l_y], [geometry.l_x]], order="C")
-    return _windings(inc, dt, sample_stride)
+    del dxy   # 16 bytes per step, not needed by the running sums
+    # the spent normals (2 + 4 * steps) hold the 2 * (n_steps + 1) sums
+    return _windings(inc, dt, sample_stride,
+                     full=normals[:2 * n_steps + 2].reshape(2, -1))
 
 
 def mean_population(env: ThermalEnv, geometry: TorusGeometry,

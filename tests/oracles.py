@@ -6,7 +6,8 @@ Langevin oracles are closed-form solutions, the winding oracles are
 direct random-walk constructions, and the exponential fit is scipy's
 curve_fit. The exceptions are step_ensemble and recurrence_loop, the
 step-by-step references that the engines must match bit for bit
-(run_replica) or to rounding (run_winding's doubling scan).
+(run_replica) or to rounding (run_winding's doubling scan), and
+winding_two_draws, the collective engine as it drew its own normals.
 """
 
 import numpy as np
@@ -134,6 +135,27 @@ def step_ensemble(state, geometry, dt, env, rng):
         state.alpha_y = (state.alpha_y
                          + (state.charges * dxy[:, 0]).sum() / geometry.l_x)
     return state
+
+
+def winding_two_draws(env, geometry, n_v, n_a, dt, n_steps, rng, *,
+                      sample_stride=10, burn_in_steps=0):
+    """run_winding drawing from rng in two calls: V_0 by rng.normal(0,
+    sqrt(nT/M), 2), then the steps by standard_normal((S, 2, 2)). The flat
+    array of collective_normals must reproduce it bit for bit."""
+    from windrift.ensemble import _propagate, _windings
+    from windrift.langevin import OUPropagator, ThermalEnv
+    n = n_v + n_a
+    if not n:
+        return _windings(np.zeros((2, n_steps)), dt, sample_stride)
+    collective = ThermalEnv(env.mass, env.eta, n * env.temperature)
+    prop = OUPropagator.build(collective, dt)
+    vel = rng.normal(0.0, np.sqrt(collective.temperature / env.mass),
+                     size=2)
+    noise = rng.standard_normal((burn_in_steps + n_steps, 2, 2))
+    dxy = _propagate(noise, prop, vel, stepwise=False)[1]
+    inc = np.divide(dxy[burn_in_steps:, ::-1].T,
+                    [[geometry.l_y], [geometry.l_x]], order="C")
+    return _windings(inc, dt, sample_stride)
 
 
 def faraday_residual(point, v, scales, c_light, h):

@@ -1,14 +1,18 @@
 import json
 import platform
 import resource
+import sys
 import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from windrift import (SimulationState, ThermalEnv, TorusGeometry,
-                      analytic_rate, even_mean_population, initial_state,
+                      analytic_rate, collective_normals,
+                      even_mean_population, initial_state,
                       mean_population, parse_config, pool_replicas,
                       predicted_rate, rate_from_green_kubo, rate_from_msd,
                       run_replica, run_winding, sample_population,
@@ -17,7 +21,7 @@ from windrift import cli, ensemble
 from windrift.langevin import OUPropagator
 
 from oracles import (recurrence_loop, step_ensemble, synthetic_brownian_alpha,
-                     winding_variance)
+                     winding_two_draws, winding_variance)
 
 
 def drift_state(velocities, charges):
@@ -262,7 +266,9 @@ class TestReplicaResultArrays:
                               master_seed=1, **kwargs)
         else:
             res = run_winding(basic_env, square_torus, n, n, 0.05, 40,
-                              rng=substream(1, 0), **kwargs)
+                              normals=collective_normals(substream(1, 0),
+                                                         2 * n, 45),
+                              **kwargs)
         assert res.inc.shape == (2, 40) and res.inc.flags.c_contiguous
         assert res.alpha.shape == (2, 11) and res.alpha.flags.c_contiguous
         assert res.times.shape == (11,)
@@ -279,7 +285,9 @@ def same_position(rng, ref):
 
 def final_windings_collective(env, geometry, n, dt, n_steps, seed, stream):
     res = run_winding(env, geometry, n, n, dt, n_steps,
-                      rng=substream(seed, stream), sample_stride=n_steps)
+                      normals=collective_normals(substream(seed, stream),
+                                                 2 * n, n_steps),
+                      sample_stride=n_steps)
     return res.final_alpha
 
 
@@ -321,8 +329,9 @@ class TestWindingEngine:
             monkeypatch.setattr(ensemble, "CHUNK_BYTES",
                                 steps * ensemble.STEP_BYTES * 6)
             runs.append(run_winding(basic_env, square_torus, 3, 3, 0.05, 500,
-                                    rng=substream(9, 2), sample_stride=5,
-                                    burn_in_steps=13))
+                                    normals=collective_normals(
+                                        substream(9, 2), 6, 513),
+                                    sample_stride=5, burn_in_steps=13))
         for other in runs[1:]:
             for name in ("times", "alpha", "inc", "final_alpha"):
                 assert np.array_equal(getattr(runs[0], name),
@@ -333,7 +342,9 @@ class TestWindingEngine:
         n, dt, burn, n_steps = 5, 0.05, 3, 40
         rng = substream(4, 1)
         res = run_winding(basic_env, square_torus, n, n, dt, n_steps,
-                          rng=rng, burn_in_steps=burn)
+                          normals=collective_normals(rng, 2 * n,
+                                                     burn + n_steps),
+                          burn_in_steps=burn)
         ref = substream(4, 1)
         normals = ref.standard_normal(2 + 4 * (burn + n_steps))
         assert same_position(rng, ref)
@@ -353,12 +364,57 @@ class TestWindingEngine:
 
     def test_empty_ensemble_draws_nothing(self, square_torus, basic_env):
         rng = substream(3, 0)
-        res = run_winding(basic_env, square_torus, 0, 0, 0.1, 50, rng=rng,
+        res = run_winding(basic_env, square_torus, 0, 0, 0.1, 50,
+                          normals=collective_normals(rng, 0, 57),
                           sample_stride=5, burn_in_steps=7)
         assert same_position(rng, substream(3, 0))
         assert not res.inc.any() and not res.alpha.any()
         assert res.final_alpha == (0.0, 0.0)
         assert res.times.shape == (11,)
+
+    @pytest.mark.parametrize("burn", [0, 13])
+    def test_flat_normals_match_two_draws(self, square_torus, basic_env,
+                                          burn):
+        # one flat draw holds V_0 and the steps' normals in the order two
+        # calls drew them, so the windings are the same bits
+        n, dt, n_steps = 4, 0.05, 300
+        for stream in range(10):
+            res = run_winding(basic_env, square_torus, n, n, dt, n_steps,
+                              normals=collective_normals(
+                                  substream(6, stream), 2 * n,
+                                  burn + n_steps),
+                              sample_stride=3, burn_in_steps=burn)
+            ref = winding_two_draws(basic_env, square_torus, n, n, dt,
+                                    n_steps, substream(6, stream),
+                                    sample_stride=3, burn_in_steps=burn)
+            for name in ("inc", "alpha", "final_alpha"):
+                assert np.array_equal(getattr(res, name),
+                                      getattr(ref, name)), (stream, name)
+
+    @pytest.mark.parametrize("n,steps", [(1, 1), (2, 7), (10, 1000)])
+    def test_draw_consumes_its_layout(self, n, steps):
+        rng, ref = substream(8, 2), substream(8, 2)
+        normals = collective_normals(rng, n, steps)
+        assert np.array_equal(normals, ref.standard_normal(2 + 4 * steps))
+        assert same_position(rng, ref)
+
+    def test_draw_into_buffer(self):
+        # 9 steps of a nonempty ensemble fill the buffer's first 38 values
+        buffer = np.full(50, np.nan)
+        normals = collective_normals(substream(8, 2), 6, 9, out=buffer)
+        assert np.shares_memory(normals, buffer)
+        assert np.array_equal(normals,
+                              collective_normals(substream(8, 2), 6, 9))
+        assert np.isnan(buffer[38:]).all()
+
+    @pytest.mark.parametrize("n,size", [(2, 41), (2, 43), (0, 42), (2, 0)])
+    def test_refuses_wrong_length(self, square_torus, basic_env, n, size):
+        # 10 steps of a nonempty ensemble spend 42 normals, an empty one 0
+        spend = 42 if n else 0
+        with pytest.raises(ValueError,
+                           match=rf"holds {size} values.* spend {spend}$"):
+            run_winding(basic_env, square_torus, n // 2, n // 2, 0.1, 10,
+                        normals=np.zeros(size))
 
     @pytest.mark.parametrize("n_v,n_a,dt,n_steps", [
         (2, 1, 0.1, 10), (-1, -1, 0.1, 10), (1, 1, 0.0, 10),
@@ -369,7 +425,8 @@ class TestWindingEngine:
             run_replica(basic_env, square_torus, n_v, n_a, dt, n_steps)
         with pytest.raises(ValueError) as collective:
             run_winding(basic_env, square_torus, n_v, n_a, dt, n_steps,
-                        rng=substream(0, 0))
+                        normals=collective_normals(substream(0, 0),
+                                                   n_v + n_a, n_steps))
         assert str(collective.value) == str(per_walker.value)
 
     @pytest.mark.parametrize("kwargs,name", [
@@ -385,7 +442,8 @@ class TestWindingEngine:
             run_replica(basic_env, square_torus, 2, 2, 0.1, 20, **kwargs)
         with pytest.raises(ValueError, match=name) as collective:
             run_winding(basic_env, square_torus, 2, 2, 0.1, 20,
-                        rng=substream(0, 0), **kwargs)
+                        normals=collective_normals(substream(0, 0), 4, 20),
+                        **kwargs)
         assert str(collective.value) == str(per_walker.value)
 
 
@@ -461,6 +519,71 @@ class TestChunkHelperThread:
         assert threading.active_count() == before
 
 
+class TestPrefetched:
+    """ensemble.prefetched: make(item) one item ahead on a helper thread."""
+
+    def test_items_in_order(self):
+        made = ensemble.prefetched(lambda i: i * i, iter(range(50)))
+        assert list(made) == [i * i for i in range(50)]
+        assert list(ensemble.prefetched(lambda i: i, [])) == []
+
+    def test_at_most_one_item_ahead(self):
+        started = []
+
+        def make(i):
+            started.append(i)
+            return i
+
+        for i in ensemble.prefetched(make, range(20)):
+            time.sleep(0.002)   # time for a runaway helper to show
+            assert started[:i + 1] == list(range(i + 1))
+            assert len(started) <= i + 2
+
+    def test_exception_reaches_caller(self):
+        def make(i):
+            if i == 3:
+                raise RuntimeError("item 3 failed")
+            return i
+
+        got = []
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="item 3 failed"):
+            for i in ensemble.prefetched(make, range(10)):
+                got.append(i)
+        assert got == [0, 1, 2]
+        assert threading.active_count() == before
+
+    def test_closed_generator_joins_helper(self):
+        before = threading.active_count()
+        made = ensemble.prefetched(lambda i: i, range(10))
+        assert next(made) == 0
+        assert threading.active_count() == before + 1
+        made.close()
+        assert threading.active_count() == before
+
+    def test_shared_items_claimed_once(self):
+        # more callers than cores share one iterator, as the lanes share
+        # the replica indices; a lost or repeated claim breaks the count
+        items, callers = iter(range(3000)), 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=callers) as pool:
+                runs = [pool.submit(list, ensemble.prefetched(
+                    lambda i: i, items)) for _ in range(callers)]
+                got = [i for run in runs for i in run.result(timeout=60)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(got) == list(range(3000))
+
+    def test_raising_caller_joins_helper(self):
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="caller failed"):
+            for _ in ensemble.prefetched(lambda i: i, range(10)):
+                raise RuntimeError("caller failed")
+        assert threading.active_count() == before
+
+
 def traced_peak(fn, *args, **kwargs):
     """(result, peak bytes that tracemalloc saw while fn ran)."""
     tracemalloc.start()
@@ -475,26 +598,55 @@ class TestMemoryBounds:
     """Peak working memory of the engines, in doubles (tracemalloc)."""
 
     def test_run_winding_peak_per_step(self, square_torus, basic_env):
-        # normals (4), velocities (2) and displacements (2) per step; the
-        # position-noise products go into the spent normals
+        # the draw's normals (4) and the engine's velocities (2) and
+        # displacements (2) per step; the position-noise products and the
+        # running sums go into the spent normals
         burn, n_steps = 1000, 200_000
-        _, peak = traced_peak(run_winding, basic_env, square_torus, 5, 5,
-                              0.05, n_steps, rng=substream(3, 1),
-                              sample_stride=5, burn_in_steps=burn)
+
+        def draw_and_run():
+            normals = collective_normals(substream(3, 1), 10,
+                                         burn + n_steps)
+            return run_winding(basic_env, square_torus, 5, 5, 0.05, n_steps,
+                               normals=normals, sample_stride=5,
+                               burn_in_steps=burn)
+
+        _, peak = traced_peak(draw_and_run)
         assert peak / 8 / (burn + n_steps) <= 8.5
 
-    @pytest.mark.parametrize("n,n_steps", [(2, 100_000), (100, 55_000),
-                                           (2_000, 400)])
-    def test_run_replica_transient_peak_within_budget(self, n, n_steps):
+    def test_simulate_lane_peak_per_step(self):
+        # one lane holds two draw buffers (8 doubles per step) and the
+        # engine's 4 beyond them, whatever the replica count, besides the
+        # replica-0 trajectory it returns
+        burn, n_steps = 20_000, 100_000
+        config = parse_config(json.dumps({
+            "env": {"mass": 1.0, "eta": 2.0, "temperature": 1.0},
+            "geometry": {"l_x": 10.0, "l_y": 10.0},
+            "population": {"mode": "fixed", "n_v": 5, "n_a": 5},
+            "dt": 0.1, "total_time": 0.1 * n_steps, "burn_in": 0.1 * burn,
+            "replicas": 3, "sample_stride": 5, "master_seed": 4}),
+            "simulate")
+        records, peak = traced_peak(cli._run_ensemble, config, 1)
+        kept = sum(a.nbytes for a in records[0].trajectory)
+        assert len(records) == 3
+        assert (peak - kept) / 8 / (burn + n_steps) <= 12.5
+
+    @pytest.mark.parametrize("n,n_steps,stride", [
+        pytest.param(2, 100_000, 50, id="2-100000"),
+        pytest.param(100, 55_000, 50, id="100-55000"),
+        pytest.param(2_000, 400, 50, id="2000-400"),
+        pytest.param(100, 55_000, 5, id="100-55000-stride5")])
+    def test_run_replica_transient_peak_within_budget(self, n, n_steps,
+                                                      stride):
         # the chunk buffers hold STEP_BYTES per walker and step, as many
         # steps as fit in CHUNK_BYTES; fresh arrays for every chunk would
         # reach 14/13 of it. A chunk is 80,659 steps at 2 walkers and 80
-        # at 2,000
+        # at 2,000. Positions go straight into the returned array: at
+        # stride 5, 17.6 MB of them, per-chunk copies would add as much
         env, geo = ThermalEnv(2.0, 2.0, 4.0), TorusGeometry(100.0, 100.0)
         res, peak = traced_peak(
             run_replica, env, geo, n // 2, n // 2, 0.01, n_steps,
             master_seed=3, burn_in_steps=500, init_velocities="zero",
-            velocity_series_walkers=2, position_stride=50)
+            velocity_series_walkers=2, position_stride=stride)
         kept = sum(a.nbytes for a in (*vars(res).values(), res.state.pos,
                                       res.state.vel, res.state.charges)
                    if isinstance(a, np.ndarray))

@@ -3,9 +3,9 @@ import pytest
 from scipy.signal import lfilter
 
 from windrift import (OUPropagator, ThermalEnv, TorusGeometry,
-                      einstein_diffusion_check, rate_from_green_kubo,
-                      rate_from_msd, run_replica, run_winding, substream,
-                      velocity_autocorrelation)
+                      collective_normals, einstein_diffusion_check,
+                      rate_from_green_kubo, rate_from_msd, run_replica,
+                      run_winding, substream, velocity_autocorrelation)
 from windrift.langevin import _initial_rate_guess, _lag_products, _msd
 
 from oracles import (curve_fit_exponential, free_langevin_noise_free,
@@ -207,11 +207,11 @@ class TestAllOriginMsd:
         geo = TorusGeometry(l_x=20.0, l_y=10.0)
         n, dt, replicas = 4, 0.05, 400
         lags = np.array([5, 50, 500])
-        msd = np.array([_msd(res.alpha, lags)
-                        for res in (run_winding(basic_env, geo, n, n, dt,
-                                                2000, rng=substream(43, r),
-                                                sample_stride=1)
-                                    for r in range(replicas))])
+        runs = (run_winding(basic_env, geo, n, n, dt, 2000,
+                            normals=collective_normals(substream(43, r),
+                                                       2 * n, 2000),
+                            sample_stride=1) for r in range(replicas))
+        msd = np.array([_msd(res.alpha, lags) for res in runs])
         for axis, length in ((0, geo.l_y), (1, geo.l_x)):
             exact = winding_variance(basic_env, 2 * n, length, lags * dt)
             z = ((msd[:, axis].mean(axis=0) - exact)
