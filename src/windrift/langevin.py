@@ -112,7 +112,7 @@ def velocity_autocorrelation(series, dt: float, max_lag: int
     -------
     (tau, c, fit)
         Lag times, unbiased product averages, and the fitted
-        amplitude/decay with standard errors.
+        amplitude/decay with standard errors (_fit_exponential).
     """
     series = np.atleast_2d(np.asarray(series, dtype=float))
     n = series.shape[1]
@@ -120,72 +120,55 @@ def velocity_autocorrelation(series, dt: float, max_lag: int
         raise ValueError(f"series length {n} < 10 * max_lag = {10 * max_lag}")
     c = _lag_products(series, max_lag).mean(axis=0)
     tau = np.arange(max_lag + 1) * dt
-
-    rate0 = _initial_rate_guess(c, dt)
-    try:
-        popt, perr = _fit_exponential(tau, c, (c[0], rate0))
-    except RuntimeError:
-        popt, perr = (c[0], rate0), (np.nan, np.nan)
-    fit = AcfFit(amplitude=float(popt[0]), rate=float(popt[1]),
-                 amplitude_err=float(perr[0]), rate_err=float(perr[1]))
-    return tau, c, fit
+    return tau, c, AcfFit(*_fit_exponential(tau, c))
 
 
-# Levenberg-Marquardt limits: the fit has converged when a step changes no
-# parameter by more than _FIT_XTOL relative or lowers the SSR by no more
-# than _FIT_FTOL relative; it fails after _FIT_MAX_ITER trial steps
-_FIT_XTOL = 1e-12
-_FIT_FTOL = 1e-15
-_FIT_MAX_ITER = 200
+def _fit_exponential(tau, c):
+    """Least-squares fit of amp * exp(-rate * tau) to c on lags tau[0] = 0
+    < tau[1] < ..., by variable projection (Golub & Pereyra, SIAM J.
+    Numer. Anal. 10, 413 (1973)).
 
+    For a given rate, with e = exp(-rate * tau), the best amplitude is
+    (c.e)/(e.e) and SSR = c.c - P with P = (c.e)^2/(e.e), so the rate
+    maximises P alone. The largest P on a log grid of rates from
+    1e-3/tau[-1] to 1e3/tau[1] is refined by golden-section search in
+    log rate between its grid neighbours. A series that has not decayed
+    by tau[-1] puts the maximum at the low end of that grid; on white
+    noise P is flat at the high end, so any large rate fits equally well.
 
-def _fit_exponential(tau, c, p0):
-    """Least-squares fit of amp * exp(-rate * tau) to c from p0 = (amp,
-    rate), by damped Gauss-Newton (Levenberg-Marquardt with Marquardt's
-    column scaling) on the analytic Jacobian.
-
-    Returns (popt, perr) with perr from inv(J^T J) * SSR / (n - 2), as
-    scipy's curve_fit gives it, or inf where J^T J is singular to working
-    precision (white noise fits a rate so large that exp(-rate * tau) is
-    negligible at every tau > 0). Raises RuntimeError if the fit does not
-    converge.
+    Returns (amplitude, rate, amplitude_err, rate_err), the errors from
+    inv(J^T J) * SSR / (n - 2), as scipy's curve_fit gives them, or inf
+    where J^T J is singular to working precision (white noise fits a
+    rate so large that exp(-rate * tau) is negligible at every tau > 0).
     """
     if not np.all(np.isfinite(c)):
         raise ValueError("autocorrelation contains NaN or inf")
 
-    def residual_and_jacobian(p):
-        e = np.exp(-p[1] * tau)
-        return p[0] * e - c, np.column_stack([e, -p[0] * tau * e])
+    def profile(log_rate):
+        e = np.exp(-np.exp(log_rate) * tau)
+        return (e @ c) ** 2 / (e @ e)
 
-    p = np.array(p0, dtype=float)
-    r, jac = residual_and_jacobian(p)
-    ssr = r @ r
-    scale = np.zeros(2)
-    damping = 1e-3
-    for _ in range(_FIT_MAX_ITER):
-        a = jac.T @ jac
-        scale = np.maximum(scale, np.diag(a))
-        step = np.linalg.solve(
-            a + damping * np.diag(np.where(scale > 0.0, scale, 1.0)),
-            -(jac.T @ r))
-        r_new, jac_new = residual_and_jacobian(p + step)
-        ssr_new = r_new @ r_new
-        converged = np.all(np.abs(step) <= _FIT_XTOL * np.abs(p))
-        if ssr_new <= ssr:
-            p += step
-            converged |= ssr - ssr_new <= _FIT_FTOL * ssr
-            r, jac, ssr = r_new, jac_new, ssr_new
-            damping /= 10.0
+    grid = np.linspace(np.log(1e-3 / tau[-1]), np.log(1e3 / tau[1]), 121)
+    best = int(np.argmax([profile(x) for x in grid]))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    shrink = (np.sqrt(5.0) - 1.0) / 2.0    # golden section
+    while hi - lo > 1e-13:
+        x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+        if profile(x1) >= profile(x2):
+            hi = x2
         else:
-            damping *= 10.0
-        if converged:
-            break
-    else:
-        raise RuntimeError("exponential fit did not converge")
+            lo = x1
+    rate = np.exp(0.5 * (lo + hi))
+    e = np.exp(-rate * tau)
+    amp = (e @ c) / (e @ e)
+    r = amp * e - c
+    jac = np.column_stack([e, -amp * tau * e])
     a = jac.T @ jac
     if np.linalg.cond(a) < 1.0 / np.finfo(float).eps:
-        return p, np.sqrt(np.diag(np.linalg.inv(a)) * ssr / (len(c) - 2))
-    return p, np.full(2, np.inf)
+        err = np.sqrt(np.diag(np.linalg.inv(a)) * (r @ r) / (len(c) - 2))
+    else:
+        err = np.full(2, np.inf)
+    return float(amp), float(rate), float(err[0]), float(err[1])
 
 
 def _lag_products(rows, max_lag: int, divisor: float = 1.0) -> np.ndarray:
@@ -234,14 +217,6 @@ def _msd_rates(rows, spacing: float, t_min: float, t_max: float
         msd = _msd(row[None], lags)[0]
         slopes.append(np.sum(t * (msd - msd.mean())))
     return np.array(slopes) / (2.0 * np.sum(t * t))
-
-
-def _initial_rate_guess(c, dt):
-    """Decay-rate seed: first 1/e crossing, else one sample interval."""
-    below = np.nonzero(c < c[0] / np.e)[0]
-    if below.size and below[0] > 0:
-        return 1.0 / (below[0] * dt)
-    return 1.0 / dt
 
 
 # The fit-window rules, one owner each: the MSD fits, the Green-Kubo estimator

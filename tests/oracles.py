@@ -59,6 +59,15 @@ def recurrence_loop(u, decay):
     return v
 
 
+def _initial_rate_guess(c, dt):
+    """Decay-rate seed for curve_fit: first 1/e crossing, else one sample
+    interval."""
+    below = np.nonzero(c < c[0] / np.e)[0]
+    if below.size and below[0] > 0:
+        return 1.0 / (below[0] * dt)
+    return 1.0 / dt
+
+
 def curve_fit_exponential(tau, c, p0):
     """curve_fit of amp * exp(-rate * tau) to c from p0: (popt, perr)."""
     popt, pcov = curve_fit(lambda t, amp, rate: amp * np.exp(-rate * t),

@@ -6,9 +6,10 @@ from windrift import (OUPropagator, ThermalEnv, TorusGeometry,
                       collective_normals, einstein_diffusion_check,
                       rate_from_green_kubo, rate_from_msd, run_replica,
                       run_winding, substream, velocity_autocorrelation)
-from windrift.langevin import _initial_rate_guess, _lag_products, _msd
+from windrift.langevin import _lag_products, _msd
 
-from oracles import (curve_fit_exponential, free_langevin_noise_free,
+from oracles import (_initial_rate_guess, curve_fit_exponential,
+                     free_langevin_noise_free,
                      green_kubo_rates_copied_rows, lag_products_loop,
                      msd_loop, winding_variance)
 
