@@ -106,7 +106,8 @@ def velocity_autocorrelation(series, dt: float, max_lag: int
     dt : float
         Sample spacing.
     max_lag : int
-        Largest lag (in samples); series length must be >= 10 * max_lag.
+        Largest lag (in samples), at least 2; series length must be
+        >= 10 * max_lag.
 
     Returns
     -------
@@ -114,6 +115,9 @@ def velocity_autocorrelation(series, dt: float, max_lag: int
         Lag times, unbiased product averages, and the fitted
         amplitude/decay with standard errors (_fit_exponential).
     """
+    if max_lag < 2:
+        raise ValueError(f"max_lag must be >= 2, got {max_lag}: a "
+                         f"two-parameter fit needs three lags or more")
     series = np.atleast_2d(np.asarray(series, dtype=float))
     n = series.shape[1]
     if n < 10 * max_lag:
@@ -244,8 +248,12 @@ def _fit_lags(t_min: float, t_max: float, spacing: float,
 
 
 def _cutoff_lag(cutoff: float, dt: float, n_samples: int) -> int:
-    """Green-Kubo cutoff in steps; it must stay below the series length."""
+    """Green-Kubo cutoff in steps; it must reach lag 1 and stay below the
+    series length."""
     lag_max = int(round(cutoff / dt))
+    if lag_max < 1:
+        raise ValueError(f"cutoff {cutoff} rounds to lag 0 at step {dt}; "
+                         f"the sum needs at least one lag")
     if lag_max >= n_samples:
         raise ValueError(f"cutoff {cutoff} (lag {lag_max}) exceeds series "
                          f"length {n_samples}")

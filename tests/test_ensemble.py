@@ -849,6 +849,11 @@ class TestGreenKuboEstimator:
         with pytest.raises(ValueError):
             rate_from_green_kubo(np.zeros(100), dt=0.1, cutoff=20.0)
 
+    def test_cutoff_below_one_step_refused(self):
+        # 0.04 rounds to lag 0 at dt = 0.1, which leaves only C(0) dt / 2
+        with pytest.raises(ValueError, match="cutoff"):
+            rate_from_green_kubo(np.zeros(100), dt=0.1, cutoff=0.04)
+
 
 class TestPerRowRates:
     """A stacked call's per_row equals one single-row call per replica."""

@@ -149,6 +149,13 @@ class TestVelocityAutocorrelation:
         with pytest.raises(ValueError):
             velocity_autocorrelation(np.zeros(99), 0.1, max_lag=10)
 
+    @pytest.mark.parametrize("max_lag", [0, 1])
+    def test_rejects_max_lag_below_two(self, max_lag):
+        # amplitude and rate from max_lag + 1 points need n - 2 > 0
+        rows = np.random.default_rng(5).normal(size=(2, 100))
+        with pytest.raises(ValueError, match="max_lag"):
+            velocity_autocorrelation(rows, 0.1, max_lag=max_lag)
+
 
 class TestLagProductKernel:
     """The ACF and Green-Kubo lag products against an explicit double loop."""
