@@ -243,6 +243,10 @@ def _simulation(v: dict, subcommand: str) -> dict:
     if pop["mode"] == "fixed" and pop["n_v"] != pop["n_a"]:
         raise ConfigError("'population.n_v' must equal 'population.n_a' "
                           "(neutral ensemble)")
+    if pop["mode"] != "fixed" and env.temperature == 0.0:
+        raise ConfigError(f"'env.temperature' must be > 0 for population "
+                          f"mode '{pop['mode']}': its counts follow the "
+                          f"Boltzmann weight e^(-f0/T)")
     dt, total_time, stride = v["dt"], v["total_time"], v["sample_stride"]
     if total_time < dt:
         raise ConfigError("'total_time' must be at least one step 'dt'")

@@ -11,8 +11,9 @@ import pytest
 
 import windrift
 from windrift import cli
-from windrift import (ConfigError, parse_config, rate_from_green_kubo,
-                      rate_from_msd)
+from windrift import (ConfigError, collective_normals, parse_config,
+                      rate_from_green_kubo, rate_from_msd, run_winding,
+                      substream)
 from windrift.cli import format_float, json_text, main, run, write_csv
 
 MINIMAL_RATES = {
@@ -136,6 +137,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match="'green_kubo_cutoff'"):
             parse_config(config_text(green_kubo_cutoff=60.0), "rates")
         parse_config(config_text(green_kubo_cutoff=60.0), "simulate")
+
+    def test_green_kubo_cutoff_below_one_step_names_key(self):
+        # dt = 0.1: a cutoff of 0.04 rounds to lag 0, 0.06 to lag 1
+        with pytest.raises(ConfigError, match="'green_kubo_cutoff'"):
+            parse_config(config_text(green_kubo_cutoff=0.04), "rates")
+        parse_config(config_text(green_kubo_cutoff=0.06), "rates")
+
+    @pytest.mark.parametrize("subcommand", ["rates", "simulate"])
+    @pytest.mark.parametrize("population", [
+        {"mode": "boltzmann", "f0": 0.5}, {"mode": "mean", "f0": 0.5}])
+    def test_sampled_population_at_zero_temperature_names_key(
+            self, subcommand, population):
+        with pytest.raises(ConfigError, match="'env.temperature'"):
+            parse_config(config_text(
+                env={"mass": 1.0, "eta": 2.0, "temperature": 0.0},
+                population=population), subcommand)
 
     @pytest.mark.parametrize("total_time,stride,fit,cutoff", [
         (60.0, 2, {}, 10.0), (60.0, 7, {"t_max": 5.6}, 10.0),
@@ -367,6 +384,36 @@ class TestRunRates:
         run(cfg, lanes=3, output_dir=tmp_path)
         assert read_without_timestamp(tmp_path / "summary.json") == \
             read_without_timestamp(out / "summary.json")
+
+    def test_summary_matches_stacked_estimators(self, tmp_path):
+        # each replica redrawn from its own stream, then one estimator call
+        # per axis on all replicas' rows
+        cfg = parse_config(config_text(
+            geometry={"l_x": 20.0, "l_y": 10.0}, burn_in=5.0, replicas=5,
+            population={"mode": "fixed", "n_v": 3, "n_a": 3}), "rates")
+        summary = run(cfg, lanes=2, output_dir=tmp_path)
+        steps = cfg.burn_in_steps + cfg.n_steps
+        results = [run_winding(
+            cfg.env, cfg.geometry, 3, 3, cfg.dt, cfg.n_steps,
+            normals=collective_normals(substream(cfg.master_seed, r), 6,
+                                       steps),
+            sample_stride=cfg.sample_stride,
+            burn_in_steps=cfg.burn_in_steps) for r in range(5)]
+        for i, axis in enumerate(("x", "y")):
+            expected = {
+                "msd": rate_from_msd(
+                    results[0].times, [res.alpha[i] for res in results],
+                    (cfg.fit_t_min, cfg.fit_t_max), gamma=cfg.env.gamma),
+                "green_kubo": rate_from_green_kubo(
+                    [res.inc[i] for res in results], cfg.dt, cfg.gk_cutoff)}
+            for method, est in expected.items():
+                reported = summary["rates"][axis][method]
+                assert (reported["gamma"], reported["stderr"]) == \
+                    (est.gamma_rate, est.stderr)
+                assert summary["per_replica_rates"][axis][method] == \
+                    est.per_row.tolist()
+            assert summary[f"final_alpha_{axis}"] == \
+                [res.final_alpha[i] for res in results]
 
     def test_seed_changes_results(self, run_dir, tmp_path):
         out, _ = run_dir
