@@ -376,17 +376,15 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
             # the carried position heads the chunk's running sum, so the
             # positions are one sequential sum whatever the chunk size
             dxy[0] += pos_unwrapped
+            np.cumsum(dxy, axis=0, out=dxy)
             if recording and position_stride:
-                np.cumsum(dxy, axis=0, out=dxy)
                 # rows where the global 1-based step index hits the
                 # stride, records done // stride up to (done + m) // stride
                 start = (position_stride - 1 - done) % position_stride
                 positions[done // position_stride:
                           (done + m) // position_stride] = \
                     dxy[start::position_stride]
-                pos_unwrapped = dxy[-1].copy()
-            else:
-                pos_unwrapped = dxy.sum(axis=0)
+            pos_unwrapped = dxy[-1].copy()
         state.vel = vseq[-1].copy()
         del vseq, dxy  # the last chunk is not kept through the tail
 
