@@ -44,12 +44,13 @@ results are bit-identical for any worker count.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .langevin import (OUPropagator, ThermalEnv, _check_fit_start,
-                       _cutoff_lag, _lag_products, _msd_rates)
+                       _cutoff_lag, _msd_rates)
 from .rng import substream
 
 
@@ -579,14 +580,48 @@ def rate_from_green_kubo(increments, dt: float,
     The rectangle sum telescopes to the exact long-time MSD growth rate
     for any dt, so no small-dt extrapolation is needed.
 
+    Gamma is linear in the lag products, so by Wiener-Khinchin it is the
+    power spectrum |F|^2 of each row, zero-padded so that no lag wraps,
+    contracted with a fixed kernel (_green_kubo_kernel): one forward
+    transform of all rows at once, no inverse transform and no lag array.
+    The contraction is an elementwise product summed along each row, so a
+    row's rate does not depend on the rows beside it.
+
     increments are (R, N) per-replica rows, and a single (N,) series is
     one replica (stderr 0); per_row of the result holds each row's rate.
     """
     rows = np.atleast_2d(np.asarray(increments, dtype=float))
-    lag_max = _cutoff_lag(cutoff, dt, rows.shape[1])
-    acf = _lag_products(rows, lag_max, divisor=dt)
-    rates = dt * (0.5 * acf[:, 0] + acf[:, 1:].sum(axis=1))
-    return _estimate(rates, "GreenKubo")
+    n = rows.shape[1]
+    lag_max = _cutoff_lag(cutoff, dt, n)
+    size = 1 << int(n + lag_max - 1).bit_length()
+    f = np.fft.rfft(rows, n=size, axis=1)
+    power = f.real**2
+    power += f.imag**2
+    del f
+    power *= _green_kubo_kernel(n, lag_max, size, dt)
+    return _estimate(power.sum(axis=1), "GreenKubo")
+
+
+@lru_cache(maxsize=4)
+def _green_kubo_kernel(n: int, lag_max: int, size: int,
+                       dt: float) -> np.ndarray:
+    """K with rate = sum_m |F_m|^2 K_m over the size // 2 + 1 frequencies of
+    a row's size-point rfft.
+
+    The rate is sum_k w_k S_k / dt over the lag sums S_k = sum_j x[j]
+    x[j+k], with w_0 = 0.5/n and w_k = 1/(n-k) for 1 <= k <= lag_max.
+    S_k = (1/size) sum_m |F_m|^2 e^(2 pi i m k / size), and |F|^2 is real
+    and even, so K_m = c_m Re[rfft(w)]_m / (size dt), c_m = 1 at m = 0 and
+    m = size/2 and 2 between them. Built once per shape and read-only.
+    """
+    w = np.zeros(size)
+    w[:lag_max + 1] = 1.0 / (n - np.arange(lag_max + 1))
+    w[0] *= 0.5
+    kernel = np.fft.rfft(w).real
+    kernel[1:-1] *= 2.0
+    kernel /= size * dt
+    kernel.flags.writeable = False
+    return kernel
 
 
 def pool_replicas(estimates) -> Tuple[RateEstimate, ...]:

@@ -175,18 +175,19 @@ def _fit_exponential(tau, c):
     return float(amp), float(rate), float(err[0]), float(err[1])
 
 
-def _lag_products(rows, max_lag: int, divisor: float = 1.0) -> np.ndarray:
-    """Unbiased sum_j x[j] x[j+k] / (n-k) of x = row / divisor:
+def _lag_products(rows, max_lag: int) -> np.ndarray:
+    """Unbiased lag products sum_j x[j] x[j+k] / (n-k) of each row x:
     (R, n) -> (R, max_lag + 1), row by row as the inverse FFT of |F|^2
-    (Wiener-Khinchin). Each row is divided straight into one reused row,
-    zero-padded to a power of two >= n + max_lag so that no lag wraps
-    around; dividing by 1 is exact."""
+    (Wiener-Khinchin). Each row is copied into one reused row, zero-padded
+    to a power of two >= n + max_lag so that no lag wraps around. The
+    velocity ACF and the MSD read every lag; Green-Kubo, which only sums
+    them, contracts |F|^2 directly (ensemble.rate_from_green_kubo)."""
     n = rows.shape[1]
     size = 1 << int(n + max_lag - 1).bit_length()
     padded = np.zeros(size)
     out = np.empty((len(rows), max_lag + 1))
     for i, row in enumerate(rows):
-        np.divide(row, divisor, out=padded[:n])
+        padded[:n] = row
         f = np.fft.rfft(padded)
         out[i] = np.fft.irfft(f.real**2 + f.imag**2, size)[:max_lag + 1]
     out /= n - np.arange(max_lag + 1)

@@ -91,18 +91,18 @@ def lag_products_loop(rows, max_lag):
     return np.array(out)
 
 
-def green_kubo_rates_copied_rows(rows, dt, max_lag):
-    """Per-row Green-Kubo rates from a rows / dt copy, zero-padded by
-    rfft itself; rate_from_green_kubo must match them bit for bit."""
-    rows = rows / dt
-    n = rows.shape[1]
-    size = 1 << int(n + max_lag - 1).bit_length()
-    acf = np.empty((len(rows), max_lag + 1))
-    for i, row in enumerate(rows):
-        f = np.fft.rfft(row, size)
-        acf[i] = np.fft.irfft(f.real**2 + f.imag**2, size)[:max_lag + 1]
-    acf /= n - np.arange(max_lag + 1)
-    return dt * (0.5 * acf[:, 0] + acf[:, 1:].sum(axis=1))
+def green_kubo_rates_longdouble(rows, dt, max_lag):
+    """Per-row Green-Kubo rates dt (C(0)/2 + sum_{1<=k<=max_lag} C(k)) of
+    C(k) = sum_j (x[j]/dt)(x[j+k]/dt) / (n-k), one dot product per lag,
+    all in np.longdouble."""
+    out = []
+    for row in np.asarray(rows, dtype=np.longdouble):
+        n = len(row)
+        sums = [np.dot(row[:n - k], row[k:]) for k in range(max_lag + 1)]
+        rate = sums[0] / (2 * n) + sum(sums[k] / (n - k)
+                                       for k in range(1, max_lag + 1))
+        out.append(rate / np.longdouble(dt))
+    return np.array(out)
 
 
 def msd_loop(rows, lags):

@@ -854,6 +854,30 @@ class TestGreenKuboEstimator:
         with pytest.raises(ValueError, match="cutoff"):
             rate_from_green_kubo(np.zeros(100), dt=0.1, cutoff=0.04)
 
+    def test_no_inverse_transform(self, monkeypatch):
+        # the rate is a contraction of the power spectrum, not a sum over
+        # an inverse-transformed autocorrelation
+        def refuse(*args, **kwargs):
+            raise AssertionError("inverse FFT called")
+
+        monkeypatch.setattr(np.fft, "irfft", refuse)
+        inc = np.random.default_rng(3).normal(size=(2, 1000))
+        assert rate_from_green_kubo(inc, dt=0.1, cutoff=1.0).gamma_rate > 0.0
+
+    def test_kernel_cached_per_shape(self):
+        kernel = ensemble._green_kubo_kernel
+        kernel.cache_clear()
+        inc = np.random.default_rng(4).normal(size=(2, 1000))
+        first = rate_from_green_kubo(inc, dt=0.1, cutoff=1.0)
+        assert (kernel.cache_info().hits, kernel.cache_info().misses) == (0, 1)
+        again = rate_from_green_kubo(inc[::-1], dt=0.1, cutoff=1.0)
+        assert (kernel.cache_info().hits, kernel.cache_info().misses) == (1, 1)
+        assert again.per_row.tolist() == first.per_row[::-1].tolist()
+        for other in ((inc[:, :900], 0.1, 1.0), (inc, 0.1, 2.0),
+                      (inc, 0.2, 2.0)):
+            rate_from_green_kubo(*other)
+        assert (kernel.cache_info().hits, kernel.cache_info().misses) == (1, 4)
+
 
 class TestPerRowRates:
     """A stacked call's per_row equals one single-row call per replica."""

@@ -10,7 +10,7 @@ from windrift.langevin import _lag_products, _msd
 
 from oracles import (_initial_rate_guess, curve_fit_exponential,
                      free_langevin_noise_free,
-                     green_kubo_rates_copied_rows, lag_products_loop,
+                     green_kubo_rates_longdouble, lag_products_loop,
                      msd_loop, winding_variance)
 
 
@@ -185,14 +185,15 @@ class TestLagProductKernel:
         assert np.allclose(est.per_row, expected, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("n", [7, 50_000, 100_000])
-    def test_green_kubo_bits_equal_copied_rows(self, n):
-        # dividing into the padded row is the same IEEE division, and the
-        # transform sees the same zero-padded input as rfft(row / dt, size)
+    def test_green_kubo_matches_longdouble_lags(self, n):
+        # the spectral contraction against one extended-precision dot
+        # product per lag, at the bound of the loop comparison above
         dt, cutoff = 0.1, 0.5
         rows = np.random.default_rng(n).normal(0.0, 0.05, size=(2, n))
         est = rate_from_green_kubo(rows, dt=dt, cutoff=cutoff)
-        expected = green_kubo_rates_copied_rows(rows, dt, 5)
-        assert np.array_equal(est.per_row, expected)
+        expected = green_kubo_rates_longdouble(rows, dt, 5)
+        assert np.allclose(est.per_row, expected.astype(float), rtol=1e-14,
+                           atol=0.0)
 
 
 class TestAllOriginMsd:
