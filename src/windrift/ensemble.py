@@ -374,18 +374,24 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
                 vel_series[done:done + m] = \
                     vseq[:, :velocity_series_walkers, 1]
                 (vseq[:, :, 1] ** 2).sum(axis=1, out=vy2_sums[done:done + m])
-            # the carried position heads the chunk's running sum, so the
-            # positions are one sequential sum whatever the chunk size
-            dxy[0] += pos_unwrapped
-            np.cumsum(dxy, axis=0, out=dxy)
-            if recording and position_stride:
-                # rows where the global 1-based step index hits the
-                # stride, records done // stride up to (done + m) // stride
-                start = (position_stride - 1 - done) % position_stride
-                positions[done // position_stride:
-                          (done + m) // position_stride] = \
-                    dxy[start::position_stride]
-            pos_unwrapped = dxy[-1].copy()
+            # the positions are block sums: a block ends at each row where
+            # the global 1-based step index hits the stride (records
+            # done // stride on), and the rows after the last record, or
+            # the whole chunk, form one more. The carried position heads
+            # each block's sum, so the positions are one sequential sum
+            # whatever the chunk size, as a running sum would give them
+            stops = (range((position_stride - 1 - done) % position_stride
+                           + 1, m + 1, position_stride)
+                     if recording and position_stride else ())
+            head = 0
+            for i, stop in enumerate(stops):
+                dxy[head] += pos_unwrapped
+                pos_unwrapped = dxy[head:stop].sum(
+                    axis=0, out=positions[done // position_stride + i])
+                head = stop
+            if head < m:
+                dxy[head] += pos_unwrapped
+                pos_unwrapped = dxy[head:].sum(axis=0)
         state.vel = vseq[-1].copy()
         del vseq, dxy  # the last chunk is not kept through the tail
 

@@ -120,6 +120,17 @@ def e_squared_numeric_angle_average(r, speed, scales, c_light, n_angles=512):
     return float(np.mean(e[:, 0] ** 2 + e[:, 1] ** 2))
 
 
+def _step_walkers(state, prop, rng):
+    """One stepwise propagator step of every walker's velocity, in place;
+    returns the step's (n, 2) pre-wrap displacements."""
+    noise = rng.standard_normal((len(state.charges), 2, 2))
+    n1 = noise[..., 0]
+    n2 = noise[..., 1]
+    dxy = prop.drift * state.vel + prop.c1 * n1 + prop.c2 * n2
+    state.vel = prop.decay * state.vel + prop.sigma_v * n1
+    return dxy
+
+
 def step_ensemble(state, geometry, dt, env, rng):
     """Stepwise reference for run_replica: advance every walker by one dt.
 
@@ -130,20 +141,25 @@ def step_ensemble(state, geometry, dt, env, rng):
     position noise. The chunked engine must reproduce this bit for bit.
     """
     from windrift.langevin import OUPropagator
-    prop = OUPropagator.build(env, dt)
-    n = len(state.charges)
-    if n:
-        noise = rng.standard_normal((n, 2, 2))
-        n1 = noise[..., 0]
-        n2 = noise[..., 1]
-        dxy = prop.drift * state.vel + prop.c1 * n1 + prop.c2 * n2
-        state.vel = prop.decay * state.vel + prop.sigma_v * n1
+    if len(state.charges):
+        dxy = _step_walkers(state, OUPropagator.build(env, dt), rng)
         state.pos = (state.pos + dxy) % [geometry.l_x, geometry.l_y]
         state.alpha_x = (state.alpha_x
                          + (state.charges * dxy[:, 1]).sum() / geometry.l_y)
         state.alpha_y = (state.alpha_y
                          + (state.charges * dxy[:, 0]).sum() / geometry.l_x)
     return state
+
+
+def running_sum_positions(state, dt, env, rng, n_steps):
+    """Unwrapped positions from state.pos on, after each of n_steps
+    stepwise steps, (n_steps + 1, n, 2): one cumsum over the whole series
+    of displacements headed by state.pos."""
+    from windrift.langevin import OUPropagator
+    prop = OUPropagator.build(env, dt)
+    series = [state.pos] + [_step_walkers(state, prop, rng)
+                            for _ in range(n_steps)]
+    return np.cumsum(series, axis=0)
 
 
 def winding_two_draws(env, geometry, n_v, n_a, dt, n_steps, rng, *,

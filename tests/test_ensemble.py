@@ -20,8 +20,9 @@ from windrift import (SimulationState, ThermalEnv, TorusGeometry,
 from windrift import cli, ensemble
 from windrift.langevin import OUPropagator
 
-from oracles import (recurrence_loop, step_ensemble, synthetic_brownian_alpha,
-                     winding_two_draws, winding_variance)
+from oracles import (recurrence_loop, running_sum_positions, step_ensemble,
+                     synthetic_brownian_alpha, winding_two_draws,
+                     winding_variance)
 
 
 def drift_state(velocities, charges):
@@ -189,6 +190,26 @@ class TestEngineEquivalence:
         # each step's v_y^2 sum is one row's reduction, so callers group
         # the same sums into blocks of any length
         assert np.array_equal(a.chunk_vy2_sums, b.chunk_vy2_sums)
+
+    @pytest.mark.parametrize("stride", [4, 13])
+    def test_positions_equal_whole_series_running_sum(
+            self, square_torus, basic_env, stride, monkeypatch):
+        # chunks of 11 steps after 9 burn-in steps: blocks straddle chunk
+        # ends, and at stride 13 some chunks record nothing
+        chunks = force_chunk_steps(monkeypatch, 11, 6)
+        dt, n_steps, burn_in, seed = 0.05, 100, 9, 31
+        res = run_replica(basic_env, square_torus, 3, 3, dt, n_steps,
+                          master_seed=seed, stream_id=2,
+                          burn_in_steps=burn_in, position_stride=stride)
+        assert chunks == [11] * 9 + [1]
+        rng = substream(seed, 2)
+        state = initial_state(basic_env, square_torus, 3, 3, rng)
+        pos = running_sum_positions(state, dt, basic_env, rng,
+                                    burn_in + n_steps)
+        assert res.positions.shape == (n_steps // stride, 6, 2)
+        assert np.array_equal(res.positions, pos[burn_in + stride::stride])
+        assert np.array_equal(res.state.pos,
+                              pos[-1] % [square_torus.l_x, square_torus.l_y])
 
     def test_seed_determinism(self, square_torus, basic_env):
         a = run_replica(basic_env, square_torus, 4, 4, 0.05, 50,
