@@ -133,12 +133,14 @@ def _fit_exponential(tau, c):
     Numer. Anal. 10, 413 (1973)).
 
     For a given rate, with e = exp(-rate * tau), the best amplitude is
-    (c.e)/(e.e) and SSR = c.c - P with P = (c.e)^2/(e.e), so the rate
-    maximises P alone. The largest P on a log grid of rates from
-    1e-3/tau[-1] to 1e3/tau[1] is refined by golden-section search in
-    log rate between its grid neighbours. A series that has not decayed
-    by tau[-1] puts the maximum at the low end of that grid; on white
-    noise P is flat at the high end, so any large rate fits equally well.
+    a = (c.e)/(e.e) and SSR = c.c - P with P = (c.e)^2/(e.e), so the rate
+    maximises P alone, where dP/drate = -2a (c - a e).(tau e). The largest
+    P on a log grid of rates from 1e-3/tau[-1] to 1e3/tau[1] brackets the
+    rate between its grid neighbours, and bisection on the sign of that
+    slope narrows the bracket until its midpoint rounds to an end. A
+    series that has not decayed by tau[-1] puts the maximum at the low
+    end of that grid; on white noise P is flat at the high end, so any
+    large rate fits equally well.
 
     Returns (amplitude, rate, amplitude_err, rate_err), the errors from
     inv(J^T J) * SSR / (n - 2), as scipy's curve_fit gives them, or inf
@@ -152,17 +154,20 @@ def _fit_exponential(tau, c):
         e = np.exp(-np.exp(log_rate) * tau)
         return (e @ c) ** 2 / (e @ e)
 
+    def rising(rate):
+        e = np.exp(-rate * tau)
+        amp = (e @ c) / (e @ e)
+        return -amp * ((c - amp * e) @ (tau * e)) > 0.0
+
     grid = np.linspace(np.log(1e-3 / tau[-1]), np.log(1e3 / tau[1]), 121)
     best = int(np.argmax([profile(x) for x in grid]))
-    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
-    shrink = (np.sqrt(5.0) - 1.0) / 2.0    # golden section
-    while hi - lo > 1e-13:
-        x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-        if profile(x1) >= profile(x2):
-            hi = x2
+    lo = np.exp(grid[max(best - 1, 0)])
+    hi = np.exp(grid[min(best + 1, len(grid) - 1)])
+    while lo < (rate := 0.5 * (lo + hi)) < hi:
+        if rising(rate):
+            lo = rate
         else:
-            lo = x1
-    rate = np.exp(0.5 * (lo + hi))
+            hi = rate
     e = np.exp(-rate * tau)
     amp = (e @ c) / (e @ e)
     r = amp * e - c
