@@ -374,12 +374,11 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
                 vel_series[done:done + m] = \
                     vseq[:, :velocity_series_walkers, 1]
                 (vseq[:, :, 1] ** 2).sum(axis=1, out=vy2_sums[done:done + m])
-            # the positions are block sums: a block ends at each row where
-            # the global 1-based step index hits the stride (records
-            # done // stride on), and the rows after the last record, or
-            # the whole chunk, form one more. The carried position heads
-            # each block's sum, so the positions are one sequential sum
-            # whatever the chunk size, as a running sum would give them
+            # a block ends at each row whose global 1-based step index hits
+            # the stride (records done // stride on); the rows after the
+            # last record, or the whole chunk, form one more. The carried
+            # position heads each block's sum, so the positions are one
+            # sequential sum whatever the chunk size
             stops = (range((position_stride - 1 - done) % position_stride
                            + 1, m + 1, position_stride)
                      if recording and position_stride else ())
