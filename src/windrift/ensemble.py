@@ -585,12 +585,10 @@ def rate_from_green_kubo(increments, dt: float,
     The rectangle sum telescopes to the exact long-time MSD growth rate
     for any dt, so no small-dt extrapolation is needed.
 
-    Gamma is linear in the lag products, so by Wiener-Khinchin it is the
-    power spectrum |F|^2 of each row, zero-padded so that no lag wraps,
-    contracted with a fixed kernel (_green_kubo_kernel): one forward
-    transform of all rows at once, no inverse transform and no lag array.
-    The contraction is an elementwise product summed along each row, so a
-    row's rate does not depend on the rows beside it.
+    Gamma is linear in the lag products, so by Wiener-Khinchin each row's
+    rate is its power spectrum |F|^2, zero-padded so that no lag wraps,
+    summed against a cached kernel (_green_kubo_kernel): one forward FFT
+    of all rows, and a row's rate does not depend on the rows beside it.
 
     increments are (R, N) per-replica rows, and a single (N,) series is
     one replica (stderr 0); per_row of the result holds each row's rate.
