@@ -19,10 +19,11 @@ walker, chunk by chunk, and can record velocities and positions; one
 helper thread draws the next chunk's normals while the current chunk
 propagates, and the chunks reuse fixed buffers. A chunk holds
 STEP_BYTES (13 doubles) per walker and step, and its length is the most
-steps that fit in CHUNK_BYTES (16 MiB), at least one: beyond the arrays
+steps that fit in CHUNK_BYTES (4 MiB), at least one: beyond the arrays
 it returns, run_replica holds at most CHUNK_BYTES whatever the walker
 count, unless one step of all walkers exceeds it. Among those arrays are
-the per-step v_y^2 sums and walker counts (16 bytes per recorded step).
+the per-step v_y^2 sums (8 bytes per recorded step); the per-step walker
+counts are one value broadcast read-only.
 run_winding propagates, over the whole series at once, only the
 charge-weighted sums V = sum q v and D = sum q dx per axis: the walkers do
 not interact and q^2 = 1, so (V, D) of n walkers at temperature T is
@@ -166,7 +167,7 @@ class ReplicaResult(WindingResult):
     state: SimulationState
     vel_series: np.ndarray       # (N, k) v_y of the first k walkers
     chunk_vy2_sums: np.ndarray   # (N,) sum of v_y^2 per step
-    chunk_counts: np.ndarray     # (N,) walkers per step
+    chunk_counts: np.ndarray     # (N,) walkers per step, read-only view
     positions: np.ndarray        # (P, n, 2) unwrapped, P = 0 unrecorded
     position_times: np.ndarray   # (P,)
 
@@ -176,9 +177,9 @@ class ReplicaResult(WindingResult):
 # temporary (1)
 STEP_BYTES = 13 * 8
 # bytes of chunk buffers run_replica may hold; each chunk then draws
-# CHUNK_BYTES / 26 normals whatever the walker count (below about 11 MB,
-# the per-chunk overhead of the helper thread shows in the wall time)
-CHUNK_BYTES = 16 << 20
+# CHUNK_BYTES / 26 normals whatever the walker count (about 161k, 4 ms of
+# draws; the helper hands a chunk off in 30-50 us)
+CHUNK_BYTES = 4 << 20
 
 
 def lfilter(v: np.ndarray, decay: float, *, stepwise: bool) -> np.ndarray:
@@ -344,7 +345,9 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
     The winding accumulators are zeroed after burn-in; sampled series
     start at (t=0, alpha=0) at the first recorded instant. With
     position_stride, unwrapped positions are recorded after every
-    position_stride-th recorded step.
+    position_stride-th recorded step. chunk_counts is the walker count n
+    at every recorded step, returned as a read-only broadcast of the one
+    value, so it holds no memory per step.
     """
     _check_steps(dt, n_steps, sample_stride, burn_in_steps)
     rng = substream(master_seed, stream_id)
@@ -401,7 +404,8 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
     return ReplicaResult(
         **vars(windings), n_v=n_v, n_a=n_a, state=state,
         vel_series=vel_series, chunk_vy2_sums=vy2_sums,
-        chunk_counts=np.full(n_steps, float(n)), positions=positions,
+        chunk_counts=np.broadcast_to(float(n), (n_steps,)),
+        positions=positions,
         position_times=record_steps * dt)
 
 

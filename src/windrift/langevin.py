@@ -180,22 +180,42 @@ def _fit_exponential(tau, c):
     return float(amp), float(rate), float(err[0]), float(err[1])
 
 
+# the largest transform _lag_products gives a whole row (unless max_lag
+# needs more); a longer row is cut into blocks
+LAG_BLOCK = 1 << 15
+
+
 def _lag_products(rows, max_lag: int) -> np.ndarray:
     """Unbiased lag products sum_j x[j] x[j+k] / (n-k) of each row x:
-    (R, n) -> (R, max_lag + 1), row by row as the inverse FFT of |F|^2
-    (Wiener-Khinchin). Each row is copied into one reused row, zero-padded
-    to a power of two >= n + max_lag so that no lag wraps around. The
-    velocity ACF and the MSD read every lag; Green-Kubo, which only sums
-    them, contracts |F|^2 directly (ensemble.rate_from_green_kubo)."""
+    (R, n) -> (R, max_lag + 1), row by row by FFT (Wiener-Khinchin), every
+    transform zero-padded so that no lag wraps around. The velocity ACF
+    and the MSD read every lag; Green-Kubo, which only sums them,
+    contracts |F|^2 directly (ensemble.rate_from_green_kubo).
+
+    The sums run by overlap-save over blocks of M - max_lag samples, M
+    being the transform size: a block's products with itself and the next
+    max_lag samples are the inverse FFT of conj(F_block) F_segment, and a
+    block that reaches the row's end is its own segment, |F_block|^2. M is
+    the power of two >= n + max_lag, which makes the row one block, but at
+    most the larger of LAG_BLOCK and the power of two above 2 * max_lag,
+    so the transient memory is O(LAG_BLOCK + max_lag) whatever n.
+    """
     n = rows.shape[1]
-    size = 1 << int(n + max_lag - 1).bit_length()
-    padded = np.zeros(size)
-    out = np.empty((len(rows), max_lag + 1))
+    lags = max_lag + 1
+    size = min(1 << int(n + max_lag - 1).bit_length(),
+               max(LAG_BLOCK, 1 << int(2 * max_lag).bit_length()))
+    step = size - max_lag
+    out = np.zeros((len(rows), lags))
     for i, row in enumerate(rows):
-        padded[:n] = row
-        f = np.fft.rfft(padded)
-        out[i] = np.fft.irfft(f.real**2 + f.imag**2, size)[:max_lag + 1]
-    out /= n - np.arange(max_lag + 1)
+        for start in range(0, n, step):
+            f = np.fft.rfft(row[start:start + step], size)
+            if start + step < n:
+                spectrum = np.fft.rfft(row[start:start + size], size)
+                spectrum *= np.conjugate(f, out=f)
+            else:
+                spectrum = f.real**2 + f.imag**2
+            out[i] += np.fft.irfft(spectrum, size)[:lags]
+    out /= n - np.arange(lags)
     return out
 
 

@@ -6,9 +6,13 @@ Langevin oracles are closed-form solutions, the winding oracles are
 direct random-walk constructions, and the exponential fit is scipy's
 curve_fit. The exceptions are step_ensemble and recurrence_loop, the
 step-by-step references that the engines must match bit for bit
-(run_replica) or to rounding (run_winding's doubling scan), and
-winding_two_draws, the collective engine as it drew its own normals.
+(run_replica) or to rounding (run_winding's doubling scan),
+winding_two_draws, the collective engine as it drew its own normals, and
+lag_products_whole_row, the one-transform lag products that short rows
+must still match bit for bit. traced_peak measures rather than predicts.
 """
+
+import tracemalloc
 
 import numpy as np
 from scipy.integrate import quad
@@ -89,6 +93,31 @@ def lag_products_loop(rows, max_lag):
         out.append([sum(row[j] * row[j + k] for j in range(n - k)) / (n - k)
                     for k in range(max_lag + 1)])
     return np.array(out)
+
+
+def lag_products_whole_row(rows, max_lag):
+    """Unbiased lag products as the inverse FFT of each whole row's |F|^2,
+    zero-padded to a power of two >= n + max_lag."""
+    n = rows.shape[1]
+    size = 1 << int(n + max_lag - 1).bit_length()
+    padded = np.zeros(size)
+    out = np.empty((len(rows), max_lag + 1))
+    for i, row in enumerate(rows):
+        padded[:n] = row
+        f = np.fft.rfft(padded)
+        out[i] = np.fft.irfft(f.real**2 + f.imag**2, size)[:max_lag + 1]
+    out /= n - np.arange(max_lag + 1)
+    return out
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, peak bytes that tracemalloc saw while fn ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def green_kubo_rates_longdouble(rows, dt, max_lag):

@@ -4,7 +4,6 @@ import resource
 import sys
 import threading
 import time
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,12 +16,12 @@ from windrift import (SimulationState, ThermalEnv, TorusGeometry,
                       predicted_rate, rate_from_green_kubo, rate_from_msd,
                       run_replica, run_winding, sample_population,
                       substream)
-from windrift import cli, ensemble
+from windrift import cli, ensemble, langevin
 from windrift.langevin import OUPropagator
 
 from oracles import (recurrence_loop, running_sum_positions, step_ensemble,
-                     synthetic_brownian_alpha, winding_two_draws,
-                     winding_variance)
+                     synthetic_brownian_alpha, traced_peak,
+                     winding_two_draws, winding_variance)
 
 
 def drift_state(velocities, charges):
@@ -605,16 +604,6 @@ class TestPrefetched:
         assert threading.active_count() == before
 
 
-def traced_peak(fn, *args, **kwargs):
-    """(result, peak bytes that tracemalloc saw while fn ran)."""
-    tracemalloc.start()
-    try:
-        out = fn(*args, **kwargs)
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestMemoryBounds:
     """Peak working memory of the engines, in doubles (tracemalloc)."""
 
@@ -660,7 +649,7 @@ class TestMemoryBounds:
                                                       stride):
         # the chunk buffers hold STEP_BYTES per walker and step, as many
         # steps as fit in CHUNK_BYTES; fresh arrays for every chunk would
-        # reach 14/13 of it. A chunk is 80,659 steps at 2 walkers and 80
+        # reach 14/13 of it. A chunk is 20,164 steps at 2 walkers and 20
         # at 2,000. Positions go straight into the returned array: at
         # stride 5, 17.6 MB of them, per-chunk copies would add as much
         env, geo = ThermalEnv(2.0, 2.0, 4.0), TorusGeometry(100.0, 100.0)
@@ -673,6 +662,32 @@ class TestMemoryBounds:
                    if isinstance(a, np.ndarray))
         steps = ensemble.CHUNK_BYTES // (ensemble.STEP_BYTES * n)
         assert n_steps > steps      # the run spans more than one chunk
+        assert peak - kept <= ensemble.CHUNK_BYTES * 13.5 / 13
+
+    def test_diagnostics_sequence_transient_within_budget(self):
+        # the diagnostics path: one recorded replica, then the velocity ACF
+        # and the Einstein check on what it returned. The chunk buffers are
+        # freed at return, and the ACF of 8 rows of 1e5 samples (longer
+        # than one lag transform) and the Einstein check stay under them
+        env, geo = ThermalEnv(2.0, 2.0, 4.0), TorusGeometry(100.0, 100.0)
+        dt, n_steps, stride, max_lag = 0.01, 100_000, 50, 400
+
+        def diagnostics():
+            res = run_replica(env, geo, 50, 50, dt, n_steps, master_seed=3,
+                              burn_in_steps=5_000, init_velocities="zero",
+                              velocity_series_walkers=8,
+                              position_stride=stride)
+            langevin.velocity_autocorrelation(res.vel_series.T, dt, max_lag)
+            langevin.einstein_diffusion_check(res.positions, dt * stride,
+                                              env)
+            return res
+
+        res, peak = traced_peak(diagnostics)
+        # chunk_counts is a broadcast view that owns no memory
+        kept = sum(a.nbytes for a in (*vars(res).values(), res.state.pos,
+                                      res.state.vel, res.state.charges)
+                   if isinstance(a, np.ndarray) and a.base is None)
+        assert n_steps + max_lag > langevin.LAG_BLOCK
         assert peak - kept <= ensemble.CHUNK_BYTES * 13.5 / 13
 
     @staticmethod

@@ -6,12 +6,14 @@ from windrift import (OUPropagator, ThermalEnv, TorusGeometry,
                       collective_normals, einstein_diffusion_check,
                       rate_from_green_kubo, rate_from_msd, run_replica,
                       run_winding, substream, velocity_autocorrelation)
+from windrift import langevin
 from windrift.langevin import _lag_products, _msd
 
 from oracles import (_initial_rate_guess, curve_fit_exponential,
                      free_langevin_noise_free,
                      green_kubo_rates_longdouble, lag_products_loop,
-                     msd_loop, winding_variance)
+                     lag_products_whole_row, msd_loop, traced_peak,
+                     winding_variance)
 
 
 def noise_free_step(env, dt, pos, vel):
@@ -194,6 +196,56 @@ class TestLagProductKernel:
         expected = green_kubo_rates_longdouble(rows, dt, 5)
         assert np.allclose(est.per_row, expected.astype(float), rtol=1e-14,
                            atol=0.0)
+
+
+class TestOverlapSaveLagProducts:
+    """Rows longer than one lag transform, summed block by block."""
+
+    @pytest.mark.parametrize("n,max_lag", [(301, 30), (130, 31), (35, 30),
+                                           (1_000, 2)])
+    def test_blocks_match_loop(self, monkeypatch, n, max_lag):
+        # 64-point transforms: blocks of 34, 33, 34 and 62 samples, none
+        # dividing n, and max_lag up to one sample short of the block. The
+        # velocities (rms 0.5) drift at mean 2, so that no lag product sits
+        # near 0, where the transforms' rounding, which scales with C(0),
+        # would exceed an elementwise rtol
+        monkeypatch.setattr(langevin, "LAG_BLOCK", 64)
+        assert n + max_lag > 64
+        rows = 2.0 + ou_series(1.0, 0.25, 0.05, n,
+                               np.random.default_rng(n), n_rows=3)
+        np.testing.assert_allclose(_lag_products(rows, max_lag),
+                                   lag_products_loop(rows, max_lag),
+                                   rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n,max_lag", [(40, 39), (2_001, 200),
+                                           (20_001, 12_767), (32_368, 400)])
+    def test_one_transform_rows_unchanged(self, n, max_lag):
+        # up to n + max_lag = 2^15 a row is still one whole-row transform,
+        # bit for bit: the Einstein and rates MSD rows keep their values
+        rows = ou_series(1.0, 2.0, 0.05, n, np.random.default_rng(n),
+                         n_rows=2)
+        assert np.array_equal(_lag_products(rows, max_lag),
+                              lag_products_whole_row(rows, max_lag))
+
+    def test_first_blocked_row_matches_whole_row(self):
+        # one sample past a single transform, at the shipped block size
+        # (drifting as in test_blocks_match_loop)
+        n, max_lag = langevin.LAG_BLOCK - 399, 400
+        rows = 2.0 + ou_series(1.0, 0.25, 0.05, n, np.random.default_rng(3),
+                               n_rows=2)
+        np.testing.assert_allclose(_lag_products(rows, max_lag),
+                                   lag_products_whole_row(rows, max_lag),
+                                   rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n", [100_000, 400_000])
+    def test_acf_peak_bounded_by_block(self, n):
+        # the block's and the segment's transforms and the inverse, each
+        # about LAG_BLOCK doubles, with room for the output rows and the
+        # fit; the bound does not grow with the row length (whole-row
+        # transforms took 4.5 MiB at 8 x 1e5 and 18.0 MiB at 8 x 4e5)
+        rows = np.random.default_rng(n).normal(size=(n, 8)).T
+        _, peak = traced_peak(velocity_autocorrelation, rows, 0.01, 400)
+        assert peak <= 5 * 8 * langevin.LAG_BLOCK
 
 
 class TestAllOriginMsd:
