@@ -51,7 +51,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .langevin import (OUPropagator, ThermalEnv, _check_fit_start,
-                       _cutoff_lag, _msd_rates)
+                       _cutoff_lag, _msd_rates, fast_size)
 from .rng import substream
 
 
@@ -596,9 +596,10 @@ def rate_from_green_kubo(increments, dt: float,
     for any dt, so no small-dt extrapolation is needed.
 
     Gamma is linear in the lag products, so by Wiener-Khinchin each row's
-    rate is its power spectrum |F|^2, zero-padded so that no lag wraps,
-    summed against a cached kernel (_green_kubo_kernel): one forward FFT
-    of all rows, and a row's rate does not depend on the rows beside it.
+    rate is its power spectrum |F|^2, zero-padded to fast_size(N +
+    cutoff lag) so that no lag wraps, summed against a cached kernel
+    (_green_kubo_kernel): one forward FFT of all rows, and a row's rate
+    does not depend on the rows beside it.
 
     increments are (R, N) per-replica rows, and a single (N,) series is
     one replica (stderr 0); per_row of the result holds each row's rate.
@@ -606,7 +607,7 @@ def rate_from_green_kubo(increments, dt: float,
     rows = np.atleast_2d(np.asarray(increments, dtype=float))
     n = rows.shape[1]
     lag_max = _cutoff_lag(cutoff, dt, n)
-    size = 1 << int(n + lag_max - 1).bit_length()
+    size = fast_size(n + lag_max)
     f = np.fft.rfft(rows, n=size, axis=1)
     power = f.real**2
     power += f.imag**2
@@ -625,8 +626,11 @@ def _green_kubo_kernel(n: int, lag_max: int, size: int,
     x[j+k], with w_0 = 0.5/n and w_k = 1/(n-k) for 1 <= k <= lag_max.
     S_k = (1/size) sum_m |F_m|^2 e^(2 pi i m k / size), and |F|^2 is real
     and even, so K_m = c_m Re[rfft(w)]_m / (size dt), c_m = 1 at m = 0 and
-    m = size/2 and 2 between them. Built once per shape and read-only.
+    m = size/2 and 2 between them; an odd size has no bin size/2, so it is
+    refused. Built once per shape and read-only.
     """
+    if size % 2:
+        raise ValueError(f"transform size {size} must be even")
     w = np.zeros(size)
     w[:lag_max + 1] = 1.0 / (n - np.arange(lag_max + 1))
     w[0] *= 0.5

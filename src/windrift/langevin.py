@@ -11,6 +11,7 @@ results carry no time-step bias, only statistics.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -178,6 +179,27 @@ def _fit_exponential(tau, c):
     else:
         err = np.full(2, np.inf)
     return float(amp), float(rate), float(err[0]), float(err[1])
+
+
+@lru_cache(maxsize=8)
+def fast_size(m: int) -> int:
+    """The smallest even 2^a 3^b 5^c >= m (a >= 1), the length to which
+    the spectral contractions (Green-Kubo, the MSD slope) zero-pad a row
+    of n samples for lags up to m - n. pocketfft, behind numpy.fft,
+    transforms such lengths about as fast per point as a power of two,
+    and they lie within 1.25 times m where a power of two may be twice
+    it. Even, because the contraction kernels weight the rfft bins
+    between 0 and size/2 twice."""
+    best = 1 << max(1, (m - 1).bit_length())
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            even = 2 * odd
+            best = min(best, even << (-(-m // even) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 # the largest transform _lag_products gives a whole row (unless max_lag

@@ -110,6 +110,19 @@ def lag_products_whole_row(rows, max_lag):
     return out
 
 
+def five_smooth_at_least(m):
+    """The smallest 2^a 3^b 5^c >= m, by trial division of m, m + 1, ..."""
+    k = m
+    while True:
+        rest = k
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return k
+        k += 1
+
+
 def traced_peak(fn, *args, **kwargs):
     """(result, peak bytes that tracemalloc saw while fn ran)."""
     tracemalloc.start()

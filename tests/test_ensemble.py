@@ -900,6 +900,12 @@ class TestGreenKuboEstimator:
         inc = np.random.default_rng(3).normal(size=(2, 1000))
         assert rate_from_green_kubo(inc, dt=0.1, cutoff=1.0).gamma_rate > 0.0
 
+    def test_kernel_refuses_odd_size(self):
+        # an odd size has no bin size/2, so doubling bins 1..size/2-1
+        # would leave its last bin single
+        with pytest.raises(ValueError, match="even"):
+            ensemble._green_kubo_kernel(1000, 10, 1025, 0.1)
+
     def test_kernel_cached_per_shape(self):
         kernel = ensemble._green_kubo_kernel
         kernel.cache_clear()

@@ -1,3 +1,5 @@
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -10,7 +12,7 @@ from windrift import langevin
 from windrift.langevin import _lag_products, _msd
 
 from oracles import (_initial_rate_guess, curve_fit_exponential,
-                     free_langevin_noise_free,
+                     five_smooth_at_least, free_langevin_noise_free,
                      green_kubo_rates_longdouble, lag_products_loop,
                      lag_products_whole_row, msd_loop, traced_peak,
                      winding_variance)
@@ -186,6 +188,19 @@ class TestLagProductKernel:
         assert expected.shape == (3,) and np.any(expected > 0.0)
         assert np.allclose(est.per_row, expected, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("n", [2_015, 3_295, 50_495])
+    def test_green_kubo_odd_nearest_smooth_length(self, n):
+        # n + 5 lags: the nearest 5-smooth length, 2,025, 3,375 or 50,625,
+        # is odd, where the kernel's doubled bins 1..size/2-1 would miss
+        # the last one; fast_size pads to the next even one instead
+        dt, cutoff = 0.1, 0.5
+        assert five_smooth_at_least(n + 5) % 2 == 1
+        rows = np.random.default_rng(n).normal(0.0, 0.05, size=(2, n))
+        est = rate_from_green_kubo(rows, dt=dt, cutoff=cutoff)
+        expected = green_kubo_rates_longdouble(rows, dt, 5)
+        assert np.allclose(est.per_row, expected.astype(float), rtol=1e-13,
+                           atol=0.0)
+
     @pytest.mark.parametrize("n", [7, 50_000, 100_000])
     def test_green_kubo_matches_longdouble_lags(self, n):
         # the spectral contraction against one extended-precision dot
@@ -196,6 +211,15 @@ class TestLagProductKernel:
         expected = green_kubo_rates_longdouble(rows, dt, 5)
         assert np.allclose(est.per_row, expected.astype(float), rtol=1e-14,
                            atol=0.0)
+
+
+class TestFastSize:
+    def test_smallest_even_smooth_length(self):
+        # every m against the even 5-smooth numbers found by trial division
+        evens = [k for k in range(2, 40_001, 2)
+                 if five_smooth_at_least(k) == k]
+        for m in range(2, 20_001):
+            assert langevin.fast_size(m) == evens[bisect_left(evens, m)], m
 
 
 class TestOverlapSaveLagProducts:
