@@ -51,7 +51,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .langevin import (OUPropagator, ThermalEnv, _check_fit_start,
-                       _cutoff_lag, _msd_rates, fast_size)
+                       _cutoff_lag, _lag_sum_kernel, _msd_rates, fast_size)
 from .rng import substream
 
 
@@ -620,25 +620,14 @@ def rate_from_green_kubo(increments, dt: float,
 def _green_kubo_kernel(n: int, lag_max: int, size: int,
                        dt: float) -> np.ndarray:
     """K with rate = sum_m |F_m|^2 K_m over the size // 2 + 1 frequencies of
-    a row's size-point rfft.
-
-    The rate is sum_k w_k S_k / dt over the lag sums S_k = sum_j x[j]
-    x[j+k], with w_0 = 0.5/n and w_k = 1/(n-k) for 1 <= k <= lag_max.
-    S_k = (1/size) sum_m |F_m|^2 e^(2 pi i m k / size), and |F|^2 is real
-    and even, so K_m = c_m Re[rfft(w)]_m / (size dt), c_m = 1 at m = 0 and
-    m = size/2 and 2 between them; an odd size has no bin size/2, so it is
-    refused. Built once per shape and read-only.
+    a row's size-point rfft: the rate is sum_k w_k S_k / dt over the lag
+    sums S_k = sum_j x[j] x[j+k], with w_0 = 0.5/n and w_k = 1/(n-k) for
+    1 <= k <= lag_max (_lag_sum_kernel). Built once per shape and
+    read-only.
     """
-    if size % 2:
-        raise ValueError(f"transform size {size} must be even")
-    w = np.zeros(size)
-    w[:lag_max + 1] = 1.0 / (n - np.arange(lag_max + 1))
+    w = 1.0 / (n - np.arange(lag_max + 1))
     w[0] *= 0.5
-    kernel = np.fft.rfft(w).real
-    kernel[1:-1] *= 2.0
-    kernel /= size * dt
-    kernel.flags.writeable = False
-    return kernel
+    return _lag_sum_kernel(w, size, dt)
 
 
 def pool_replicas(estimates) -> Tuple[RateEstimate, ...]:

@@ -183,13 +183,12 @@ def _fit_exponential(tau, c):
 
 @lru_cache(maxsize=8)
 def fast_size(m: int) -> int:
-    """The smallest even 2^a 3^b 5^c >= m (a >= 1), the length to which
-    the spectral contractions (Green-Kubo, the MSD slope) zero-pad a row
-    of n samples for lags up to m - n. pocketfft, behind numpy.fft,
-    transforms such lengths about as fast per point as a power of two,
-    and they lie within 1.25 times m where a power of two may be twice
-    it. Even, because the contraction kernels weight the rfft bins
-    between 0 and size/2 twice."""
+    """The smallest even 2^a 3^b 5^c >= m, the length to which the
+    spectral contractions (Green-Kubo, the MSD slope) zero-pad a row of
+    n samples for lags up to m - n. numpy.fft transforms such lengths
+    about as fast per point as a power of two, and above m = 1000 they
+    exceed m by at most 7%, where a power of two may be twice m. Even,
+    because _lag_sum_kernel needs the bin size/2."""
     best = 1 << max(1, (m - 1).bit_length())
     odd5 = 1
     while odd5 < best:
@@ -202,6 +201,28 @@ def fast_size(m: int) -> int:
     return best
 
 
+def _lag_sum_kernel(w: np.ndarray, size: int, dt: float) -> np.ndarray:
+    """K with sum_k w_k S_k / dt = sum_m |F_m|^2 K_m for lag weights w_k,
+    k < len(w), over the lag sums S_k = sum_j x[j] x[j+k] of a row x of n
+    samples, F its size-point rfft and size >= n + len(w) - 1, so that no
+    lag wraps. Read-only.
+
+    S_k = (1/size) sum_m |F_m|^2 e^(2 pi i m k / size), and |F|^2 is real
+    and even, so K_m = c_m Re[rfft(w)]_m / (size dt), c_m = 1 at m = 0 and
+    m = size/2 and 2 between them; an odd size has no bin size/2, so it is
+    refused.
+    """
+    if size % 2:
+        raise ValueError(f"transform size {size} must be even")
+    padded = np.zeros(size)
+    padded[:len(w)] = w
+    kernel = np.fft.rfft(padded).real
+    kernel[1:-1] *= 2.0
+    kernel /= size * dt
+    kernel.flags.writeable = False
+    return kernel
+
+
 # the largest transform _lag_products gives a whole row (unless max_lag
 # needs more); a longer row is cut into blocks
 LAG_BLOCK = 1 << 15
@@ -211,8 +232,9 @@ def _lag_products(rows, max_lag: int) -> np.ndarray:
     """Unbiased lag products sum_j x[j] x[j+k] / (n-k) of each row x:
     (R, n) -> (R, max_lag + 1), row by row by FFT (Wiener-Khinchin), every
     transform zero-padded so that no lag wraps around. The velocity ACF
-    and the MSD read every lag; Green-Kubo, which only sums them,
-    contracts |F|^2 directly (ensemble.rate_from_green_kubo).
+    reads every lag; Green-Kubo and the MSD slope, which only weight and
+    sum them, contract |F|^2 directly (ensemble.rate_from_green_kubo,
+    _msd_rates).
 
     The sums run by overlap-save over blocks of M - max_lag samples, M
     being the transform size: a block's products with itself and the next
@@ -241,34 +263,57 @@ def _lag_products(rows, max_lag: int) -> np.ndarray:
     return out
 
 
-def _msd(rows, lags) -> np.ndarray:
-    """All-origin mean squared displacement at increasing lags >= 1,
-    (R, n) -> (R, len(lags)). On centred rows (Kneller et al., Comput.
-    Phys. Commun. 91, 191 (1995)), MSD(L) = (sum_{j<n-L} x_j^2
-    + sum_{j>=L} x_j^2) / (n-L) - 2 lagprod(L)."""
-    x = rows - rows.mean(axis=1, keepdims=True)
-    n = x.shape[1]
-    squares = np.cumsum(x * x, axis=1)
-    tail = squares[:, -1:] - squares[:, lags - 1]
-    return ((squares[:, n - 1 - lags] + tail) / (n - lags)
-            - 2.0 * _lag_products(x, lags[-1])[:, lags])
-
-
 def _msd_rates(rows, spacing: float, t_min: float, t_max: float
                ) -> np.ndarray:
     """Half the least-squares slope of each row's all-origin MSD against
     lag time, at every lag of the window [t_min, t_max]: (R, n) -> (R,).
-    The slope is the closed form sum(t y) / sum(t^2) on lag times and MSD
-    both centred. Row by row, so the transient memory is O(n + lags)
-    whatever R."""
-    lags = _fit_lags(t_min, t_max, spacing, rows.shape[1])
+
+    The slope is sum_L a_L MSD(L), a_L = t_L / (2 sum t^2) with t the
+    centred lag times. On a centred row x (Kneller et al., Comput. Phys.
+    Commun. 91, 191 (1995)), MSD(L) = (E_L - 2 S_L) / (n - L), with E_L =
+    sum_{j<n-L} x_j^2 + sum_{j>=L} x_j^2 read from one cumsum and S_L =
+    sum_j x_j x_{j+L}. The slope is linear in the lag sums S_L, so by
+    Wiener-Khinchin their part is the row's |F|^2, zero-padded to
+    fast_size(n + the last lag) so that no lag wraps, contracted with a
+    cached kernel (_msd_kernel): one forward FFT per row, no inverse and
+    no MSD array. Row by row, so the transient memory is O(n + lags)
+    whatever R.
+    """
+    n = rows.shape[1]
+    lags = _fit_lags(t_min, t_max, spacing, n)
+    lag_lo, lag_hi = int(lags[0]), int(lags[-1])
+    size = fast_size(n + lag_hi)
+    weights, kernel = _msd_kernel(n, lag_lo, lag_hi, size, spacing)
+    slopes = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        x = row - row.mean()
+        squares = np.cumsum(x * x)
+        ends = squares[n - 1 - lags] + (squares[-1] - squares[lags - 1])
+        f = np.fft.rfft(x, size)
+        power = f.real**2
+        power += f.imag**2
+        power *= kernel
+        slopes[i] = np.sum(ends * weights) + power.sum()
+    return slopes
+
+
+@lru_cache(maxsize=4)
+def _msd_kernel(n: int, lag_lo: int, lag_hi: int, size: int,
+                spacing: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(w, K) with slope = sum_L w_L E_L + sum_m |F_m|^2 K_m for a row of
+    n samples, lags lag_lo..lag_hi at the given spacing and its size-point
+    rfft F (_msd_rates): w_L = a_L / (n - L), and K carries the lag sums'
+    term -2 sum_L w_L S_L (_lag_sum_kernel). Built once per shape and
+    read-only.
+    """
+    lags = np.arange(lag_lo, lag_hi + 1)
     t = lags * spacing
     t -= t.mean()
-    slopes = []
-    for row in rows:
-        msd = _msd(row[None], lags)[0]
-        slopes.append(np.sum(t * (msd - msd.mean())))
-    return np.array(slopes) / (2.0 * np.sum(t * t))
+    weights = t / (2.0 * np.sum(t * t)) / (n - lags)
+    weights.flags.writeable = False
+    b = np.zeros(lag_hi + 1)
+    b[lags] = -2.0 * weights
+    return weights, _lag_sum_kernel(b, size, 1.0)
 
 
 # The fit-window rules, one owner each: the MSD fits, the Green-Kubo estimator

@@ -7,9 +7,12 @@ direct random-walk constructions, and the exponential fit is scipy's
 curve_fit. The exceptions are step_ensemble and recurrence_loop, the
 step-by-step references that the engines must match bit for bit
 (run_replica) or to rounding (run_winding's doubling scan),
-winding_two_draws, the collective engine as it drew its own normals, and
+winding_two_draws, the collective engine as it drew its own normals,
 lag_products_whole_row, the one-transform lag products that short rows
-must still match bit for bit. traced_peak measures rather than predicts.
+must still match bit for bit, and msd_all_origin and msd_fit_rates, the
+MSD from the lag products and its line fit, which the one-transform
+slope contraction must match to rounding. traced_peak measures rather
+than predicts.
 """
 
 import tracemalloc
@@ -145,6 +148,37 @@ def green_kubo_rates_longdouble(rows, dt, max_lag):
                                        for k in range(1, max_lag + 1))
         out.append(rate / np.longdouble(dt))
     return np.array(out)
+
+
+def msd_all_origin(rows, lags):
+    """All-origin mean squared displacement at increasing lags >= 1,
+    (R, n) -> (R, len(lags)), from the lag products. On centred rows
+    (Kneller et al., Comput. Phys. Commun. 91, 191 (1995)), MSD(L) =
+    (sum_{j<n-L} x_j^2 + sum_{j>=L} x_j^2) / (n-L) - 2 lagprod(L)."""
+    from windrift.langevin import _lag_products
+    x = rows - rows.mean(axis=1, keepdims=True)
+    n = x.shape[1]
+    squares = np.cumsum(x * x, axis=1)
+    tail = squares[:, -1:] - squares[:, lags - 1]
+    return ((squares[:, n - 1 - lags] + tail) / (n - lags)
+            - 2.0 * _lag_products(x, lags[-1])[:, lags])
+
+
+def slope_weights(tau):
+    """a with half the least-squares slope of y against tau = a . y:
+    a = t / (2 sum t^2), t the centred tau."""
+    t = tau - np.mean(tau)
+    return t / (2.0 * np.sum(t * t))
+
+
+def msd_fit_rates(rows, spacing, lags):
+    """Half the closed-form least-squares slope sum(t y) / sum(t^2) of each
+    row's msd_all_origin against lag time, t and y centred: (R, n) -> (R,)."""
+    t = lags * spacing
+    t -= t.mean()
+    return (np.array([np.sum(t * (msd - msd.mean()))
+                      for msd in msd_all_origin(rows, lags)])
+            / (2.0 * np.sum(t * t)))
 
 
 def msd_loop(rows, lags):

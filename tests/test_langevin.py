@@ -9,12 +9,13 @@ from windrift import (OUPropagator, ThermalEnv, TorusGeometry,
                       rate_from_green_kubo, rate_from_msd, run_replica,
                       run_winding, substream, velocity_autocorrelation)
 from windrift import langevin
-from windrift.langevin import _lag_products, _msd
+from windrift.langevin import _fit_lags, _lag_products, _msd_rates
 
 from oracles import (_initial_rate_guess, curve_fit_exponential,
                      five_smooth_at_least, free_langevin_noise_free,
                      green_kubo_rates_longdouble, lag_products_loop,
-                     lag_products_whole_row, msd_loop, traced_peak,
+                     lag_products_whole_row, msd_all_origin, msd_fit_rates,
+                     msd_loop, slope_weights, traced_peak,
                      winding_variance)
 
 
@@ -245,7 +246,8 @@ class TestOverlapSaveLagProducts:
                                            (20_001, 12_767), (32_368, 400)])
     def test_one_transform_rows_unchanged(self, n, max_lag):
         # up to n + max_lag = 2^15 a row is still one whole-row transform,
-        # bit for bit: the Einstein and rates MSD rows keep their values
+        # bit for bit: the ACF of such rows and the MSD oracle keep their
+        # values
         rows = ou_series(1.0, 2.0, 0.05, n, np.random.default_rng(n),
                          n_rows=2)
         assert np.array_equal(_lag_products(rows, max_lag),
@@ -273,7 +275,7 @@ class TestOverlapSaveLagProducts:
 
 
 class TestAllOriginMsd:
-    """_msd, the MSD behind rate_from_msd and the Einstein check."""
+    """oracles.msd_all_origin, the MSD that the slope tests fit."""
 
     def test_matches_loop_on_random_walks(self):
         # MSD(L) is a difference of sums of squares of the size of the row
@@ -282,7 +284,7 @@ class TestAllOriginMsd:
         rows = np.cumsum(np.random.default_rng(2).normal(size=(4, 20_000)),
                          axis=1)
         lags = np.unique(np.geomspace(1, rows.shape[1] - 1, 60).astype(int))
-        err = np.abs(_msd(rows, lags) - msd_loop(rows, lags))
+        err = np.abs(msd_all_origin(rows, lags) - msd_loop(rows, lags))
         assert np.all(err <= 2e-11 * rows.var(axis=1, keepdims=True))
 
     def test_replica_mean_is_exact_variance(self, basic_env):
@@ -296,12 +298,69 @@ class TestAllOriginMsd:
                             normals=collective_normals(substream(43, r),
                                                        2 * n, 2000),
                             sample_stride=1) for r in range(replicas))
-        msd = np.array([_msd(res.alpha, lags) for res in runs])
+        msd = np.array([msd_all_origin(res.alpha, lags) for res in runs])
         for axis, length in ((0, geo.l_y), (1, geo.l_x)):
             exact = winding_variance(basic_env, 2 * n, length, lags * dt)
             z = ((msd[:, axis].mean(axis=0) - exact)
                  / (msd[:, axis].std(axis=0, ddof=1) / np.sqrt(replicas)))
             assert np.all(np.abs(z) <= 4.0), (axis, z)
+
+
+class TestMsdSlope:
+    """_msd_rates, the one-transform slope behind rate_from_msd and the
+    Einstein check, against the oracle MSD and its closed-form fit."""
+
+    @pytest.mark.parametrize("n_rows,n,spacing,t_min,t_max", [
+        (4, 20_000, 0.05, 0.05, 50.0),   # lag_lo = 1
+        (4, 3_000, 0.1, 1.0, 1e6),       # lag_hi clipped to n - 1
+        (4, 1_000, 0.1, 0.5, 20.0),      # n + lag_hi = 1,200, 5-smooth
+        (4, 2_001, 0.1, 0.5, 50.0),      # odd n
+        (1, 5_001, 0.2, 5.0, 500.0),     # one row, the rates-sparse shape
+        (200, 2_000, 0.5, 10.0, 50.0),   # 200 rows, the Einstein shape
+    ])
+    def test_matches_oracle_slope(self, n_rows, n, spacing, t_min, t_max):
+        # the slope is sum_L a_L MSD(L); each MSD(L) is a difference of
+        # running sums of n squares, so its rounding is at most about
+        # n * eps of the row variance, and the slope's at most that times
+        # sum |a_L|
+        rows = np.cumsum(np.random.default_rng(n).normal(size=(n, n_rows)),
+                         axis=0).T
+        lags = _fit_lags(t_min, t_max, spacing, n)
+        a = slope_weights(lags * spacing)
+        err = np.abs(_msd_rates(rows, spacing, t_min, t_max)
+                     - msd_fit_rates(rows, spacing, lags))
+        eps = np.finfo(float).eps
+        assert np.all(err <= n * eps * rows.var(axis=1) * np.abs(a).sum())
+
+    def test_rows_transformed_one_at_a_time(self):
+        # a row's transform and power spectrum take a few size-point
+        # arrays (size = fast_size(2,100) = 2,160); all 200 rows at once
+        # would hold 200 x 1,081 complex values, 3.5 MB
+        rows = np.cumsum(np.random.default_rng(8).normal(size=(2_000, 200)),
+                         axis=0).T
+        _, peak = traced_peak(_msd_rates, rows, 0.5, 10.0, 50.0)
+        assert peak <= 16 * 8 * langevin.fast_size(2_100)
+
+    def test_replica_mean_is_exact_slope(self, basic_env):
+        # every origin's MSD(L) has expectation Var[alpha(tau_L)], so the
+        # slope's is sum_L a_L Var[alpha(tau_L)]; window 0.5 to 50 / gamma
+        # (gamma = 2), z from the spread of the R replica slopes
+        geo = TorusGeometry(l_x=20.0, l_y=10.0)
+        n, dt, replicas = 4, 0.05, 400
+        t_min, t_max = 0.25, 25.0
+        slopes = np.array([
+            _msd_rates(run_winding(basic_env, geo, n, n, dt, 2000,
+                                   normals=collective_normals(
+                                       substream(43, r), 2 * n, 2000),
+                                   sample_stride=1).alpha, dt, t_min, t_max)
+            for r in range(replicas)])
+        tau = _fit_lags(t_min, t_max, dt, 2001) * dt
+        for axis, length in ((0, geo.l_y), (1, geo.l_x)):
+            exact = slope_weights(tau) @ winding_variance(basic_env, 2 * n,
+                                                          length, tau)
+            z = ((slopes[:, axis].mean() - exact)
+                 / (slopes[:, axis].std(ddof=1) / np.sqrt(replicas)))
+            assert abs(z) <= 4.0, (axis, z)
 
 
 class TestEinsteinDiffusion:
