@@ -22,16 +22,16 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from . import design as design_mod
 from .bessel import bessel_k
 from .config import SUBCOMMANDS, RunConfig, parse_config
-from .ensemble import (RateEstimate, TorusGeometry, analytic_rate,
+from .ensemble import (TorusGeometry, analytic_rate,
                        collective_normals, collective_size,
                        even_mean_population, mean_population, pool_replicas,
                        predicted_rate, prefetched, rate_from_green_kubo,
@@ -105,26 +105,21 @@ def write_csv(path: Path, header, columns) -> None:
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _rate_dict(est: RateEstimate) -> dict:
-    out = {"gamma": est.gamma_rate, "stderr": est.stderr,
-           "method": est.method}
-    if est.storage_time is not None:
-        out["storage_time"] = est.storage_time
-    return out
+def _rate_dict(method: str, gamma: float, stderr: float = 0.0) -> dict:
+    return {"gamma": gamma, "stderr": stderr, "method": method}
 
 
 # ---------------------------------------------------------------------------
 # subcommand runners
 
-@dataclass
-class _Reduced:
+class _Reduced(NamedTuple):
     """What a lane keeps of one replica once its series are reduced."""
 
     counts: tuple                 # (n_v, n_a)
     final: tuple                  # (alpha_x, alpha_y) at the last step
-    msd: Optional[RateEstimate] = None        # rates: on the (x, y) rows
-    green_kubo: Optional[RateEstimate] = None
-    trajectory: Optional[list] = None         # replica 0: times, alpha_x, y
+    # rates: the (x, y) per_row of the MSD and of the Green-Kubo call;
+    # simulate: ()
+    per_rows: tuple
 
 
 # glibc's mallopt parameters (malloc.h) and the largest heap block it
@@ -158,7 +153,8 @@ def _keep_freed_memory() -> None:
 
 
 def _run_ensemble(config: RunConfig, lanes: int):
-    """Each replica simulated and reduced in its lane; records in order.
+    """Each replica simulated and reduced in its lane. Returns replica 0's
+    sampled (times, alpha_x, alpha_y) and the records in replica order.
 
     The lanes claim replicas from one shared iterator. Each lane's helper
     thread (ensemble.prefetched) claims the next replica, draws its
@@ -174,6 +170,7 @@ def _run_ensemble(config: RunConfig, lanes: int):
     window = (config.fit_t_min, config.fit_t_max)
     steps = config.burn_in_steps + config.n_steps
     replicas = iter(range(config.replicas))
+    trajectory = []     # filled by the lane that runs replica 0
 
     def draw(r, buffer):
         rng = substream(config.master_seed, r)
@@ -190,15 +187,15 @@ def _run_ensemble(config: RunConfig, lanes: int):
         res = run_winding(env, geo, *counts, config.dt, config.n_steps,
                           normals=normals, sample_stride=config.sample_stride,
                           burn_in_steps=config.burn_in_steps)
-        out = _Reduced(counts=counts, final=res.final_alpha)
         if r == 0:
-            out.trajectory = [res.times, *res.alpha]
-        if config.subcommand == "rates":
-            out.green_kubo = rate_from_green_kubo(res.inc, config.dt,
-                                                  config.gk_cutoff)
-            out.msd = rate_from_msd(res.times, res.alpha, window,
-                                    gamma=env.gamma)
-        return out
+            trajectory.extend((res.times, *res.alpha))
+        if config.subcommand != "rates":
+            return _Reduced(counts, res.final_alpha, ())
+        green_kubo = rate_from_green_kubo(res.inc, config.dt,
+                                          config.gk_cutoff)
+        msd = rate_from_msd(res.times, res.alpha, window, gamma=env.gamma)
+        return _Reduced(counts, res.final_alpha,
+                        (msd.per_row, green_kubo.per_row))
 
     def lane():
         # the helper fills one buffer while the lane spends the other;
@@ -214,40 +211,35 @@ def _run_ensemble(config: RunConfig, lanes: int):
                      for _ in range(min(lanes, config.replicas))]:
             for r, out in done.result():
                 records[r] = out
-    return records
+    return trajectory, records
 
 
-def _population(records) -> dict:
-    return {"per_replica_n_v": [rec.counts[0] for rec in records],
-            "per_replica_n_a": [rec.counts[1] for rec in records]}
+def _predicted_dict(rate: float) -> dict:
+    """The design rate and its storage time 1/rate, inf at rate 0."""
+    return dict(_rate_dict("Predicted", rate),
+                storage_time=1.0 / rate if rate > 0.0 else float("inf"))
 
 
-def _rates_summary(config: RunConfig, records) -> dict:
-    mean_nv = float(np.mean([rec.counts[0] for rec in records]))
-    mean_na = float(np.mean([rec.counts[1] for rec in records]))
-
-    msd_xy = pool_replicas([rec.msd for rec in records])
-    gk_xy = pool_replicas([rec.green_kubo for rec in records])
+def _rates_summary(config: RunConfig, records, mean_nv: float,
+                   mean_na: float) -> dict:
+    # each estimator's per-replica (x, y) rows, pooled per axis
+    msd_xy, gk_xy = (pool_replicas(per_rows) for per_rows
+                     in zip(*(rec.per_rows for rec in records)))
+    f0 = config.population.f0
     rates = {}
     per_replica = {}
     for axis, msd, gk in zip(("x", "y"), msd_xy, gk_xy):
         analytic = analytic_rate(config.env, config.geometry,
                                  mean_nv, mean_na, axis=axis)
-        f0 = config.population.f0
-        predicted = (None if f0 is None else _rate_dict(
-            predicted_rate(config.env, config.geometry, f0, axis=axis)))
-        rates[axis] = {"msd": _rate_dict(msd), "green_kubo": _rate_dict(gk),
-                       "analytic": _rate_dict(analytic),
-                       "predicted": predicted}
+        rates[axis] = {
+            "msd": _rate_dict("MSD", msd.gamma_rate, msd.stderr),
+            "green_kubo": _rate_dict("GreenKubo", gk.gamma_rate, gk.stderr),
+            "analytic": _rate_dict("Analytic", analytic),
+            "predicted": None if f0 is None else _predicted_dict(
+                predicted_rate(config.env, config.geometry, f0, axis=axis))}
         per_replica[axis] = {"msd": msd.per_row.tolist(),
                              "green_kubo": gk.per_row.tolist()}
-    return {
-        "rates": rates,
-        "per_replica_rates": per_replica,
-        "population": dict(_population(records),
-                           mean_total=mean_nv + mean_na,
-                           empty_ensemble=mean_nv + mean_na == 0),
-    }
+    return {"rates": rates, "per_replica_rates": per_replica}
 
 
 def _config_echo(config: RunConfig) -> dict:
@@ -265,20 +257,26 @@ def _config_echo(config: RunConfig) -> dict:
 
 def run_ensemble(config: RunConfig, out_dir: Path, lanes: int) -> dict:
     """Write trajectory.csv and summary.json; rates adds the rate estimates."""
-    records = _run_ensemble(config, lanes)
+    trajectory, records = _run_ensemble(config, lanes)
+    population = {"per_replica_n_v": [rec.counts[0] for rec in records],
+                  "per_replica_n_a": [rec.counts[1] for rec in records]}
     summary = {
         "schema": f"windrift.{config.subcommand}.v1",
         "master_seed": config.master_seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config_echo": _config_echo(config),
-        "population": _population(records),
+        "population": population,
         "final_alpha_x": [rec.final[0] for rec in records],
         "final_alpha_y": [rec.final[1] for rec in records],
     }
     if config.subcommand == "rates":
-        summary.update(_rates_summary(config, records))
+        mean_nv = float(np.mean(population["per_replica_n_v"]))
+        mean_na = float(np.mean(population["per_replica_n_a"]))
+        population.update(mean_total=mean_nv + mean_na,
+                          empty_ensemble=mean_nv + mean_na == 0)
+        summary.update(_rates_summary(config, records, mean_nv, mean_na))
     write_csv(out_dir / "trajectory.csv", ["t", "alpha_x", "alpha_y"],
-              records[0].trajectory)
+              trajectory)
     write_json(out_dir / "summary.json", summary)
     return summary
 
@@ -365,7 +363,7 @@ def run_selftest(config: RunConfig, out_dir: Path, lanes: int) -> dict:
     half = mean_population(env, geo, 0.5) / 2.0
     exact = analytic_rate(env, geo, half, half)
     check("predicted rate equals analytic rate at the Boltzmann mean",
-          abs(pred.gamma_rate / exact.gamma_rate - 1.0) < 1e-12)
+          abs(pred / exact - 1.0) < 1e-12)
     res = run_replica(env, geo, 8, 8, 0.05, 4000, master_seed=7, stream_id=0)
     check("ensemble runs and stays neutral", res.state.net_charge == 0)
     ok = all(flag for _, flag in checks)

@@ -44,13 +44,13 @@ results are bit-identical for any worker count.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .langevin import (OUPropagator, ThermalEnv, _check_fit_start,
+from .langevin import (OUPropagator, ThermalEnv, _as_rows, _check_fit_start,
                        _cutoff_lag, _lag_sum_kernel, _msd_rates, fast_size)
 from .rng import substream
 
@@ -68,21 +68,13 @@ class TorusGeometry:
                              f"({self.l_x}, {self.l_y})")
 
 
-@dataclass(frozen=True)
-class RateEstimate:
-    """A transition-rate value with uncertainty and provenance tag."""
+class RateEstimate(NamedTuple):
+    """An estimator's rate: the mean over rows clipped at 0, the standard
+    error over rows, and the unclipped rate of each row (replica)."""
 
     gamma_rate: float
     stderr: float
-    method: str               # MSD | GreenKubo | Analytic | Predicted
-    storage_time: Optional[float] = None
-    # estimators only: the unclipped rate of each row (replica)
-    per_row: Optional[np.ndarray] = field(default=None, compare=False,
-                                          repr=False)
-
-    def __post_init__(self):
-        if self.gamma_rate < 0.0 or self.stderr < 0.0:
-            raise ValueError("rate and stderr must be nonnegative")
+    per_row: np.ndarray
 
 
 @dataclass
@@ -511,18 +503,17 @@ def even_mean_population(env: ThermalEnv, geometry: TorusGeometry,
 
 
 def analytic_rate(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
-                  n_a: int, axis: str = "x") -> RateEstimate:
+                  n_a: int, axis: str = "x") -> float:
     """Closed-form rate T (N_v+N_a) / (eta l^2), l = l_y for axis x."""
     if n_v < 0 or n_a < 0:
         raise ValueError("counts must be nonnegative")
     length = _axis_length(geometry, axis)
-    rate = env.temperature * (n_v + n_a) / (env.eta * length**2)
-    return RateEstimate(gamma_rate=rate, stderr=0.0, method="Analytic")
+    return float(env.temperature * (n_v + n_a) / (env.eta * length**2))
 
 
 def predicted_rate(env: ThermalEnv, geometry: TorusGeometry, f0: float,
-                   axis: str = "x") -> RateEstimate:
-    """Design-level rate (M T^2 / pi eta) (l_x/l_y) e^-F0/T, plus storage time.
+                   axis: str = "x") -> float:
+    """Design-level rate (M T^2 / pi eta) (l_x/l_y) e^-F0/T, 0 at T = 0.
 
     The y-axis rate interchanges l_x and l_y.
     """
@@ -533,9 +524,7 @@ def predicted_rate(env: ThermalEnv, geometry: TorusGeometry, f0: float,
     t = env.temperature
     rate = env.mass * t**2 / (np.pi * env.eta) * ratio * np.exp(-f0 / t) \
         if t > 0.0 else 0.0
-    storage = 1.0 / rate if rate > 0.0 else float("inf")
-    return RateEstimate(gamma_rate=rate, stderr=0.0, method="Predicted",
-                        storage_time=storage)
+    return float(rate)
 
 
 def _axis_length(geometry: TorusGeometry, axis: str) -> float:
@@ -546,13 +535,12 @@ def _axis_length(geometry: TorusGeometry, axis: str) -> float:
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def _estimate(rates: np.ndarray, method: str) -> RateEstimate:
+def _estimate(rates: np.ndarray) -> RateEstimate:
     """Mean of the per-row rates, clipped at 0, and the standard error of
     the unclipped rows (clipping each row would bias the mean upward)."""
     stderr = (float(np.std(rates, ddof=1) / np.sqrt(len(rates)))
               if len(rates) > 1 else 0.0)
-    return RateEstimate(gamma_rate=max(float(np.mean(rates)), 0.0),
-                        stderr=stderr, method=method, per_row=rates)
+    return RateEstimate(max(float(np.mean(rates)), 0.0), stderr, rates)
 
 
 def rate_from_msd(times, alphas, fit_window, *, gamma=None) -> RateEstimate:
@@ -575,15 +563,14 @@ def rate_from_msd(times, alphas, fit_window, *, gamma=None) -> RateEstimate:
     Returns
     -------
     RateEstimate
-        method="MSD"; stderr is the standard error over replica slopes,
-        and per_row holds each row's rate.
+        stderr is the standard error over replica slopes, and per_row
+        holds each row's rate.
     """
     times = np.asarray(times, dtype=float)
     if gamma is not None:
         _check_fit_start(fit_window[0], gamma)
-    rows = np.atleast_2d(np.asarray(alphas, dtype=float))
-    return _estimate(_msd_rates(rows, times[1] - times[0], *fit_window),
-                     "MSD")
+    rows = _as_rows(alphas)
+    return _estimate(_msd_rates(rows, times[1] - times[0], *fit_window))
 
 
 def rate_from_green_kubo(increments, dt: float,
@@ -604,7 +591,7 @@ def rate_from_green_kubo(increments, dt: float,
     increments are (R, N) per-replica rows, and a single (N,) series is
     one replica (stderr 0); per_row of the result holds each row's rate.
     """
-    rows = np.atleast_2d(np.asarray(increments, dtype=float))
+    rows = _as_rows(increments)
     n = rows.shape[1]
     lag_max = _cutoff_lag(cutoff, dt, n)
     size = fast_size(n + lag_max)
@@ -613,7 +600,7 @@ def rate_from_green_kubo(increments, dt: float,
     power += f.imag**2
     del f
     power *= _green_kubo_kernel(n, lag_max, size, dt)
-    return _estimate(power.sum(axis=1), "GreenKubo")
+    return _estimate(power.sum(axis=1))
 
 
 @lru_cache(maxsize=4)
@@ -630,16 +617,13 @@ def _green_kubo_kernel(n: int, lag_max: int, size: int,
     return _lag_sum_kernel(w, size, dt)
 
 
-def pool_replicas(estimates) -> Tuple[RateEstimate, ...]:
+def pool_replicas(per_rows) -> Tuple[RateEstimate, ...]:
     """Pool one estimator's per-replica calls into one estimate per row.
 
-    estimates holds one RateEstimate per replica, each from a call on the
-    same rows of that replica (e.g. its x and y series). Row i of the
-    result pools row i of every call, with the rule of a single call on
-    all replicas' rows: per_row holds the replicas' rates in order, the
-    mean is clipped at 0 and the standard error is over the replicas.
+    per_rows holds each replica's per_row, from a call on the same rows of
+    that replica (e.g. its x and y series). Row i of the result pools row
+    i of every call, with the rule of a single call on all replicas' rows:
+    per_row holds the replicas' rates in order, the mean is clipped at 0
+    and the standard error is over the replicas.
     """
-    per_row = [est.per_row for est in estimates]
-    method = estimates[0].method
-    return tuple(_estimate(np.array([rates[i] for rates in per_row]), method)
-                 for i in range(len(per_row[0])))
+    return tuple(_estimate(rates) for rates in np.stack(per_rows, axis=1))

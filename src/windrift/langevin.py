@@ -119,13 +119,23 @@ def velocity_autocorrelation(series, dt: float, max_lag: int
     if max_lag < 2:
         raise ValueError(f"max_lag must be >= 2, got {max_lag}: a "
                          f"two-parameter fit needs three lags or more")
-    series = np.atleast_2d(np.asarray(series, dtype=float))
+    series = _as_rows(series)
     n = series.shape[1]
     if n < 10 * max_lag:
         raise ValueError(f"series length {n} < 10 * max_lag = {10 * max_lag}")
     c = _lag_products(series, max_lag).mean(axis=0)
     tau = np.arange(max_lag + 1) * dt
     return tau, c, AcfFit(*_fit_exponential(tau, c))
+
+
+def _as_rows(values) -> np.ndarray:
+    """values as a float (R, n) array of R >= 1 rows, a single (n,) series
+    being one row; input without rows is refused, since its mean over rows
+    would be NaN."""
+    rows = np.atleast_2d(np.asarray(values, dtype=float))
+    if not len(rows):
+        raise ValueError(f"input of shape {rows.shape} has no rows")
+    return rows
 
 
 def _fit_exponential(tau, c):
@@ -385,8 +395,8 @@ def einstein_diffusion_check(positions, dt: float, env: ThermalEnv
     pos = np.asarray(positions, dtype=float)
     n_samples = pos.shape[0]
     t_max = min(50.0 / env.gamma, (n_samples - 1) * dt / 2.0)
-    slopes = _msd_rates(pos.reshape(n_samples, -1).T, dt, 10.0 / env.gamma,
-                        t_max)
+    slopes = _msd_rates(_as_rows(pos.reshape(n_samples, -1).T), dt,
+                        10.0 / env.gamma, t_max)
     d_measured = float(np.mean(slopes))
     d_expected = env.temperature / env.eta
     err = float(np.std(slopes, ddof=1) / np.sqrt(len(slopes)))   # >= 2 slopes

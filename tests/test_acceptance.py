@@ -166,8 +166,8 @@ def test_criterion_06_consistency_identity():
     for f0 in (0.0, 0.8, 3.5):
         half = mean_population(env, geo, f0) / 2.0
         for axis in ("x", "y"):
-            pred = predicted_rate(env, geo, f0, axis=axis).gamma_rate
-            ana = analytic_rate(env, geo, half, half, axis=axis).gamma_rate
+            pred = predicted_rate(env, geo, f0, axis=axis)
+            ana = analytic_rate(env, geo, half, half, axis=axis)
             assert pred == pytest.approx(ana, rel=1e-12)
     announce(6, "predicted rate == analytic rate at the Boltzmann mean "
                 "population (1e-12 relative)")

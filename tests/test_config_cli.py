@@ -515,6 +515,26 @@ class TestOtherSubcommands:
         assert summary["rates"]["x"]["predicted"]["gamma"] > 0.0
         assert summary["rates"]["x"]["predicted"]["storage_time"] > 0.0
 
+    @pytest.mark.parametrize("f0", [0.5, 800.0])
+    def test_summary_tags_rates(self, tmp_path, f0):
+        # cli names each rate's method; the closed forms have stderr 0 and
+        # the design rate its storage time 1/gamma, "inf" where e^(-f0/T)
+        # underflows to a rate of 0 (f0 800 at T 1)
+        cfg = parse_config(config_text(
+            population={"mode": "mean", "f0": f0}), "rates")
+        run(cfg, lanes=1, output_dir=tmp_path)
+        rates = json.loads((tmp_path / "summary.json").read_text())["rates"]
+        for axis in ("x", "y"):
+            assert {key: rate["method"] for key, rate in rates[axis].items()} \
+                == {"msd": "MSD", "green_kubo": "GreenKubo",
+                    "analytic": "Analytic", "predicted": "Predicted"}
+            predicted = rates[axis]["predicted"]
+            assert rates[axis]["analytic"]["stderr"] == predicted["stderr"] \
+                == 0
+            assert predicted["storage_time"] == (
+                "inf" if predicted["gamma"] == 0 else 1.0 / predicted["gamma"])
+            assert (predicted["gamma"] == 0) == (f0 == 800.0)
+
     def test_simulate_writes_trajectory(self, tmp_path):
         cfg = parse_config(config_text(), "simulate")
         summary = run(cfg, lanes=1, output_dir=tmp_path)

@@ -423,3 +423,20 @@ class TestEinsteinDiffusion:
         diff = abs(checks[0].ratio - checks[1].ratio)
         budget = 3.0 * (checks[0].ratio_err + checks[1].ratio_err)
         assert diff < max(budget, 0.05)
+
+
+# 400 samples at spacing 0.1 fit every window and lag below; only the rows
+# are missing, and a mean over no rows would be NaN
+ENV = ThermalEnv(mass=1.0, eta=2.0, temperature=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rate_from_msd(np.arange(400) * 0.1, np.empty((0, 400)),
+                          (5.0, 15.0)),
+    lambda: rate_from_green_kubo(np.empty((0, 400)), 0.1, cutoff=2.0),
+    lambda: einstein_diffusion_check(np.empty((400, 0, 2)), 0.1, ENV),
+    lambda: velocity_autocorrelation(np.empty((0, 400)), 0.1, max_lag=20)],
+    ids=["msd", "green_kubo", "einstein", "acf"])
+def test_input_without_rows_refused(call):
+    with pytest.raises(ValueError, match="no rows"):
+        call()
