@@ -51,7 +51,8 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .langevin import (OUPropagator, ThermalEnv, _as_rows, _check_fit_start,
-                       _cutoff_lag, _lag_sum_kernel, _msd_rates, fast_size)
+                       _check_samples, _cutoff_lag, _lag_sum_kernel,
+                       _msd_rates, fast_size)
 from .rng import substream
 
 
@@ -375,23 +376,17 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
                 vel_series[done:done + m] = \
                     vseq[:, :velocity_series_walkers, 1]
                 (vseq[:, :, 1] ** 2).sum(axis=1, out=vy2_sums[done:done + m])
-            # a block ends at each row whose global 1-based step index hits
-            # the stride (records done // stride on); the rows after the
-            # last record, or the whole chunk, form one more. The carried
-            # position heads each block's sum, so the positions are one
-            # sequential sum whatever the chunk size
-            stops = (range((position_stride - 1 - done) % position_stride
-                           + 1, m + 1, position_stride)
-                     if recording and position_stride else ())
-            head = 0
-            for i, stop in enumerate(stops):
-                dxy[head] += pos_unwrapped
-                pos_unwrapped = dxy[head:stop].sum(
-                    axis=0, out=positions[done // position_stride + i])
-                head = stop
-            if head < m:
-                dxy[head] += pos_unwrapped
-                pos_unwrapped = dxy[head:].sum(axis=0)
+            # one running sum from the carried position, so the positions
+            # are the same sequential sum whatever the chunk size; a record
+            # follows each step whose global 1-based index hits the stride
+            dxy[0] += pos_unwrapped
+            np.cumsum(dxy, axis=0, out=dxy)
+            if recording and position_stride:
+                rows = dxy[(position_stride - 1 - done) % position_stride::
+                           position_stride]
+                first = done // position_stride
+                positions[first:first + len(rows)] = rows
+            pos_unwrapped = dxy[-1].copy()
         state.vel = vseq[-1].copy()
         del vseq, dxy  # the last chunk is not kept through the tail
 
@@ -570,6 +565,7 @@ def rate_from_msd(times, alphas, fit_window, *, gamma=None) -> RateEstimate:
     if gamma is not None:
         _check_fit_start(fit_window[0], gamma)
     rows = _as_rows(alphas)
+    _check_samples(rows.shape[1])
     return _estimate(_msd_rates(rows, times[1] - times[0], *fit_window))
 
 

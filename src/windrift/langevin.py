@@ -337,6 +337,12 @@ def _check_fit_start(t_min: float, gamma: float) -> None:
                          f"diffusive regime 10/gamma = {10.0 / gamma}")
 
 
+def _check_samples(n_samples: int) -> None:
+    if n_samples < 2:
+        raise ValueError(f"an MSD slope needs at least two samples, got "
+                         f"{n_samples}")
+
+
 def _fit_lags(t_min: float, t_max: float, spacing: float,
               n_samples: int) -> np.ndarray:
     """Every lag (in samples) in the lag-time window [t_min, t_max], each
@@ -394,6 +400,7 @@ def einstein_diffusion_check(positions, dt: float, env: ThermalEnv
     """
     pos = np.asarray(positions, dtype=float)
     n_samples = pos.shape[0]
+    _check_samples(n_samples)
     t_max = min(50.0 / env.gamma, (n_samples - 1) * dt / 2.0)
     slopes = _msd_rates(_as_rows(pos.reshape(n_samples, -1).T), dt,
                         10.0 / env.gamma, t_max)

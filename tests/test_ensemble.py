@@ -1,10 +1,12 @@
 import json
+import os
 import platform
-import resource
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -692,14 +694,17 @@ class TestMemoryBounds:
         assert peak - kept <= ensemble.CHUNK_BYTES * 13.5 / 13
 
     @staticmethod
-    def rates_config(n_steps, replicas):
-        return parse_config(json.dumps({
+    def rates_doc(n_steps, replicas):
+        return json.dumps({
             "env": {"mass": 1.0, "eta": 2.0, "temperature": 1.0},
             "geometry": {"l_x": 10.0, "l_y": 10.0},
             "population": {"mode": "fixed", "n_v": 5, "n_a": 5},
             "dt": 0.1, "total_time": 0.1 * n_steps, "replicas": replicas,
             "sample_stride": 5, "fit": {"t_min": 5.0, "t_max": 100.0},
-            "green_kubo_cutoff": 10.0, "master_seed": 4}), "rates")
+            "green_kubo_cutoff": 10.0, "master_seed": 4})
+
+    def rates_config(self, n_steps, replicas):
+        return parse_config(self.rates_doc(n_steps, replicas), "rates")
 
     def test_rates_peak_does_not_grow_with_replicas(self, tmp_path):
         # each lane reduces its replica and drops the series, so 4x the
@@ -712,19 +717,31 @@ class TestMemoryBounds:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="malloc trimming is glibc's")
-    def test_rates_faults_do_not_grow_with_replicas(self, tmp_path):
-        # a lane reuses the pages of the replica before; if malloc handed
-        # them back to the OS, each extra replica would fault them in again
-        # (about 1,800 pages per replica of 1e5 steps)
-        n_steps = 100_000
-        faults = []
-        for replicas in (2, 8):
-            cfg = self.rates_config(n_steps, replicas)
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            cli.run(cfg, lanes=1, output_dir=tmp_path / str(replicas))
-            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                          - before)
-        assert faults[1] - faults[0] < 8 * 2 * n_steps / 4096
+    def test_rates_first_run_faults_each_lane_once(self, tmp_path):
+        # a fresh process, so malloc starts from glibc's defaults. Each lane
+        # faults its series in once: two draw buffers (8 doubles per step)
+        # and the engine's and estimators' transients (at most 8 more). If
+        # malloc handed freed replicas back to the OS, later replicas would
+        # fault them in again: more than twice the bound at 10 per lane
+        lanes, n_steps = 2, 100_000
+        code = (
+            "import resource, sys\n"
+            "from windrift import cli, parse_config\n"
+            "config = parse_config(sys.stdin.read(), 'rates')\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            f"cli.run(config, lanes={lanes}, output_dir=sys.argv[1])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+            " - before)\n")
+        src = str(Path(ensemble.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)], env=env,
+            input=self.rates_doc(n_steps, 20), capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < lanes * 16 * 8 * n_steps / 4096
 
 
 class TestPopulation:

@@ -440,3 +440,16 @@ ENV = ThermalEnv(mass=1.0, eta=2.0, temperature=1.0)
 def test_input_without_rows_refused(call):
     with pytest.raises(ValueError, match="no rows"):
         call()
+
+
+@pytest.mark.parametrize("call, n_samples", [
+    (lambda: rate_from_msd(np.arange(1) * 0.1, np.zeros((3, 1)),
+                           (5.0, 15.0)), 1),
+    (lambda: rate_from_msd(np.arange(0) * 0.1, np.zeros((3, 0)),
+                           (5.0, 15.0)), 0),
+    (lambda: einstein_diffusion_check(np.empty((0, 4, 2)), 0.1, ENV), 0)],
+    ids=["msd-one-sample", "msd-no-samples", "einstein-no-samples"])
+def test_series_too_short_to_fit_refused(call, n_samples):
+    with pytest.raises(ValueError, match=f"at least two samples, got "
+                                         f"{n_samples}$"):
+        call()
