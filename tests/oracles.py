@@ -238,6 +238,28 @@ def running_sum_positions(state, dt, env, rng, n_steps):
     return np.cumsum(series, axis=0)
 
 
+def increment_covariances(gamma, dt, lags):
+    """Covariances c_k of one free walker's displacements over steps k
+    apart, at unit diffusion T/eta = 1 and step h = dt, from the closed
+    form: c_0 = 2 (h - (1 - e^-gamma h)/gamma), c_k = (1 - e^-gamma h)^2
+    e^-gamma h (k - 1) / gamma for k >= 1. h - (1 - e^-gamma h)/gamma is
+    (x + expm1(-x))/gamma at x = gamma h, summed as its Taylor series
+    x^2/2 - x^3/6 + ... below x = 0.1, where the difference cancels."""
+    x = gamma * dt
+    if x < 0.1:
+        excess, term, k = 0.0, -x, 1
+        while abs(term) > 1e-20 * x * x:
+            k += 1
+            term *= -x / k
+            excess += term
+    else:
+        excess = x + np.expm1(-x)
+    lags = np.asarray(lags)
+    return np.where(lags == 0, 2.0 * excess / gamma,
+                    np.expm1(-x) ** 2 * np.exp(-x * (np.abs(lags) - 1))
+                    / gamma)
+
+
 def winding_two_draws(env, geometry, n_v, n_a, dt, n_steps, rng, *,
                       sample_stride=10, burn_in_steps=0):
     """run_winding drawing from rng in two calls: V_0 by rng.normal(0,

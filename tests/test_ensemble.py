@@ -21,7 +21,8 @@ from windrift import (SimulationState, ThermalEnv, TorusGeometry,
 from windrift import cli, ensemble, langevin
 from windrift.langevin import OUPropagator
 
-from oracles import (recurrence_loop, running_sum_positions, step_ensemble,
+from oracles import (increment_covariances, recurrence_loop,
+                     running_sum_positions, step_ensemble,
                      synthetic_brownian_alpha, traced_peak,
                      winding_two_draws, winding_variance)
 
@@ -383,6 +384,31 @@ class TestWindingEngine:
                                               rel=1e-12)
         assert res.inc[1, 0] == pytest.approx(dxy[0] / square_torus.l_x,
                                               rel=1e-12)
+
+    @pytest.mark.parametrize("gamma_dt", [1e-3, 0.04, 0.2, 2.0])
+    def test_exact_increment_law(self, gamma_dt):
+        # run_winding is linear in its normals: fed the unit basis, it gives
+        # the columns of L with inc = L z, so L L^T is the exact covariance
+        # of the increments, whatever the layout. Per axis it must be the
+        # closed-form (D/l^2) c_|i-j|, D = nT/eta, to rounding, with no
+        # covariance across axes
+        dt, n_steps, n = 0.1, 80, 6
+        env = ThermalEnv(mass=1.0, eta=gamma_dt / dt, temperature=1.5)
+        geo = TorusGeometry(l_x=20.0, l_y=10.0)
+        size = ensemble.collective_size(n, n_steps)
+        columns = [run_winding(env, geo, n // 2, n // 2, dt, n_steps,
+                               normals=basis, sample_stride=n_steps).inc
+                   for basis in np.eye(size)]
+        lower = np.stack(columns, axis=-1).reshape(2 * n_steps, size)
+        cov = (lower @ lower.T).reshape(2, n_steps, 2, n_steps)
+        assert not cov[0, :, 1].any() and not cov[1, :, 0].any()
+        lags = np.abs(np.subtract.outer(np.arange(n_steps),
+                                        np.arange(n_steps)))
+        c = increment_covariances(env.gamma, dt, lags)
+        for axis, length in ((0, geo.l_y), (1, geo.l_x)):
+            exact = n * env.temperature / env.eta / length**2 * c
+            assert (np.abs(cov[axis, :, axis] - exact).max()
+                    <= 1e-13 * exact[0, 0]), axis
 
     def test_empty_ensemble_draws_nothing(self, square_torus, basic_env):
         rng = substream(3, 0)
