@@ -193,7 +193,8 @@ def _run_ensemble(config: RunConfig, lanes: int):
             return _Reduced(counts, res.final_alpha, ())
         green_kubo = rate_from_green_kubo(res.inc, config.dt,
                                           config.gk_cutoff)
-        msd = rate_from_msd(res.times, res.alpha, window, gamma=env.gamma)
+        msd = rate_from_msd(config.dt * config.sample_stride, res.alpha,
+                            window, gamma=env.gamma)
         return _Reduced(counts, res.final_alpha,
                         (msd.per_row, green_kubo.per_row))
 

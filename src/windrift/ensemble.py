@@ -92,10 +92,6 @@ class SimulationState:
     alpha_x: float
     alpha_y: float
 
-    @property
-    def net_charge(self) -> int:
-        return int(self.charges.sum())
-
 
 def _check_counts(n_v: int, n_a: int) -> None:
     if n_v != n_a:
@@ -189,9 +185,9 @@ def lfilter(v: np.ndarray, decay: float, *, stepwise: bool) -> np.ndarray:
     Commun. ACM 29, 1170 (1986)) adds decay**k * v[i-k] for k = 1, 2, 4,
     ...: after the pass at k, row i sums its terms decay**j * u[i-j] for
     j < 2k, so log2(N) whole-array passes give the recurrence to rounding.
-    The scan stops at the first factor below SCAN_FLOOR, so it reaches at
-    most 2 k_max - 1 rows back, k_max the last factor's k: 12 passes at
-    gamma dt = 0.04.
+    The scan stops at the first factor below SCAN_FLOOR in magnitude, so
+    it reaches at most 2 k_max - 1 rows back, k_max the last factor's k:
+    12 passes at gamma dt = 0.04.
     """
     if stepwise:
         tmp = np.empty(v.shape[1:])
@@ -202,7 +198,7 @@ def lfilter(v: np.ndarray, decay: float, *, stepwise: bool) -> np.ndarray:
     n = len(v)
     tmp = np.empty_like(v[1:])
     k = 1
-    while k < n and decay ** k >= SCAN_FLOOR:
+    while k < n and abs(decay) ** k >= SCAN_FLOOR:
         np.multiply(v[:-k], decay ** k, out=tmp[:n - k])
         v[k:] += tmp[:n - k]
         k *= 2
@@ -538,13 +534,14 @@ def _estimate(rates: np.ndarray) -> RateEstimate:
     return RateEstimate(max(float(np.mean(rates)), 0.0), stderr, rates)
 
 
-def rate_from_msd(times, alphas, fit_window, *, gamma=None) -> RateEstimate:
+def rate_from_msd(spacing: float, alphas, fit_window, *,
+                  gamma=None) -> RateEstimate:
     """Rate from the slope of the winding-number MSD.
 
     Parameters
     ----------
-    times : (S,) array
-        Uniform sample times of the alpha series.
+    spacing : float
+        Time between successive samples of the alpha series, > 0.
     alphas : (R, S) array
         Winding-number samples; rows are independent replicas, and a
         single (S,) series is one replica (stderr 0).
@@ -561,12 +558,14 @@ def rate_from_msd(times, alphas, fit_window, *, gamma=None) -> RateEstimate:
         stderr is the standard error over replica slopes, and per_row
         holds each row's rate.
     """
-    times = np.asarray(times, dtype=float)
+    spacing = float(spacing)
+    if not spacing > 0.0:
+        raise ValueError(f"sample spacing must be positive, got {spacing}")
     if gamma is not None:
         _check_fit_start(fit_window[0], gamma)
     rows = _as_rows(alphas)
     _check_samples(rows.shape[1])
-    return _estimate(_msd_rates(rows, times[1] - times[0], *fit_window))
+    return _estimate(_msd_rates(rows, spacing, *fit_window))
 
 
 def rate_from_green_kubo(increments, dt: float,

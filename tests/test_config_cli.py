@@ -171,12 +171,11 @@ class TestParsing:
         # series of the shapes a run of this config produces
         dt, gamma = 0.1, 2.0
         n_steps = int(round(total_time / dt))
-        idx = np.arange(stride - 1, n_steps, stride)
-        times = np.concatenate([[0.0], (idx + 1) * dt])
+        samples = n_steps // stride + 1
         window = (fit.get("t_min", 10.0 / gamma),
                   fit.get("t_max", total_time / 2.0))
         try:
-            rate_from_msd(times, np.ones((2, times.size)), window,
+            rate_from_msd(dt * stride, np.ones((2, samples)), window,
                           gamma=gamma)
             rate_from_green_kubo(np.ones((2, n_steps)), dt, cutoff)
             refused = False
@@ -402,7 +401,8 @@ class TestRunRates:
         for i, axis in enumerate(("x", "y")):
             expected = {
                 "msd": rate_from_msd(
-                    results[0].times, [res.alpha[i] for res in results],
+                    cfg.dt * cfg.sample_stride,
+                    [res.alpha[i] for res in results],
                     (cfg.fit_t_min, cfg.fit_t_max), gamma=cfg.env.gamma),
                 "green_kubo": rate_from_green_kubo(
                     [res.inc[i] for res in results], cfg.dt, cfg.gk_cutoff)}

@@ -92,11 +92,6 @@ class TestStateConstruction:
         with pytest.raises(ValueError):
             initial_state(basic_env, square_torus, 3, 2, substream(0, 0))
 
-    def test_neutrality_conserved_over_run(self, square_torus, basic_env):
-        res = run_replica(basic_env, square_torus, 5, 5, 0.1, 200,
-                          master_seed=1, stream_id=0)
-        assert res.state.net_charge == 0
-
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             TorusGeometry(l_x=1.0, l_y=2.0)
@@ -528,6 +523,16 @@ class TestVelocityRecurrence:
                 ensemble.lfilter(u[:n].copy(), decay, stepwise=False),
                 full[:n]), n
 
+    def test_scan_with_negative_decay(self):
+        # a decay of theta's sign under the MA inversion: the scan's stopping
+        # rule must read |decay|**k, or it stops before the first pass
+        decay = -0.27
+        u = np.random.default_rng(3).standard_normal((10_000, 2))
+        expected = recurrence_loop(u, decay)
+        scan = ensemble.lfilter(u.copy(), decay, stepwise=False)
+        assert (np.abs(scan - expected).max()
+                <= 1e-14 * np.abs(expected).max())
+
 
 class TestChunkHelperThread:
     """_chunks draws on one helper thread, joined however it ends."""
@@ -863,8 +868,7 @@ class TestClosedFormRates:
 
 class TestMsdEstimator:
     def test_constant_series(self):
-        times = np.arange(401.0)
-        est = rate_from_msd(times, np.ones(401), fit_window=(2.0, 8.0))
+        est = rate_from_msd(1.0, np.ones(401), fit_window=(2.0, 8.0))
         assert est.gamma_rate == 0.0
         assert est.stderr == 0.0
 
@@ -873,20 +877,29 @@ class TestMsdEstimator:
         rate0, dt, n = 0.3, 0.01, 20_000
         rows = [synthetic_brownian_alpha(rate0, dt, n, rng)[0]
                 for _ in range(25)]
-        times = np.arange(n + 1) * dt
-        est = rate_from_msd(times, np.stack(rows), fit_window=(1.0, 20.0))
+        est = rate_from_msd(dt, np.stack(rows), fit_window=(1.0, 20.0))
         assert abs(est.gamma_rate - rate0) < 3.0 * est.stderr + 0.01
 
     def test_diffusive_window_precondition(self):
-        times = np.arange(1000.0)
         with pytest.raises(ValueError, match="diffusive"):
-            rate_from_msd(times, np.zeros(1000), fit_window=(1.0, 50.0),
+            rate_from_msd(1.0, np.zeros(1000), fit_window=(1.0, 50.0),
                           gamma=1.0)
 
     def test_window_beyond_data(self):
-        times = np.arange(0.0, 4.0, 1.0)
         with pytest.raises(ValueError):
-            rate_from_msd(times, np.zeros(4), fit_window=(10.0, 20.0))
+            rate_from_msd(1.0, np.zeros(4), fit_window=(10.0, 20.0))
+
+    @pytest.mark.parametrize("spacing", [0.0, -0.1, np.nan])
+    def test_spacing_must_be_positive(self, spacing):
+        with pytest.raises(ValueError, match="spacing must be positive"):
+            rate_from_msd(spacing, np.zeros(400), fit_window=(5.0, 15.0))
+
+    def test_sample_times_refused(self):
+        # the spacing is one number: sample times of any length would be
+        # read at their first two entries alone
+        with pytest.raises(TypeError):
+            rate_from_msd(np.arange(10) * 0.1, np.zeros(400),
+                          fit_window=(5.0, 15.0))
 
 
 class TestGreenKuboEstimator:
@@ -910,8 +923,7 @@ class TestGreenKuboEstimator:
             a, i = synthetic_brownian_alpha(rate0, dt, n, rng)
             alphas.append(a)
             incs.append(i)
-        times = np.arange(n + 1) * dt
-        msd = rate_from_msd(times, np.stack(alphas), fit_window=(1.0, 30.0))
+        msd = rate_from_msd(dt, np.stack(alphas), fit_window=(1.0, 30.0))
         gk = rate_from_green_kubo(np.stack(incs), dt=dt, cutoff=3.0)
         combined = np.hypot(msd.stderr, gk.stderr)
         assert abs(msd.gamma_rate - gk.gamma_rate) <= 2.0 * combined + 1e-3
@@ -966,18 +978,18 @@ class TestPerRowRates:
         rows = [synthetic_brownian_alpha(0.3, dt, n, rng) for _ in range(5)]
         rows.append((np.zeros(n + 1), np.zeros(n)))      # rate exactly 0
         alphas, incs = (np.stack(col) for col in zip(*rows))
-        return np.arange(n + 1) * dt, alphas, incs, dt
+        return alphas, incs, dt
 
     def test_msd(self, series):
-        times, alphas, _, _ = series
-        est = rate_from_msd(times, alphas, (1.0, 20.0))
-        singles = [rate_from_msd(times, row, (1.0, 20.0)).gamma_rate
+        alphas, _, dt = series
+        est = rate_from_msd(dt, alphas, (1.0, 20.0))
+        singles = [rate_from_msd(dt, row, (1.0, 20.0)).gamma_rate
                    for row in alphas]
         assert est.per_row.tolist() == singles
         assert est.gamma_rate == float(np.mean(est.per_row))
 
     def test_green_kubo(self, series):
-        _, _, incs, dt = series
+        _, incs, dt = series
         est = rate_from_green_kubo(incs, dt, cutoff=1.0)
         singles = [rate_from_green_kubo(row, dt, cutoff=1.0).gamma_rate
                    for row in incs]
@@ -1000,7 +1012,7 @@ class TestPerRowRates:
         for est in (rate_from_green_kubo(
                         np.vstack([white[n_negative:], alternating]), dt,
                         cutoff=dt),
-                    rate_from_msd(t, np.vstack([walks[n_negative:], sine]),
+                    rate_from_msd(dt, np.vstack([walks[n_negative:], sine]),
                                   (12.0, 18.0))):
             rows = est.per_row
             assert np.all(rows[-n_negative:] < 0.0) and len(rows) == 4
@@ -1010,10 +1022,10 @@ class TestPerRowRates:
 
     def test_pooled_replica_calls_equal_one_call(self, series):
         # cli's lanes call each estimator on one replica's (x, y) rows
-        times, alphas, incs, dt = series
+        alphas, incs, dt = series
         pairs = [(i, (i + 1) % len(incs)) for i in range(len(incs))]
         for call in (lambda rows: rate_from_green_kubo(incs[rows], dt, 1.0),
-                     lambda rows: rate_from_msd(times, alphas[rows],
+                     lambda rows: rate_from_msd(dt, alphas[rows],
                                                 (1.0, 20.0))):
             pooled = pool_replicas([call(list(p)).per_row for p in pairs])
             for axis, est in enumerate(pooled):
@@ -1057,9 +1069,8 @@ class TestSimulatedDiffusion:
         rows = [run_replica(basic_env, geo, 20, 20, dt, n_steps,
                             master_seed=99, stream_id=r, sample_stride=1)
                 for r in range(20)]
-        times = rows[0].times
         alphas = np.stack([r.alpha[0] for r in rows])
-        est = rate_from_msd(times, alphas, fit_window=(5.0, 100.0),
+        est = rate_from_msd(dt, alphas, fit_window=(5.0, 100.0),
                             gamma=basic_env.gamma)
         target = analytic_rate(basic_env, geo, 20, 20)
         assert abs(est.gamma_rate - target) <= 0.15 * target
