@@ -14,33 +14,34 @@ integrated autocorrelation of alpha-dot (Green-Kubo), and the closed-form
 T*(N_v+N_a)/(eta*l^2). A replica's windings and increments are each one
 (2, .) array whose rows are x and y, from the engines to the estimators.
 
-Two engines share one propagation kernel. run_replica propagates every
-walker, chunk by chunk, and can record velocities and positions; one
-helper thread draws the next chunk's normals while the current chunk
-propagates, and the chunks reuse fixed buffers. A chunk holds
-STEP_BYTES (13 doubles) per walker and step, and its length is the most
-steps that fit in CHUNK_BYTES (4 MiB), at least one: beyond the arrays
-it returns, run_replica holds at most CHUNK_BYTES whatever the walker
-count, unless one step of all walkers exceeds it. Among those arrays are
-the per-step v_y^2 sums (8 bytes per recorded step); the per-step walker
-counts are one value broadcast read-only.
-run_winding propagates, over the whole series at once, only the
-charge-weighted sums V = sum q v and D = sum q dx per axis: the walkers do
-not interact and q^2 = 1, so (V, D) of n walkers at temperature T is
-exactly one walker at temperature nT (noise scaled by sqrt(n)), and the
-winding series cost O(1) draws per step whatever the walker count.
+Two engines give the same law. run_replica propagates every walker,
+chunk by chunk, with the exact one-step propagator, and can record
+velocities and positions; one helper thread draws the next chunk's
+normals while the current chunk propagates, and the chunks reuse fixed
+buffers. A chunk holds STEP_BYTES (13 doubles) per walker and step, and
+its length is the most steps that fit in CHUNK_BYTES (4 MiB), at least
+one: beyond the arrays it returns, run_replica holds at most CHUNK_BYTES
+whatever the walker count, unless one step of all walkers exceeds it.
+Among those arrays are the per-step v_y^2 sums (8 bytes per recorded
+step); the per-step walker counts are one value broadcast read-only.
+run_winding draws, over the whole series at once, only the
+charge-weighted displacement sums D = sum q dx per axis: the walkers do
+not interact and q^2 = 1, so D of n walkers at temperature T is exactly
+one walker's at temperature nT, whose increments are a stationary
+ARMA(1,1) process (langevin.increment_law). The winding series cost 2
+draws per step whatever the walker count.
 
 Reproducibility: all noise comes from Philox streams keyed by
 (master_seed, stream_id); draws happen in a fixed (step, walker, axis,
-role) order, with run_winding's pseudo-walker as the only walker (rng.py
-gives each engine's full layout). run_winding draws nothing itself: it
-spends one flat array of normals that collective_normals draws, so a
-caller can draw the next replica while this one propagates. prefetched
-owns that overlap, one item ahead on one helper thread; run_replica's
-helper is the only thread that draws once the initial state is drawn,
-one chunk at a time in chunk order, so the stream is consumed as by one
-thread. Replicas are the unit of parallelism and are never split, so
-results are bit-identical for any worker count.
+role) order for run_replica and in (axis, step) order for run_winding
+(rng.py gives each engine's full layout). run_winding draws nothing
+itself: it spends one flat array of normals that collective_normals
+draws, so a caller can draw the next replica while this one propagates.
+prefetched owns that overlap, one item ahead on one helper thread;
+run_replica's helper is the only thread that draws once the initial
+state is drawn, one chunk at a time in chunk order, so the stream is
+consumed as by one thread. Replicas are the unit of parallelism and are
+never split, so results are bit-identical for any worker count.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -52,7 +53,7 @@ import numpy as np
 
 from .langevin import (OUPropagator, ThermalEnv, _as_rows, _check_fit_start,
                        _check_samples, _cutoff_lag, _lag_sum_kernel,
-                       _msd_rates, fast_size)
+                       _msd_rates, fast_size, increment_law)
 from .rng import substream
 
 
@@ -205,22 +206,20 @@ def lfilter(v: np.ndarray, decay: float, *, stepwise: bool) -> np.ndarray:
     return v
 
 
-def _propagate(noise: np.ndarray, prop: OUPropagator, vel: np.ndarray,
-               stepwise: bool, *, v: Optional[np.ndarray] = None,
-               dxy: Optional[np.ndarray] = None):
-    """Advance velocities vel by the steps whose normals noise holds.
+def _propagate(noise: np.ndarray, prop: OUPropagator, vel: np.ndarray, *,
+               v: np.ndarray, dxy: np.ndarray):
+    """Advance velocities vel step by step over the steps whose normals
+    noise holds.
 
     noise is indexed [step, ..., role], its middle axes shaped as vel; its
     normals are spent (overwritten). Returns (vseq, dxy): the velocity
     after each step and each step's displacement, both shaped
-    noise[..., 0], written into v (one row longer) and dxy when given.
+    noise[..., 0], written into v (one row longer) and dxy.
     """
     n1, n2 = noise[..., 0], noise[..., 1]
-    if v is None:
-        v = np.empty((len(noise) + 1,) + vel.shape)
     v[0] = vel
     np.multiply(n1, prop.sigma_v, out=v[1:])
-    lfilter(v, prop.decay, stepwise=stepwise)
+    lfilter(v, prop.decay, stepwise=True)
     # dxy = drift * vprev + c1 * n1 + c2 * n2, the products formed in the
     # spent normals
     dxy = np.multiply(v[:-1], prop.drift, out=dxy)
@@ -289,8 +288,8 @@ def _chunks(rng: np.random.Generator, prop: OUPropagator, vel: np.ndarray,
 
     for recording, done, chunk in prefetched(draw, enumerate(plan)):
         m = len(chunk)
-        vseq, dxy_m = _propagate(chunk, prop, vel, stepwise=True,
-                                 v=v[:m + 1], dxy=dxy[:m])
+        vseq, dxy_m = _propagate(chunk, prop, vel, v=v[:m + 1],
+                                 dxy=dxy[:m])
         vel = vseq[-1].copy()
         yield recording, done, vseq, dxy_m
 
@@ -306,12 +305,9 @@ def _record_increments(dxy, charges, geometry: TorusGeometry, inc,
         / geometry.l_x
 
 
-def _windings(inc, dt: float, sample_stride: int,
-              full: Optional[np.ndarray] = None) -> WindingResult:
-    """Cumulative windings, sampled after every sample_stride-th step;
-    full, when given, is the (2, N + 1) workspace of the running sums."""
-    if full is None:
-        full = np.empty((2, inc.shape[1] + 1))
+def _windings(inc, dt: float, sample_stride: int) -> WindingResult:
+    """Cumulative windings, sampled after every sample_stride-th step."""
+    full = np.empty((2, inc.shape[1] + 1))
     full[:, 0] = 0.0
     np.cumsum(inc, axis=1, out=full[:, 1:])
     return WindingResult(
@@ -400,16 +396,17 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
 
 def collective_size(n: int, steps: int) -> int:
     """How many normals run_winding spends on n walkers over steps steps."""
-    return 2 + 4 * steps if n else 0
+    return 2 * steps if n else 0
 
 
 def collective_normals(rng: np.random.Generator, n: int, steps: int, *,
                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """The normals run_winding spends on a replica of n walkers over steps
-    (burn-in plus recorded) steps, as one flat array: V_0 (x, y), then
-    per step (axis, role). An empty ensemble draws nothing and gets an
-    empty array. out, when given, has room for at least that many; they
-    are drawn into its head, which is returned."""
+    (burn-in plus recorded) steps, as one flat array: two per burn-in step,
+    then those of the recorded steps axis-major, the alpha_x row first. An
+    empty ensemble draws nothing and gets an empty array. out, when given,
+    has room for at least that many; they are drawn into its head, which
+    is returned."""
     size = collective_size(n, steps)
     return rng.standard_normal(size, out=None if out is None else out[:size])
 
@@ -420,19 +417,26 @@ def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
                 burn_in_steps: int = 0) -> WindingResult:
     """Winding series of one replica from the collective coordinates alone.
 
-    Per axis, V = sum q v and D = sum q dx of n = n_v + n_a independent
-    walkers (q = +-1) follow the exact propagator of one walker at
-    temperature nT: the noise is scaled by sqrt(n) and V starts from the
-    stationary N(0, nT/M). So the windings have exactly the law of
-    run_replica's, from 2 normals plus 4 per step instead of 4n per step.
-    normals are collective_normals(rng, n, burn_in_steps + n_steps), burn-in
-    first; any other length is refused. They are spent: overwritten by
-    the products and then the running sums. V runs through the whole
-    series at once, as lfilter's doubling scan, so beyond the normals (4
-    doubles per step) the memory is 4 doubles per step at the peak
-    (velocities and the scan's temporary, then displacements and
-    increments). An empty ensemble has zero increments. The windings are
-    zeroed after burn-in and the series start at (t=0, alpha=0).
+    Per axis, D = sum q dx of n = n_v + n_a independent walkers (q = +-1)
+    has the displacement law of one walker at temperature nT, and that law
+    (increment_law) is a stationary Gaussian ARMA(1,1) process. So the
+    windings have exactly the law of run_replica's, from 2 normals per
+    step instead of 4n: the exact innovations form of the process
+    (Brockwell & Davis, Time Series: Theory and Methods, 2nd ed., 1991,
+    section 5.3), D_1 = s sqrt(r_0) z_1 and D_i = phi D_(i-1)
+    + s (sqrt(r_(i-1)) z_i + theta z_(i-1) / sqrt(r_(i-2))).
+
+    normals are collective_normals(rng, n, burn_in_steps + n_steps); any
+    other length is refused. The start is exactly stationary, so a
+    burn-in would change no law: its normals are drawn and not used. The
+    rest hold the (2, n_steps) increments' normals, rows x and y, and are
+    spent: scaled by sqrt(r) at the head, given the theta term, run
+    through lfilter's doubling scan with decay phi along the steps, and
+    scaled by sqrt(nT s2/eta)/l. inc is that view of them. Beyond the
+    normals (2 doubles per step) the memory is 2 doubles per step at the
+    peak (the theta term, then the scan's temporary, then the running
+    sums). An empty ensemble has zero increments. The series start at
+    (t=0, alpha=0).
     """
     _check_steps(dt, n_steps, sample_stride, burn_in_steps)
     _check_counts(n_v, n_a)
@@ -444,18 +448,22 @@ def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
                          f"{n} walkers over {steps} steps spend {size}")
     if not n:
         return _windings(np.zeros((2, n_steps)), dt, sample_stride)
-    collective = ThermalEnv(env.mass, env.eta, n * env.temperature)
-    prop = OUPropagator.build(collective, dt)
-    vel = np.sqrt(collective.temperature / env.mass) * normals[:2]
-    dxy = _propagate(normals[2:].reshape(steps, 2, 2), prop, vel,
-                     stepwise=False)[1]
-    # rows (x, y) are the y and x displacements over the loop they wind
-    inc = np.divide(dxy[burn_in_steps:, ::-1].T,
-                    [[geometry.l_y], [geometry.l_x]], order="C")
-    del dxy   # 16 bytes per step, not needed by the running sums
-    # the spent normals (2 + 4 * steps) hold the 2 * (n_steps + 1) sums
-    return _windings(inc, dt, sample_stride,
-                     full=normals[:2 * n_steps + 2].reshape(2, -1))
+    law = increment_law(env.gamma, dt)
+    inc = normals[2 * burn_in_steps:].reshape(2, n_steps)
+    rows = inc.T     # (n_steps, 2): the scans run down the steps
+    # innovations e_i = sqrt(r_i) z_i, then w_i = e_i + theta e_(i-1) /
+    # r_(i-1) and D_i = phi D_(i-1) + s w_i; r_i = 1 beyond the head
+    head = law.r[:n_steps, None]
+    rows[:len(head)] *= np.sqrt(head)
+    carry = np.multiply(rows[:-1], law.theta)
+    carry[:len(head)] /= head[:n_steps - 1]
+    rows[1:] += carry
+    del carry
+    lfilter(rows, law.phi, stepwise=False)
+    # rows x and y wind with the y and x displacements
+    rows *= np.sqrt(n * env.temperature * law.s2 / env.eta) \
+        / np.array([geometry.l_y, geometry.l_x])
+    return _windings(inc, dt, sample_stride)
 
 
 def mean_population(env: ThermalEnv, geometry: TorusGeometry,

@@ -10,9 +10,10 @@ Gaussian propagator. Stepping uses that propagator, never Euler-Maruyama:
 results carry no time-step bias, only statistics.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -83,6 +84,76 @@ class OUPropagator:
             c1 = c2 = 0.0
         return cls(dt=dt, decay=decay, drift=drift, sigma_v=sigma_v,
                    c1=c1, c2=c2)
+
+
+class IncrementLaw(NamedTuple):
+    """The stationary law of the displacements over successive steps of
+    one free walker at unit diffusion T/eta = 1, per axis; increment_law
+    gives it."""
+
+    phi: float        # e^-gamma h
+    c0: float         # variance of one step's displacement
+    c1: float         # covariance of successive steps; c_k = c1 phi^(k-1)
+    theta: float      # MA(1) coefficient of u_i = D_i - phi D_(i-1)
+    s2: float         # variance of the MA(1) noise
+    r: np.ndarray     # innovation variances r_i / s2 until they reach 1
+
+
+# Taylor coefficients of the forms below that cancel at small x, highest
+# power first for np.polyval: x + expm1(-x) = x^2 sum_k (-x)^k / (k+2)!,
+# sinh x - x = x^3 sum_k y^k / (2k+3)! and 2 (x cosh x - sinh x) =
+# x^3 sum_k 4 (k+1) y^k / (2k+3)!, with y = x^2; below x = 1 the omitted
+# terms are under 1e-18 of the sum
+_EXP_TAIL = [(-1) ** k / math.factorial(k + 2) for k in range(20)][::-1]
+_SINH_TAIL = [1.0 / math.factorial(2 * k + 3) for k in range(10)][::-1]
+_COSH_TAIL = [4.0 * (k + 1) / math.factorial(2 * k + 3)
+              for k in range(10)][::-1]
+
+
+@lru_cache(maxsize=8)
+def increment_law(gamma: float, dt: float) -> IncrementLaw:
+    """The increments' law over step h = dt at relaxation rate gamma, per
+    axis at unit diffusion: a stationary Gaussian ARMA(1,1) process.
+
+    With x = gamma h and phi = e^-x, the step covariances are c0 =
+    2 (h - (1 - phi)/gamma) and c_k = c1 phi^(k-1), c1 = (1 - phi)^2/gamma,
+    so u_i = D_i - phi D_(i-1) is MA(1): its lag-0 and lag-1 covariances
+    c0 (1 + phi^2) - 2 phi c1 = 2 e^-x (x cosh x - sinh x)/gamma and
+    c1 - phi c0 = 2 e^-x (sinh x - x)/gamma vanish beyond lag 1. Their
+    spectral factorization (Brockwell & Davis, Time Series: Theory and
+    Methods, 2nd ed., 1991, section 3.3) gives u_i = Z_i + theta Z_(i-1),
+    Z white of variance s2, |theta| < 1 (about 0.268 at small x). The
+    innovations algorithm (ibid., section 5.2) on D_1, u_2, u_3, ... gives
+    the one-step prediction errors' variances s2 r_i from the exact
+    stationary start: r_0 = c0/s2, r_i = 1 + theta^2 - theta^2/r_(i-1).
+    r lists them until one lies within one ulp of 1, their fixed point
+    (14 rows at x from 1e-3 to 0.2); from there on they are 1.
+
+    Every cancelling difference is read from its Taylor series below
+    x = 1, so the law holds to rounding at any x. Read-only and cached.
+    """
+    x = gamma * dt
+    a = -math.expm1(-x)
+    if x < 1.0:
+        y = x * x
+        excess = y * np.polyval(_EXP_TAIL, x)
+        lag1 = math.exp(-x) * x * y * np.polyval(_SINH_TAIL, y)
+        lag0 = math.exp(-x) * x * y * np.polyval(_COSH_TAIL, y)
+    else:
+        excess = x - a
+        lag1 = 0.5 * a * (2.0 - a) - x * math.exp(-x)
+        lag0 = x - 1.0 + (x + 1.0) * math.exp(-2.0 * x)
+    rho = lag1 / lag0
+    theta = 2.0 * rho / (1.0 + math.sqrt(1.0 - 4.0 * rho * rho))
+    s2 = 2.0 * lag0 / (gamma * (1.0 + theta * theta))
+    c0 = 2.0 * excess / gamma
+    r = [c0 / s2]
+    while abs(r[-1] - 1.0) > np.finfo(float).eps:
+        r.append(1.0 + theta * theta - theta * theta / r[-1])
+    rows = np.array(r[:-1])
+    rows.flags.writeable = False
+    return IncrementLaw(phi=math.exp(-x), c0=c0, c1=a * a / gamma,
+                        theta=theta, s2=s2, r=rows)
 
 
 @dataclass(frozen=True)

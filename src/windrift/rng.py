@@ -10,10 +10,11 @@ Replica r of a `rates` or `simulate` run uses the stream
 1. the Boltzmann population draw, in that mode only: one Poisson total,
    then one uniform tie-break coin if the total is odd;
 2. the engine's draws. The collective engine (ensemble.run_winding)
-   spends one flat array of normals (ensemble.collective_normals): the
-   stationary V_0 as two normals (x, y), then four normals per step in
-   (axis, role) order, role 0 driving the velocity and role 1 the extra
-   position noise; an empty ensemble draws nothing. Each lane's helper
+   spends one flat array of normals (ensemble.collective_normals): two
+   per burn-in step, which its exactly stationary start leaves unused,
+   then the recorded steps' normals axis-major, first those driving
+   alpha_x (the y displacement), then those driving alpha_y; an empty
+   ensemble draws nothing. Each lane's helper
    thread draws that array one replica ahead of the lane, claiming
    replicas in any order, since no stream depends on another. The
    per-walker engine (ensemble.run_replica) draws the positions (walker,

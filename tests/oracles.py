@@ -7,12 +7,12 @@ direct random-walk constructions, and the exponential fit is scipy's
 curve_fit. The exceptions are step_ensemble and recurrence_loop, the
 step-by-step references that the engines must match bit for bit
 (run_replica) or to rounding (run_winding's doubling scan),
-winding_two_draws, the collective engine as it drew its own normals,
-lag_products_whole_row, the one-transform lag products that short rows
-must still match bit for bit, and msd_all_origin and msd_fit_rates, the
-MSD from the lag products and its line fit, which the one-transform
-slope contraction must match to rounding. traced_peak measures rather
-than predicts.
+innovations_increments, the collective engine's increments one step at
+a time from the closed-form covariances, lag_products_whole_row, the
+one-transform lag products that short rows must still match bit for bit,
+and msd_all_origin and msd_fit_rates, the MSD from the lag products and
+its line fit, which the one-transform slope contraction must match to
+rounding. traced_peak measures rather than predicts.
 """
 
 import tracemalloc
@@ -260,25 +260,31 @@ def increment_covariances(gamma, dt, lags):
                     / gamma)
 
 
-def winding_two_draws(env, geometry, n_v, n_a, dt, n_steps, rng, *,
-                      sample_stride=10, burn_in_steps=0):
-    """run_winding drawing from rng in two calls: V_0 by rng.normal(0,
-    sqrt(nT/M), 2), then the steps by standard_normal((S, 2, 2)). The flat
-    array of collective_normals must reproduce it bit for bit."""
-    from windrift.ensemble import _propagate, _windings
-    from windrift.langevin import OUPropagator, ThermalEnv
-    n = n_v + n_a
-    if not n:
-        return _windings(np.zeros((2, n_steps)), dt, sample_stride)
-    collective = ThermalEnv(env.mass, env.eta, n * env.temperature)
-    prop = OUPropagator.build(collective, dt)
-    vel = rng.normal(0.0, np.sqrt(collective.temperature / env.mass),
-                     size=2)
-    noise = rng.standard_normal((burn_in_steps + n_steps, 2, 2))
-    dxy = _propagate(noise, prop, vel, stepwise=False)[1]
-    inc = np.divide(dxy[burn_in_steps:, ::-1].T,
-                    [[geometry.l_y], [geometry.l_x]], order="C")
-    return _windings(inc, dt, sample_stride)
+def innovations_increments(z, gamma, dt):
+    """Displacements at unit diffusion from standard normals z, one step
+    at a time by the innovations recursion of their ARMA(1,1) law
+    (Brockwell & Davis, Time Series: Theory and Methods, 2nd ed., 1991,
+    section 5.3): D_1 = sqrt(c_0) z_1, then D^_(i+1) = phi D_i +
+    (theta/r_(i-1)) (D_i - D^_i) and D_(i+1) = D^_(i+1) + sqrt(s2 r_i)
+    z_(i+1), with r_i = 1 + theta^2 - theta^2/r_(i-1) from r_0 = c_0/s2.
+    theta and s2 factor the lag-0 and lag-1 covariances of D_i - phi
+    D_(i-1), read from increment_covariances."""
+    phi = np.exp(-gamma * dt)
+    c0, c1 = increment_covariances(gamma, dt, [0, 1])
+    lag0 = c0 * (1.0 + phi * phi) - 2.0 * phi * c1
+    lag1 = c1 - phi * c0
+    rho = lag1 / lag0
+    theta = (1.0 - np.sqrt(1.0 - 4.0 * rho * rho)) / (2.0 * rho)
+    s2 = lag0 / (1.0 + theta * theta)
+    out = np.empty(len(z))
+    r, predicted = c0 / s2, 0.0
+    for i, zi in enumerate(z):
+        if i:
+            predicted = (phi * out[i - 1]
+                         + theta / r * (out[i - 1] - predicted))
+            r = 1.0 + theta * theta - theta * theta / r
+        out[i] = predicted + np.sqrt(s2 * r) * zi
+    return out
 
 
 def faraday_residual(point, v, scales, c_light, h):

@@ -21,10 +21,10 @@ from windrift import (SimulationState, ThermalEnv, TorusGeometry,
 from windrift import cli, ensemble, langevin
 from windrift.langevin import OUPropagator
 
-from oracles import (increment_covariances, recurrence_loop,
-                     running_sum_positions, step_ensemble,
+from oracles import (increment_covariances, innovations_increments,
+                     recurrence_loop, running_sum_positions, step_ensemble,
                      synthetic_brownian_alpha, traced_peak,
-                     winding_two_draws, winding_variance)
+                     winding_variance)
 
 
 def drift_state(velocities, charges):
@@ -301,6 +301,15 @@ def same_position(rng, ref):
                           ref.integers(0, 2**63, 8))
 
 
+def oracle_increments(env, geometry, n, dt, normals):
+    """The (2, N) winding increments of n walkers that the innovations
+    recursion makes of (2, N) normals, rows alpha_x and alpha_y."""
+    scale = np.sqrt(n * env.temperature / env.eta)
+    return np.array([scale / length * innovations_increments(z, env.gamma, dt)
+                     for z, length in zip(normals, (geometry.l_y,
+                                                    geometry.l_x))])
+
+
 def final_windings_collective(env, geometry, n, dt, n_steps, seed, stream):
     res = run_winding(env, geometry, n, n, dt, n_steps,
                       normals=collective_normals(substream(seed, stream),
@@ -356,7 +365,8 @@ class TestWindingEngine:
                                       getattr(other, name)), name
 
     def test_stream_layout(self, square_torus, basic_env):
-        # V_0 (x, y), then per step (axis, role); nothing else is drawn
+        # two normals per burn-in step, then the recorded steps' normals
+        # driving alpha_x and those driving alpha_y; nothing else is drawn
         n, dt, burn, n_steps = 5, 0.05, 3, 40
         rng = substream(4, 1)
         res = run_winding(basic_env, square_torus, n, n, dt, n_steps,
@@ -364,21 +374,12 @@ class TestWindingEngine:
                                                      burn + n_steps),
                           burn_in_steps=burn)
         ref = substream(4, 1)
-        normals = ref.standard_normal(2 + 4 * (burn + n_steps))
+        normals = ref.standard_normal(2 * (burn + n_steps))
         assert same_position(rng, ref)
-        hot = ThermalEnv(basic_env.mass, basic_env.eta,
-                         2 * n * basic_env.temperature)
-        prop = OUPropagator.build(hot, dt)
-        v = np.sqrt(hot.temperature / hot.mass) * normals[:2]
-        for step in range(burn):
-            noise = normals[2 + 4 * step:6 + 4 * step].reshape(2, 2)
-            v = prop.decay * v + prop.sigma_v * noise[:, 0]
-        noise = normals[2 + 4 * burn:6 + 4 * burn].reshape(2, 2)
-        dxy = prop.drift * v + prop.c1 * noise[:, 0] + prop.c2 * noise[:, 1]
-        assert res.inc[0, 0] == pytest.approx(dxy[1] / square_torus.l_y,
-                                              rel=1e-12)
-        assert res.inc[1, 0] == pytest.approx(dxy[0] / square_torus.l_x,
-                                              rel=1e-12)
+        expected = oracle_increments(basic_env, square_torus, 2 * n, dt,
+                                     normals[2 * burn:].reshape(2, -1))
+        assert (np.abs(res.inc - expected).max()
+                <= 1e-12 * np.abs(expected).max())
 
     @pytest.mark.parametrize("gamma_dt", [1e-3, 0.04, 0.2, 2.0])
     def test_exact_increment_law(self, gamma_dt):
@@ -418,8 +419,9 @@ class TestWindingEngine:
     @pytest.mark.parametrize("burn", [0, 13])
     def test_flat_normals_match_two_draws(self, square_torus, basic_env,
                                           burn):
-        # one flat draw holds V_0 and the steps' normals in the order two
-        # calls drew them, so the windings are the same bits
+        # one flat draw holds, after the burn-in's, each axis's normals in
+        # the order two calls draw them; the windings are the step-by-step
+        # innovations recursion on those rows, to rounding
         n, dt, n_steps = 4, 0.05, 300
         for stream in range(10):
             res = run_winding(basic_env, square_torus, n, n, dt, n_steps,
@@ -427,33 +429,41 @@ class TestWindingEngine:
                                   substream(6, stream), 2 * n,
                                   burn + n_steps),
                               sample_stride=3, burn_in_steps=burn)
-            ref = winding_two_draws(basic_env, square_torus, n, n, dt,
-                                    n_steps, substream(6, stream),
-                                    sample_stride=3, burn_in_steps=burn)
-            for name in ("inc", "alpha", "final_alpha"):
-                assert np.array_equal(getattr(res, name),
-                                      getattr(ref, name)), (stream, name)
+            rng = substream(6, stream)
+            rng.standard_normal(2 * burn)
+            inc = oracle_increments(
+                basic_env, square_torus, 2 * n, dt,
+                [rng.standard_normal(n_steps) for _ in "xy"])
+            alpha = np.cumsum(inc, axis=1)[:, 2::3]
+            tol = 1e-13 * n_steps * np.abs(inc).max()
+            assert np.abs(res.inc - inc).max() <= tol, stream
+            assert not res.alpha[:, 0].any()
+            assert np.abs(res.alpha[:, 1:] - alpha).max() <= tol, stream
+            assert np.allclose(res.final_alpha, alpha[:, -1], rtol=0,
+                               atol=tol), stream
 
     @pytest.mark.parametrize("n,steps", [(1, 1), (2, 7), (10, 1000)])
     def test_draw_consumes_its_layout(self, n, steps):
         rng, ref = substream(8, 2), substream(8, 2)
         normals = collective_normals(rng, n, steps)
-        assert np.array_equal(normals, ref.standard_normal(2 + 4 * steps))
+        assert np.array_equal(normals, ref.standard_normal(2 * steps))
         assert same_position(rng, ref)
 
     def test_draw_into_buffer(self):
-        # 9 steps of a nonempty ensemble fill the buffer's first 38 values
+        # 9 steps of a nonempty ensemble fill the buffer's first 18 values
         buffer = np.full(50, np.nan)
         normals = collective_normals(substream(8, 2), 6, 9, out=buffer)
         assert np.shares_memory(normals, buffer)
         assert np.array_equal(normals,
                               collective_normals(substream(8, 2), 6, 9))
-        assert np.isnan(buffer[38:]).all()
+        assert np.isnan(buffer[18:]).all()
 
-    @pytest.mark.parametrize("n,size", [(2, 41), (2, 43), (0, 42), (2, 0)])
+    @pytest.mark.parametrize("n,size", [(2, 19), (2, 21), (2, 41), (2, 43),
+                                        (0, 42), (2, 0)])
     def test_refuses_wrong_length(self, square_torus, basic_env, n, size):
-        # 10 steps of a nonempty ensemble spend 42 normals, an empty one 0
-        spend = 42 if n else 0
+        # 10 steps of a nonempty ensemble spend 20 normals, an empty one 0;
+        # 41 and 43 sit beside the 42 that four normals per step spent
+        spend = 20 if n else 0
         with pytest.raises(ValueError,
                            match=rf"holds {size} values.* spend {spend}$"):
             run_winding(basic_env, square_torus, n // 2, n // 2, 0.1, 10,
@@ -641,9 +651,9 @@ class TestMemoryBounds:
     """Peak working memory of the engines, in doubles (tracemalloc)."""
 
     def test_run_winding_peak_per_step(self, square_torus, basic_env):
-        # the draw's normals (4) and the engine's velocities (2) and
-        # displacements (2) per step; the position-noise products and the
-        # running sums go into the spent normals
+        # the draw's normals (2 per step) and, beyond them, the engine's
+        # theta term, the scan's temporary or the running sums (2 per
+        # recorded step); the increments are the spent normals
         burn, n_steps = 1000, 200_000
 
         def draw_and_run():
@@ -657,8 +667,8 @@ class TestMemoryBounds:
         assert peak / 8 / (burn + n_steps) <= 8.5
 
     def test_simulate_lane_peak_per_step(self):
-        # one lane holds two draw buffers (8 doubles per step) and the
-        # engine's 4 beyond them, whatever the replica count, besides the
+        # one lane holds two draw buffers (4 doubles per step) and the
+        # engine's 2 beyond them, whatever the replica count, besides the
         # replica-0 trajectory it returns
         burn, n_steps = 20_000, 100_000
         config = parse_config(json.dumps({
@@ -673,6 +683,24 @@ class TestMemoryBounds:
         kept = sum(a.nbytes for a in trajectory)
         assert len(records) == 3
         assert (peak - kept) / 8 / (burn + n_steps) <= 12.5
+
+    def test_simulate_lane_peak_per_step_two_normals(self):
+        # the same lane at two normals per step: two draw buffers of 2
+        # doubles per burn-in and recorded step, and at the peak the running
+        # sums (2) and the sampled windings (2/5) per recorded step; with
+        # 1/6 of the steps in burn-in that is 6.0 doubles per step
+        burn, n_steps = 20_000, 100_000
+        config = parse_config(json.dumps({
+            "env": {"mass": 1.0, "eta": 2.0, "temperature": 1.0},
+            "geometry": {"l_x": 10.0, "l_y": 10.0},
+            "population": {"mode": "fixed", "n_v": 5, "n_a": 5},
+            "dt": 0.1, "total_time": 0.1 * n_steps, "burn_in": 0.1 * burn,
+            "replicas": 3, "sample_stride": 5, "master_seed": 4}),
+            "simulate")
+        (trajectory, records), peak = traced_peak(cli._run_ensemble,
+                                                  config, 1)
+        kept = sum(a.nbytes for a in trajectory)
+        assert (peak - kept) / 8 / (burn + n_steps) <= 6.5
 
     @pytest.mark.parametrize("n,n_steps,stride", [
         pytest.param(2, 100_000, 50, id="2-100000"),

@@ -13,6 +13,7 @@ from windrift.langevin import _fit_lags, _lag_products, _msd_rates
 
 from oracles import (_initial_rate_guess, curve_fit_exponential,
                      five_smooth_at_least, free_langevin_noise_free,
+                     increment_covariances,
                      green_kubo_rates_longdouble, lag_products_loop,
                      lag_products_whole_row, msd_all_origin, msd_fit_rates,
                      msd_loop, slope_weights, traced_peak,
@@ -91,6 +92,33 @@ class TestExactPropagator:
         mean_se = np.sqrt(t_over_m / n_eff)
         assert abs(vy.mean()) < 3.0 * mean_se
         assert vy.var() == pytest.approx(t_over_m, rel=0.02)
+
+
+class TestIncrementLaw:
+    """langevin.increment_law against the closed-form covariances."""
+
+    @pytest.mark.parametrize("gamma_dt", [1e-3, 0.04, 0.2, 0.999, 1.0, 2.0])
+    def test_matches_closed_form(self, gamma_dt):
+        gamma, dt = 2.0, gamma_dt / 2.0
+        law = langevin.increment_law(gamma, dt)
+        c0, c1 = increment_covariances(gamma, dt, [0, 1])
+        phi, theta = np.exp(-gamma_dt), law.theta
+        assert law.phi == pytest.approx(phi, rel=1e-15)
+        assert law.c0 == pytest.approx(c0, rel=1e-14)
+        assert law.c1 == pytest.approx(c1, rel=1e-14)
+        # the MA(1) factors of u_i = D_i - phi D_(i-1)
+        assert 0.0 < theta < 1.0
+        assert law.s2 * (1.0 + theta**2) == pytest.approx(
+            c0 * (1.0 + phi**2) - 2.0 * phi * c1, rel=0, abs=1e-14 * c0)
+        assert law.s2 * theta == pytest.approx(c1 - phi * c0, rel=0,
+                                               abs=1e-14 * c0)
+        # the innovation variances, from c0/s2 until their fixed point 1
+        r = law.r
+        assert r[0] == pytest.approx(c0 / law.s2, rel=1e-14)
+        assert np.allclose(r[1:], 1.0 + theta**2 - theta**2 / r[:-1],
+                           rtol=1e-15, atol=0.0)
+        assert abs(theta**2 * (1.0 - 1.0 / r[-1])) <= 2e-16
+        assert not r.flags.writeable
 
 
 def ou_series(gamma, t_over_m, dt, n, rng, n_rows=1):
