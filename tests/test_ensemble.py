@@ -461,8 +461,7 @@ class TestWindingEngine:
     @pytest.mark.parametrize("n,size", [(2, 19), (2, 21), (2, 41), (2, 43),
                                         (0, 42), (2, 0)])
     def test_refuses_wrong_length(self, square_torus, basic_env, n, size):
-        # 10 steps of a nonempty ensemble spend 20 normals, an empty one 0;
-        # 41 and 43 sit beside the 42 that four normals per step spent
+        # 10 steps of a nonempty ensemble spend 20 normals, an empty one 0
         spend = 20 if n else 0
         with pytest.raises(ValueError,
                            match=rf"holds {size} values.* spend {spend}$"):
