@@ -160,7 +160,9 @@ def _run_ensemble(config: RunConfig, lanes: int):
     thread (ensemble.prefetched) claims the next replica, draws its
     population and fills one of two lane-owned buffers with its normals,
     while the lane runs the replica before through run_winding and the
-    estimators. A lane drops a replica's per-step series before it takes
+    estimators. Lane i is prefetched's slot i: it runs on CPU i and its
+    helper on CPU i + 1, modulo the CPUs allowed, so at 2 lanes on 2
+    CPUs each CPU holds one lane and the other lane's helper. A lane drops a replica's per-step series before it takes
     the next one, so memory grows with the lane count, not the replica
     count. Each estimator gets one call per replica, on the engine's
     (x, y) rows as they are: per-axis calls would make two lanes contend
@@ -198,18 +200,19 @@ def _run_ensemble(config: RunConfig, lanes: int):
         return _Reduced(counts, res.final_alpha,
                         (msd.per_row, green_kubo.per_row))
 
-    def lane():
+    def lane(slot):
         # the helper fills one buffer while the lane spends the other;
         # each has room for any nonempty population
         buffers = itertools.cycle(np.empty((2, collective_size(1, steps))))
         return [(r, reduce(r, counts, normals)) for r, counts, normals
-                in prefetched(lambda r: draw(r, next(buffers)), replicas)]
+                in prefetched(lambda r: draw(r, next(buffers)), replicas,
+                              slot)]
 
     _keep_freed_memory()
     records = [None] * config.replicas
     with ThreadPoolExecutor(max_workers=lanes) as pool:
-        for done in [pool.submit(lane)
-                     for _ in range(min(lanes, config.replicas))]:
+        for done in [pool.submit(lane, slot)
+                     for slot in range(min(lanes, config.replicas))]:
             for r, out in done.result():
                 records[r] = out
     return trajectory, records

@@ -44,7 +44,9 @@ consumed as by one thread. Replicas are the unit of parallelism and are
 never split, so results are bit-identical for any worker count.
 """
 
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
@@ -233,7 +235,38 @@ def _propagate(noise: np.ndarray, prop: OUPropagator, vel: np.ndarray, *,
 _END = object()
 
 
-def prefetched(make, items):
+def _cpus() -> list:
+    """The CPUs the calling thread may run on, in order; empty where
+    threads cannot be bound (no os.sched_setaffinity)."""
+    if not hasattr(os, "sched_setaffinity"):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _bind(cpus: list, slot: int):
+    """Bind the calling thread to cpus[slot % len(cpus)] alone. Returns its
+    mask before, or None, binding nothing, for fewer than two cpus."""
+    if len(cpus) < 2:
+        return None
+    before = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, (cpus[slot % len(cpus)],))
+    return before
+
+
+@contextmanager
+def bound(cpus: list, slot: int):
+    """Run the with block on cpus[slot % len(cpus)] alone, then give the
+    calling thread back its mask before, however the block ends. Binds
+    nothing for fewer than two cpus."""
+    before = _bind(cpus, slot)
+    try:
+        yield
+    finally:
+        if before is not None:
+            os.sched_setaffinity(0, before)
+
+
+def prefetched(make, items, slot: int = 0):
     """Yield make(item) for each item of items, in order, one item ahead.
 
     One helper thread takes the next item and makes it while the caller
@@ -244,15 +277,26 @@ def prefetched(make, items):
     make reaches the caller in place of its item. The with block joins
     the helper however the generator ends: exhausted, closed early, or
     dropped by a caller that raised.
+
+    The caller runs on CPU slot and the helper on CPU slot + 1 of the
+    caller's mask, modulo its CPU count, read once before either is
+    bound. Left to the scheduler, both threads were seen on one CPU of
+    two while the other stayed idle, so the draws hid nothing. The
+    caller gets its mask back when the generator ends, however it ends;
+    the helper's binding ends with the helper. With one CPU allowed, or
+    where threads cannot be bound, nothing is bound.
     """
     items = iter(items)
+    cpus = _cpus()
 
     def make_next():
         for item in items:
             return make(item)
         return _END
 
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    with bound(cpus, slot), ThreadPoolExecutor(
+            max_workers=1, initializer=_bind,
+            initargs=(cpus, slot + 1)) as helper:
         pending = helper.submit(make_next)
         while (made := pending.result()) is not _END:
             pending = helper.submit(make_next)
@@ -269,7 +313,8 @@ def _chunks(rng: np.random.Generator, prop: OUPropagator, vel: np.ndarray,
     vseq and dxy are views of buffers that the next chunk overwrites.
     prefetched's helper draws each chunk's (step, walker, axis, role)
     normals, in chunk order, into one of two reused buffers while this
-    thread propagates the chunk before; nothing else draws from rng
+    thread propagates the chunk before, the two on different CPUs while
+    the chunks run (prefetched's slot 0); nothing else draws from rng
     meanwhile, so the stream is consumed as by one thread.
     """
     steps = max(1, CHUNK_BYTES // (STEP_BYTES * len(vel)))

@@ -646,6 +646,111 @@ class TestPrefetched:
         assert threading.active_count() == before
 
 
+def thread_mask():
+    return os.sched_getaffinity(0)
+
+
+# the test thread's mask before any test ran: a thread that a test left
+# bound shows as a narrower mask in the tests after it
+ALLOWED = thread_mask() if hasattr(os, "sched_setaffinity") else None
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="threads cannot be bound on this platform")
+class TestBinding:
+    """prefetched runs its caller and its helper on different CPUs, and
+    gives the caller its mask back however the generator ends."""
+
+    @pytest.mark.parametrize("slot", [0, 1, 5])
+    def test_caller_and_helper_on_different_cpus(self, slot):
+        allowed = thread_mask()
+        assert allowed == ALLOWED
+        cpus = sorted(allowed)
+        pairs = [(thread_mask(), helper) for helper in ensemble.prefetched(
+            lambda i: thread_mask(), range(4), slot)]
+        if len(cpus) < 2:
+            assert pairs == [(allowed, allowed)] * 4
+            return
+        caller = {cpus[slot % len(cpus)]}
+        helper = {cpus[(slot + 1) % len(cpus)]}
+        assert pairs == [(caller, helper)] * 4 and caller != helper
+
+    def test_mask_restored_when_exhausted(self):
+        before = thread_mask()
+        assert before == ALLOWED
+        assert list(ensemble.prefetched(lambda i: i, range(5))) == \
+            list(range(5))
+        assert thread_mask() == before
+
+    def test_mask_restored_when_closed_early(self):
+        before = thread_mask()
+        assert before == ALLOWED
+        made = ensemble.prefetched(lambda i: i, range(10), 1)
+        assert next(made) == 0
+        made.close()
+        assert thread_mask() == before
+
+    def test_mask_restored_when_make_raises(self):
+        def make(i):
+            if i == 2:
+                raise RuntimeError("item 2 failed")
+            return i
+
+        before = thread_mask()
+        assert before == ALLOWED
+        with pytest.raises(RuntimeError, match="item 2 failed"):
+            list(ensemble.prefetched(make, range(10)))
+        assert thread_mask() == before
+
+    def test_run_replica_restores_mask_when_it_raises(
+            self, square_torus, basic_env, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("consumer failed")
+
+        monkeypatch.setattr(ensemble, "_record_increments", fail)
+        before = thread_mask()
+        assert before == ALLOWED
+        with pytest.raises(RuntimeError, match="consumer failed"):
+            run_replica(basic_env, square_torus, 4, 4, 0.05, 100)
+        assert thread_mask() == before
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_run_restores_mask(self, tmp_path, lanes):
+        before = thread_mask()
+        assert before == ALLOWED
+        config = parse_config(TestMemoryBounds.rates_doc(2_000, 4), "rates")
+        cli.run(config, lanes=lanes, output_dir=tmp_path)
+        assert thread_mask() == before
+
+    def test_one_cpu_binds_nothing(self, square_torus, basic_env,
+                                   monkeypatch):
+        # under a one-CPU mask the caller and the helper keep it, and the
+        # per-walker engine gives what it gives with the threads bound
+        kwargs = dict(master_seed=5, burn_in_steps=7,
+                      velocity_series_walkers=3, position_stride=4)
+        spread = run_replica(basic_env, square_torus, 3, 3, 0.05, 300,
+                             **kwargs)
+        set_mask, bindings = os.sched_setaffinity, []
+        monkeypatch.setattr(os, "sched_setaffinity", lambda *args: (
+            bindings.append(args), set_mask(*args)))
+        before = thread_mask()
+        cpu = min(before)
+        set_mask(0, (cpu,))
+        try:
+            masks = [(thread_mask(), helper) for helper in
+                     ensemble.prefetched(lambda i: thread_mask(), range(3))]
+            alone = run_replica(basic_env, square_torus, 3, 3, 0.05, 300,
+                                **kwargs)
+        finally:
+            set_mask(0, before)
+        assert bindings == []
+        assert masks == [({cpu}, {cpu})] * 3
+        for name in ("alpha", "inc", "vel_series", "chunk_vy2_sums",
+                     "positions"):
+            assert np.array_equal(getattr(alone, name),
+                                  getattr(spread, name)), name
+
+
 class TestMemoryBounds:
     """Peak working memory of the engines, in doubles (tracemalloc)."""
 
