@@ -31,12 +31,21 @@ from typing import Optional
 from .design import DeviceSpec
 from .ensemble import TorusGeometry
 from .langevin import (ThermalEnv, _check_fit_start, _cutoff_lag,
-                       _fit_lags)
+                       _fit_window)
 from .materials import MaterialParams, derive_scales
 
 
 class ConfigError(ValueError):
     """Malformed or out-of-range configuration; message names the key."""
+
+
+# A simulate or rates lane holds at most LANE_STEP_BYTES per recorded step
+# at its peak (17 doubles at sample_stride 1, 10 at 5: two draw buffers,
+# the increments, the sampled windings and the estimators' transforms).
+# A run whose lane would exceed LANE_BYTES is refused before it allocates,
+# the same on every host: at most 126,322,567 steps.
+LANE_STEP_BYTES = 17 * 8
+LANE_BYTES = 16 << 30
 
 
 @dataclass(frozen=True)
@@ -226,8 +235,8 @@ def _check_rate_windows(env: ThermalEnv, dt: float, n_steps: int,
     # alpha is sampled n_steps // stride times after t = 0
     for key, rule, args in (
             ("fit.t_min", _check_fit_start, (t_min, env.gamma)),
-            ("fit.t_max", _fit_lags, (t_min, t_max, sample_stride * dt,
-                                      n_steps // sample_stride + 1)),
+            ("fit.t_max", _fit_window, (t_min, t_max, sample_stride * dt,
+                                        n_steps // sample_stride + 1)),
             ("green_kubo_cutoff", _cutoff_lag, (cutoff, dt, n_steps))):
         try:
             rule(*args)
@@ -251,6 +260,12 @@ def _simulation(v: dict, subcommand: str) -> dict:
     if total_time < dt:
         raise ConfigError("'total_time' must be at least one step 'dt'")
     n_steps = int(round(total_time / dt))
+    if n_steps * LANE_STEP_BYTES > LANE_BYTES:
+        raise ConfigError(
+            f"'total_time' of {n_steps} steps of 'dt' would need "
+            f"{n_steps * LANE_STEP_BYTES / 2**30:.3g} GiB per lane, over the "
+            f"{LANE_BYTES >> 30} GiB budget ({LANE_BYTES // LANE_STEP_BYTES} "
+            f"steps)")
     if subcommand == "rates" and n_steps < stride:
         raise ConfigError(f"'sample_stride' ({stride}) exceeds the "
                           f"{n_steps} steps of 'total_time'; "

@@ -414,16 +414,23 @@ def _check_samples(n_samples: int) -> None:
                          f"{n_samples}")
 
 
-def _fit_lags(t_min: float, t_max: float, spacing: float,
-              n_samples: int) -> np.ndarray:
-    """Every lag (in samples) in the lag-time window [t_min, t_max], each
-    end rounded and clipped to [1, n_samples - 1]; a window that rounds to
-    fewer than the two lags a line needs is refused."""
+def _fit_window(t_min: float, t_max: float, spacing: float,
+                n_samples: int) -> Tuple[int, int]:
+    """The first and last lag (in samples) of the lag-time window [t_min,
+    t_max], each end rounded and clipped to [1, n_samples - 1]; a window
+    that rounds to fewer than the two lags a line needs is refused."""
     lag_lo = max(1, int(round(t_min / spacing)))
     lag_hi = min(n_samples - 1, int(round(t_max / spacing)))
     if lag_hi <= lag_lo:
         raise ValueError(f"fit window ({t_min}, {t_max}) leaves no usable "
                          f"lags at sample spacing {spacing}")
+    return lag_lo, lag_hi
+
+
+def _fit_lags(t_min: float, t_max: float, spacing: float,
+              n_samples: int) -> np.ndarray:
+    """Every lag of _fit_window's window."""
+    lag_lo, lag_hi = _fit_window(t_min, t_max, spacing, n_samples)
     return np.arange(lag_lo, lag_hi + 1)
 
 

@@ -15,6 +15,7 @@ from windrift import (ConfigError, collective_normals, parse_config,
                       rate_from_green_kubo, rate_from_msd, run_winding,
                       substream)
 from windrift.cli import format_float, json_text, main, run, write_csv
+from windrift.config import LANE_BYTES, LANE_STEP_BYTES
 
 MINIMAL_RATES = {
     "env": {"mass": 1.0, "eta": 2.0, "temperature": 1.0},
@@ -130,6 +131,19 @@ class TestParsing:
             parse_config(config_text(fit={"t_min": 5.0, "t_max": 5.1}),
                          "rates")
         parse_config(config_text(fit={"t_min": 5.0, "t_max": 5.2}), "rates")
+
+    @pytest.mark.parametrize("subcommand", ["rates", "simulate"])
+    def test_run_beyond_lane_budget_names_key(self, subcommand):
+        # 1e13 steps: the fit-window check used to build every lag of the
+        # window, a 3.64 TiB array, and raised a bare MemoryError
+        with pytest.raises(ConfigError, match="'total_time'"):
+            parse_config(config_text(total_time=1e12), subcommand)
+        steps = LANE_BYTES // LANE_STEP_BYTES
+        parse_config(config_text(dt=1.0, total_time=float(steps)),
+                     subcommand)
+        with pytest.raises(ConfigError, match="'total_time'"):
+            parse_config(config_text(dt=1.0, total_time=steps + 1.0),
+                         subcommand)
 
     def test_green_kubo_cutoff_beyond_run_names_key(self):
         # 600 steps of dt = 0.1: the cutoff lag must stay below 600
@@ -667,6 +681,14 @@ class TestMainEntry:
                      str(tmp_path / "out")])
         assert code == 2
         assert "sample_stride" in capsys.readouterr().err
+
+    def test_main_run_beyond_lane_budget_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(total_time=1e12))
+        code = main(["rates", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        assert "'total_time'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [("--lanes", "0"),
                                             ("--seed", "-1"),
