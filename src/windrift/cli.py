@@ -170,7 +170,7 @@ def _run_ensemble(config: RunConfig, lanes: int):
     """
     env, geo, pop = config.env, config.geometry, config.population
     window = (config.fit_t_min, config.fit_t_max)
-    steps = config.burn_in_steps + config.n_steps
+    steps = config.n_steps      # a burn-in draws nothing
     replicas = iter(range(config.replicas))
     trajectory = []     # filled by the lane that runs replica 0
 
@@ -187,8 +187,7 @@ def _run_ensemble(config: RunConfig, lanes: int):
 
     def reduce(r, counts, normals):
         res = run_winding(env, geo, *counts, config.dt, config.n_steps,
-                          normals=normals, sample_stride=config.sample_stride,
-                          burn_in_steps=config.burn_in_steps)
+                          normals=normals, sample_stride=config.sample_stride)
         if r == 0:
             trajectory.extend((res.times, *res.alpha))
         if config.subcommand != "rates":

@@ -104,7 +104,7 @@ def _check_counts(n_v: int, n_a: int) -> None:
 
 
 def _check_steps(dt: float, n_steps: int, sample_stride: int,
-                 burn_in_steps: int) -> None:
+                 burn_in_steps: int = 0) -> None:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if n_steps < 1:
@@ -440,26 +440,26 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
 
 
 def collective_size(n: int, steps: int) -> int:
-    """How many normals run_winding spends on n walkers over steps steps."""
+    """How many normals run_winding spends on n walkers over steps recorded
+    steps."""
     return 2 * steps if n else 0
 
 
 def collective_normals(rng: np.random.Generator, n: int, steps: int, *,
                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """The normals run_winding spends on a replica of n walkers over steps
-    (burn-in plus recorded) steps, as one flat array: two per burn-in step,
-    then those of the recorded steps axis-major, the alpha_x row first. An
-    empty ensemble draws nothing and gets an empty array. out, when given,
-    has room for at least that many; they are drawn into its head, which
-    is returned."""
+    recorded steps, as one flat array: those of the steps axis-major, the
+    alpha_x row first. An empty ensemble draws nothing and gets an empty
+    array. out, when given, has room for at least that many; they are
+    drawn into its head, which is returned."""
     size = collective_size(n, steps)
     return rng.standard_normal(size, out=None if out is None else out[:size])
 
 
 def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
                 n_a: int, dt: float, n_steps: int, *,
-                normals: np.ndarray, sample_stride: int = 10,
-                burn_in_steps: int = 0) -> WindingResult:
+                normals: np.ndarray, sample_stride: int = 10
+                ) -> WindingResult:
     """Winding series of one replica from the collective coordinates alone.
 
     Per axis, D = sum q dx of n = n_v + n_a independent walkers (q = +-1)
@@ -471,11 +471,10 @@ def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
     section 5.3), D_1 = s sqrt(r_0) z_1 and D_i = phi D_(i-1)
     + s (sqrt(r_(i-1)) z_i + theta z_(i-1) / sqrt(r_(i-2))).
 
-    normals are collective_normals(rng, n, burn_in_steps + n_steps); any
-    other length is refused. The start is exactly stationary, so a
-    burn-in would change no law: its normals are drawn and not used. The
-    rest hold the (2, n_steps) increments' normals, rows x and y, and are
-    spent: scaled by sqrt(r) at the head, given the theta term, run
+    normals are collective_normals(rng, n, n_steps); any other length is
+    refused. The start is exactly stationary, so no burn-in is run or
+    drawn. They hold the (2, n_steps) increments' normals, rows x and y,
+    and are spent: scaled by sqrt(r) at the head, given the theta term, run
     through lfilter's doubling scan with decay phi along the steps, and
     scaled by sqrt(nT s2/eta)/l. inc is that view of them. Beyond the
     normals (2 doubles per step) the memory is 2 doubles per step at the
@@ -483,18 +482,17 @@ def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
     sums). An empty ensemble has zero increments. The series start at
     (t=0, alpha=0).
     """
-    _check_steps(dt, n_steps, sample_stride, burn_in_steps)
+    _check_steps(dt, n_steps, sample_stride)
     _check_counts(n_v, n_a)
     n = n_v + n_a
-    steps = burn_in_steps + n_steps
-    size = collective_size(n, steps)
+    size = collective_size(n, n_steps)
     if np.shape(normals) != (size,):
         raise ValueError(f"normals holds {np.size(normals)} values, but "
-                         f"{n} walkers over {steps} steps spend {size}")
+                         f"{n} walkers over {n_steps} steps spend {size}")
     if not n:
         return _windings(np.zeros((2, n_steps)), dt, sample_stride)
     law = increment_law(env.gamma, dt)
-    inc = normals[2 * burn_in_steps:].reshape(2, n_steps)
+    inc = normals.reshape(2, n_steps)
     rows = inc.T     # (n_steps, 2): the scans run down the steps
     # innovations e_i = sqrt(r_i) z_i, then w_i = e_i + theta e_(i-1) /
     # r_(i-1) and D_i = phi D_(i-1) + s w_i; r_i = 1 beyond the head

@@ -10,13 +10,13 @@ Replica r of a `rates` or `simulate` run uses the stream
 1. the Boltzmann population draw, in that mode only: one Poisson total,
    then one uniform tie-break coin if the total is odd;
 2. the engine's draws. The collective engine (ensemble.run_winding)
-   spends one flat array of normals (ensemble.collective_normals): two
-   per burn-in step, which its exactly stationary start leaves unused,
-   then the recorded steps' normals axis-major, first those driving
-   alpha_x (the y displacement), then those driving alpha_y; an empty
-   ensemble draws nothing. Each lane's helper
-   thread draws that array one replica ahead of the lane, claiming
-   replicas in any order, since no stream depends on another. The
+   spends one flat array of normals (ensemble.collective_normals): the
+   recorded steps' normals axis-major, first those driving alpha_x (the
+   y displacement), then those driving alpha_y; its start is exactly
+   stationary, so a burn-in draws nothing, and an empty ensemble draws
+   nothing. Each lane's helper thread draws that array one replica ahead
+   of the lane, claiming replicas in any order, since no stream depends
+   on another. The
    per-walker engine (ensemble.run_replica) draws the positions (walker,
    axis), the stationary velocities (walker, axis), then per step
    (walker, axis, role); the steps' normals are drawn on one helper

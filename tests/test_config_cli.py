@@ -405,13 +405,12 @@ class TestRunRates:
             geometry={"l_x": 20.0, "l_y": 10.0}, burn_in=5.0, replicas=5,
             population={"mode": "fixed", "n_v": 3, "n_a": 3}), "rates")
         summary = run(cfg, lanes=2, output_dir=tmp_path)
-        steps = cfg.burn_in_steps + cfg.n_steps
+        # the burn-in draws nothing: the start is exactly stationary
         results = [run_winding(
             cfg.env, cfg.geometry, 3, 3, cfg.dt, cfg.n_steps,
             normals=collective_normals(substream(cfg.master_seed, r), 6,
-                                       steps),
-            sample_stride=cfg.sample_stride,
-            burn_in_steps=cfg.burn_in_steps) for r in range(5)]
+                                       cfg.n_steps),
+            sample_stride=cfg.sample_stride) for r in range(5)]
         for i, axis in enumerate(("x", "y")):
             expected = {
                 "msd": rate_from_msd(
@@ -428,6 +427,21 @@ class TestRunRates:
                     est.per_row.tolist()
             assert summary[f"final_alpha_{axis}"] == \
                 [res.final_alpha[i] for res in results]
+
+    @pytest.mark.parametrize("subcommand", ["rates", "simulate"])
+    def test_burn_in_draws_nothing(self, tmp_path, subcommand):
+        # the collective engine starts exactly stationary: a burn-in moves
+        # no draw, so only its echo in the summary differs
+        runs = {}
+        for burn_in in (0.0, 5.0):
+            out = tmp_path / str(burn_in)
+            runs[burn_in] = run(parse_config(config_text(burn_in=burn_in),
+                                             subcommand), output_dir=out)
+            runs[burn_in]["trajectory"] = \
+                (out / "trajectory.csv").read_text()
+        for summary in runs.values():
+            del summary["timestamp"], summary["config_echo"]["burn_in"]
+        assert runs[0.0] == runs[5.0]
 
     def test_seed_changes_results(self, run_dir, tmp_path):
         out, _ = run_dir

@@ -231,10 +231,13 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("kwargs,name", [
         ({"velocity_series_walkers": 9}, "velocity_series_walkers"),
         ({"velocity_series_walkers": -1}, "velocity_series_walkers"),
-        ({"position_stride": -1}, "position_stride")],
-        ids=["walkers-above-count", "walkers-negative", "stride-negative"])
+        ({"position_stride": -1}, "position_stride"),
+        ({"burn_in_steps": -1}, "burn_in_steps")],
+        ids=["walkers-above-count", "walkers-negative", "stride-negative",
+             "burn-in-negative"])
     def test_recording_arguments_name_themselves(self, square_torus,
                                                  basic_env, kwargs, name):
+        # a negative burn-in was skipped without a word
         with pytest.raises(ValueError, match=name):
             run_replica(basic_env, square_torus, 4, 4, 0.05, 50, **kwargs)
 
@@ -278,15 +281,15 @@ class TestReplicaResultArrays:
     @pytest.mark.parametrize("engine", ["run_replica", "run_winding"])
     @pytest.mark.parametrize("n", [0, 3])
     def test_winding_rows(self, square_torus, basic_env, engine, n):
-        kwargs = dict(sample_stride=4, burn_in_steps=5)
         if engine == "run_replica":
             res = run_replica(basic_env, square_torus, n, n, 0.05, 40,
-                              master_seed=1, **kwargs)
+                              master_seed=1, sample_stride=4,
+                              burn_in_steps=5)
         else:
             res = run_winding(basic_env, square_torus, n, n, 0.05, 40,
                               normals=collective_normals(substream(1, 0),
-                                                         2 * n, 45),
-                              **kwargs)
+                                                         2 * n, 40),
+                              sample_stride=4)
         assert res.inc.shape == (2, 40) and res.inc.flags.c_contiguous
         assert res.alpha.shape == (2, 11) and res.alpha.flags.c_contiguous
         assert res.times.shape == (11,)
@@ -357,27 +360,25 @@ class TestWindingEngine:
                                 steps * ensemble.STEP_BYTES * 6)
             runs.append(run_winding(basic_env, square_torus, 3, 3, 0.05, 500,
                                     normals=collective_normals(
-                                        substream(9, 2), 6, 513),
-                                    sample_stride=5, burn_in_steps=13))
+                                        substream(9, 2), 6, 500),
+                                    sample_stride=5))
         for other in runs[1:]:
             for name in ("times", "alpha", "inc", "final_alpha"):
                 assert np.array_equal(getattr(runs[0], name),
                                       getattr(other, name)), name
 
     def test_stream_layout(self, square_torus, basic_env):
-        # two normals per burn-in step, then the recorded steps' normals
-        # driving alpha_x and those driving alpha_y; nothing else is drawn
-        n, dt, burn, n_steps = 5, 0.05, 3, 40
+        # the recorded steps' normals driving alpha_x, then those driving
+        # alpha_y; nothing else is drawn
+        n, dt, n_steps = 5, 0.05, 40
         rng = substream(4, 1)
         res = run_winding(basic_env, square_torus, n, n, dt, n_steps,
-                          normals=collective_normals(rng, 2 * n,
-                                                     burn + n_steps),
-                          burn_in_steps=burn)
+                          normals=collective_normals(rng, 2 * n, n_steps))
         ref = substream(4, 1)
-        normals = ref.standard_normal(2 * (burn + n_steps))
+        normals = ref.standard_normal(2 * n_steps)
         assert same_position(rng, ref)
         expected = oracle_increments(basic_env, square_torus, 2 * n, dt,
-                                     normals[2 * burn:].reshape(2, -1))
+                                     normals.reshape(2, -1))
         assert (np.abs(res.inc - expected).max()
                 <= 1e-12 * np.abs(expected).max())
 
@@ -409,28 +410,24 @@ class TestWindingEngine:
     def test_empty_ensemble_draws_nothing(self, square_torus, basic_env):
         rng = substream(3, 0)
         res = run_winding(basic_env, square_torus, 0, 0, 0.1, 50,
-                          normals=collective_normals(rng, 0, 57),
-                          sample_stride=5, burn_in_steps=7)
+                          normals=collective_normals(rng, 0, 50),
+                          sample_stride=5)
         assert same_position(rng, substream(3, 0))
         assert not res.inc.any() and not res.alpha.any()
         assert res.final_alpha == (0.0, 0.0)
         assert res.times.shape == (11,)
 
-    @pytest.mark.parametrize("burn", [0, 13])
-    def test_flat_normals_match_two_draws(self, square_torus, basic_env,
-                                          burn):
-        # one flat draw holds, after the burn-in's, each axis's normals in
-        # the order two calls draw them; the windings are the step-by-step
-        # innovations recursion on those rows, to rounding
+    def test_flat_normals_match_two_draws(self, square_torus, basic_env):
+        # one flat draw holds each axis's normals in the order two calls
+        # draw them; the windings are the step-by-step innovations
+        # recursion on those rows, to rounding
         n, dt, n_steps = 4, 0.05, 300
         for stream in range(10):
             res = run_winding(basic_env, square_torus, n, n, dt, n_steps,
                               normals=collective_normals(
-                                  substream(6, stream), 2 * n,
-                                  burn + n_steps),
-                              sample_stride=3, burn_in_steps=burn)
+                                  substream(6, stream), 2 * n, n_steps),
+                              sample_stride=3)
             rng = substream(6, stream)
-            rng.standard_normal(2 * burn)
             inc = oracle_increments(
                 basic_env, square_torus, 2 * n, dt,
                 [rng.standard_normal(n_steps) for _ in "xy"])
@@ -483,13 +480,11 @@ class TestWindingEngine:
 
     @pytest.mark.parametrize("kwargs,name", [
         ({"sample_stride": 0}, "sample_stride"),
-        ({"sample_stride": -2}, "sample_stride"),
-        ({"burn_in_steps": -1}, "burn_in_steps")],
-        ids=["stride-0", "stride-negative", "burn-in-negative"])
+        ({"sample_stride": -2}, "sample_stride")],
+        ids=["stride-0", "stride-negative"])
     def test_step_arguments_name_themselves(self, square_torus, basic_env,
                                             kwargs, name):
-        # a zero stride divided by zero, a negative one sampled only t=0,
-        # and a negative burn-in was skipped without a word
+        # a zero stride divided by zero, a negative one sampled only t=0
         with pytest.raises(ValueError, match=name) as per_walker:
             run_replica(basic_env, square_torus, 2, 2, 0.1, 20, **kwargs)
         with pytest.raises(ValueError, match=name) as collective:
@@ -757,18 +752,16 @@ class TestMemoryBounds:
     def test_run_winding_peak_per_step(self, square_torus, basic_env):
         # the draw's normals (2 per step) and, beyond them, the engine's
         # theta term, the scan's temporary or the running sums (2 per
-        # recorded step); the increments are the spent normals
-        burn, n_steps = 1000, 200_000
+        # step); the increments are the spent normals
+        n_steps = 200_000
 
         def draw_and_run():
-            normals = collective_normals(substream(3, 1), 10,
-                                         burn + n_steps)
+            normals = collective_normals(substream(3, 1), 10, n_steps)
             return run_winding(basic_env, square_torus, 5, 5, 0.05, n_steps,
-                               normals=normals, sample_stride=5,
-                               burn_in_steps=burn)
+                               normals=normals, sample_stride=5)
 
         _, peak = traced_peak(draw_and_run)
-        assert peak / 8 / (burn + n_steps) <= 8.5
+        assert peak / 8 / n_steps <= 8.5
 
     def test_simulate_lane_peak_per_step(self):
         # one lane holds two draw buffers (4 doubles per step) and the
@@ -790,9 +783,10 @@ class TestMemoryBounds:
 
     def test_simulate_lane_peak_per_step_two_normals(self):
         # the same lane at two normals per step: two draw buffers of 2
-        # doubles per burn-in and recorded step, and at the peak the running
-        # sums (2) and the sampled windings (2/5) per recorded step; with
-        # 1/6 of the steps in burn-in that is 6.0 doubles per step
+        # doubles per recorded step (a burn-in draws nothing), and at the
+        # peak the running sums (2) and the sampled windings (2/5) per
+        # recorded step: 6.4 doubles per recorded step, 5.3 per burn-in
+        # and recorded step with 1/6 of the steps in burn-in
         burn, n_steps = 20_000, 100_000
         config = parse_config(json.dumps({
             "env": {"mass": 1.0, "eta": 2.0, "temperature": 1.0},
