@@ -161,16 +161,16 @@ def _run_ensemble(config: RunConfig, lanes: int):
     population and fills one of two lane-owned buffers with its normals,
     while the lane runs the replica before through run_winding and the
     estimators. Lane i is prefetched's slot i: it runs on CPU i and its
-    helper on CPU i + 1, modulo the CPUs allowed, so at 2 lanes on 2
-    CPUs each CPU holds one lane and the other lane's helper. A lane drops a replica's per-step series before it takes
-    the next one, so memory grows with the lane count, not the replica
-    count. Each estimator gets one call per replica, on the engine's
-    (x, y) rows as they are: per-axis calls would make two lanes contend
-    for the interpreter lock over many small numpy operations.
+    helper on CPU i + 1, modulo the CPUs allowed, so at 2 lanes on 2 CPUs
+    each CPU holds one lane and the other lane's helper. A lane drops a
+    replica's per-step series before it takes the next one, so memory
+    grows with the lane count, not the replica count. Each estimator gets
+    one call per replica, on the engine's (x, y) rows as they are:
+    per-axis calls would make two lanes contend for the interpreter lock
+    over many small numpy operations.
     """
     env, geo, pop = config.env, config.geometry, config.population
     window = (config.fit_t_min, config.fit_t_max)
-    steps = config.n_steps      # a burn-in draws nothing
     replicas = iter(range(config.replicas))
     trajectory = []     # filled by the lane that runs replica 0
 
@@ -182,8 +182,8 @@ def _run_ensemble(config: RunConfig, lanes: int):
             counts = even_mean_population(env, geo, pop.f0)
         else:  # boltzmann: Poisson draw first, then the stream feeds the run
             counts = sample_population(env, geo, pop.f0, rng=rng)
-        return r, counts, collective_normals(rng, sum(counts), steps,
-                                             out=buffer)
+        return r, counts, collective_normals(rng, sum(counts),
+                                             config.n_steps, out=buffer)
 
     def reduce(r, counts, normals):
         res = run_winding(env, geo, *counts, config.dt, config.n_steps,
@@ -202,7 +202,8 @@ def _run_ensemble(config: RunConfig, lanes: int):
     def lane(slot):
         # the helper fills one buffer while the lane spends the other;
         # each has room for any nonempty population
-        buffers = itertools.cycle(np.empty((2, collective_size(1, steps))))
+        buffers = itertools.cycle(
+            np.empty((2, collective_size(1, config.n_steps))))
         return [(r, reduce(r, counts, normals)) for r, counts, normals
                 in prefetched(lambda r: draw(r, next(buffers)), replicas,
                               slot)]

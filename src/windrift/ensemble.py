@@ -254,7 +254,7 @@ def _bind(cpus: list, slot: int):
 
 
 @contextmanager
-def bound(cpus: list, slot: int):
+def _bound(cpus: list, slot: int):
     """Run the with block on cpus[slot % len(cpus)] alone, then give the
     calling thread back its mask before, however the block ends. Binds
     nothing for fewer than two cpus."""
@@ -294,7 +294,7 @@ def prefetched(make, items, slot: int = 0):
             return make(item)
         return _END
 
-    with bound(cpus, slot), ThreadPoolExecutor(
+    with _bound(cpus, slot), ThreadPoolExecutor(
             max_workers=1, initializer=_bind,
             initargs=(cpus, slot + 1)) as helper:
         pending = helper.submit(make_next)
