@@ -37,7 +37,8 @@ role) order for run_replica and in (axis, step) order for run_winding
 (rng.py gives each engine's full layout). run_winding draws nothing
 itself: it spends one flat array of normals that collective_normals
 draws, so a caller can draw the next replica while this one propagates.
-prefetched owns that overlap, one item ahead on one helper thread;
+prefetched owns that overlap, one item ahead on one helper thread,
+which it binds to another CPU than its caller's so that the two overlap;
 run_replica's helper is the only thread that draws once the initial
 state is drawn, one chunk at a time in chunk order, so the stream is
 consumed as by one thread. Replicas are the unit of parallelism and are
@@ -235,14 +236,6 @@ def _propagate(noise: np.ndarray, prop: OUPropagator, vel: np.ndarray, *,
 _END = object()
 
 
-def _cpus() -> list:
-    """The CPUs the calling thread may run on, in order; empty where
-    threads cannot be bound (no os.sched_setaffinity)."""
-    if not hasattr(os, "sched_setaffinity"):
-        return []
-    return sorted(os.sched_getaffinity(0))
-
-
 def _bind(cpus: list, slot: int):
     """Bind the calling thread to cpus[slot % len(cpus)] alone. Returns its
     mask before, or None, binding nothing, for fewer than two cpus."""
@@ -278,16 +271,18 @@ def prefetched(make, items, slot: int = 0):
     the helper however the generator ends: exhausted, closed early, or
     dropped by a caller that raised.
 
-    The caller runs on CPU slot and the helper on CPU slot + 1 of the
-    caller's mask, modulo its CPU count, read once before either is
-    bound. Left to the scheduler, both threads were seen on one CPU of
-    two while the other stayed idle, so the draws hid nothing. The
-    caller gets its mask back when the generator ends, however it ends;
-    the helper's binding ends with the helper. With one CPU allowed, or
-    where threads cannot be bound, nothing is bound.
+    The caller runs on the CPU at index slot of its sorted mask and the
+    helper on the one at slot + 1, both modulo the mask's CPU count; the
+    mask is read once, before either thread is bound. Left to the
+    scheduler, both threads were seen on one CPU of two while the other
+    stayed idle, so the draws hid nothing. The caller gets its mask back
+    when the generator ends, however it ends; the helper's binding ends
+    with the helper. With one CPU allowed, or where threads cannot be
+    bound, nothing is bound.
     """
     items = iter(items)
-    cpus = _cpus()
+    cpus = (sorted(os.sched_getaffinity(0))
+            if hasattr(os, "sched_setaffinity") else [])
 
     def make_next():
         for item in items:
