@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -697,24 +698,35 @@ class TestBinding:
             list(ensemble.prefetched(make, range(10)))
         assert thread_mask() == before
 
-    def test_run_replica_restores_mask_when_it_raises(
-            self, square_torus, basic_env, monkeypatch):
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_run_replica_restores_mask(self, square_torus, basic_env,
+                                       monkeypatch, fails):
         def fail(*args):
             raise RuntimeError("consumer failed")
 
-        monkeypatch.setattr(ensemble, "_record_increments", fail)
+        if fails:
+            monkeypatch.setattr(ensemble, "_record_increments", fail)
         before = thread_mask()
         assert before == ALLOWED
-        with pytest.raises(RuntimeError, match="consumer failed"):
+        with (pytest.raises(RuntimeError, match="consumer failed") if fails
+              else nullcontext()):
             run_replica(basic_env, square_torus, 4, 4, 0.05, 100)
         assert thread_mask() == before
 
+    @pytest.mark.parametrize("fails", [False, True])
     @pytest.mark.parametrize("lanes", [1, 2, 3])
-    def test_run_restores_mask(self, tmp_path, lanes):
+    def test_run_restores_mask(self, tmp_path, monkeypatch, lanes, fails):
+        def fail(*args, **kwargs):
+            raise RuntimeError("lane failed")
+
+        if fails:
+            monkeypatch.setattr(cli, "run_winding", fail)
         before = thread_mask()
         assert before == ALLOWED
         config = parse_config(TestMemoryBounds.rates_doc(2_000, 4), "rates")
-        cli.run(config, lanes=lanes, output_dir=tmp_path)
+        with (pytest.raises(RuntimeError, match="lane failed") if fails
+              else nullcontext()):
+            cli.run(config, lanes=lanes, output_dir=tmp_path)
         assert thread_mask() == before
 
     def test_one_cpu_binds_nothing(self, square_torus, basic_env,
