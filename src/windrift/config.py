@@ -4,8 +4,10 @@ Configs are JSON documents. Each subcommand accepts exactly the keys it
 reads, plus `master_seed` and `output_dir` (which `--seed` and `--out`
 override for every subcommand):
 
-  simulate, rates  env, geometry, population, fit, dt, total_time,
-                   burn_in, replicas, sample_stride, green_kubo_cutoff
+  simulate         env, geometry, population, dt, total_time, replicas,
+                   sample_stride, and burn_in, which no run reads: it
+                   stays for bench/job.py, which reads config.burn_in
+  rates            the same without burn_in, plus fit, green_kubo_cutoff
   fields           material, fields, c_light
   design           device, anyon, c_light, r_unit_m, design_g_coupling
   selftest         (nothing else)
@@ -16,8 +18,8 @@ that is not a JSON object and any key outside the block's table, and
 checks each number against the table's rule (finite; integer, > 0 or
 >= 0 where the consumer needs it). Every diagnostic names the key.
 
-The parser also resolves what the runs would otherwise derive: step
-counts, the fit-window and Green-Kubo defaults, and the field grid. A
+The parser also resolves what the runs would otherwise derive: the step
+count, the fit-window and Green-Kubo defaults, and the field grid. A
 RunConfig field the subcommand does not read is None. Parsing the same
 document twice yields equal RunConfig objects; together with the master
 seed this makes runs fully reproducible.
@@ -94,10 +96,11 @@ class RunConfig:
     dt: Optional[float] = None
     total_time: Optional[float] = None
     n_steps: Optional[int] = None
-    burn_in: Optional[float] = None
-    burn_in_steps: Optional[int] = None
     replicas: Optional[int] = None
     sample_stride: Optional[int] = None
+    # simulate
+    burn_in: Optional[float] = None
+    # rates
     fit_t_min: Optional[float] = None
     fit_t_max: Optional[float] = None
     gk_cutoff: Optional[float] = None
@@ -152,15 +155,16 @@ def _population_table(block: dict) -> dict:
 
 _COMMON = {"master_seed": ("int>=0", 0),
            "output_dir": ("text", "windrift_out")}
-_SIMULATION = dict(
+_ENSEMBLE = dict(
     _COMMON, env=(_ENV, REQUIRED), geometry=(_GEOMETRY, REQUIRED),
-    population=(_population_table, REQUIRED), fit=(_FIT, {}),
-    dt=(">0", REQUIRED), total_time=(">0", REQUIRED), burn_in=(">=0", 0.0),
-    replicas=("int>0", 20), sample_stride=("int>0", 10),
-    green_kubo_cutoff=(">0", None))
+    population=(_population_table, REQUIRED), dt=(">0", REQUIRED),
+    total_time=(">0", REQUIRED), replicas=("int>0", 20),
+    sample_stride=("int>0", 10))
 _TABLES = {
-    "simulate": _SIMULATION,
-    "rates": _SIMULATION,
+    # no simulate run reads burn_in (the collective engine starts exactly
+    # stationary); it stays only because bench/job.py reads config.burn_in
+    "simulate": dict(_ENSEMBLE, burn_in=(">=0", 0.0)),
+    "rates": dict(_ENSEMBLE, fit=(_FIT, {}), green_kubo_cutoff=(">0", None)),
     "fields": dict(_COMMON, material=(_MATERIAL, REQUIRED),
                    fields=(_FIELDS, {}), c_light=(">0", 1.0)),
     "design": dict(_COMMON, device=(_DEVICE, REQUIRED), anyon=(_ANYON, None),
@@ -266,7 +270,13 @@ def _simulation(v: dict, subcommand: str) -> dict:
             f"{n_steps * LANE_STEP_BYTES / 2**30:.3g} GiB per lane, over the "
             f"{LANE_BYTES >> 30} GiB budget ({LANE_BYTES // LANE_STEP_BYTES} "
             f"steps)")
-    if subcommand == "rates" and n_steps < stride:
+    run = dict(env=env, geometry=TorusGeometry(**v["geometry"]),
+               population=PopulationSpec(**pop), dt=dt,
+               total_time=total_time, n_steps=n_steps,
+               replicas=v["replicas"], sample_stride=stride)
+    if subcommand == "simulate":
+        return dict(run, burn_in=v["burn_in"])
+    if n_steps < stride:
         raise ConfigError(f"'sample_stride' ({stride}) exceeds the "
                           f"{n_steps} steps of 'total_time'; "
                           f"rates need at least one sample after t=0")
@@ -274,14 +284,8 @@ def _simulation(v: dict, subcommand: str) -> dict:
     t_min = fit["t_min"] if fit["t_min"] is not None else 10.0 / env.gamma
     t_max = fit["t_max"] if fit["t_max"] is not None else total_time / 2.0
     cutoff = cutoff if cutoff is not None else 20.0 / env.gamma
-    if subcommand == "rates":
-        _check_rate_windows(env, dt, n_steps, stride, t_min, t_max, cutoff)
-    return dict(env=env, geometry=TorusGeometry(**v["geometry"]),
-                population=PopulationSpec(**pop), dt=dt,
-                total_time=total_time, n_steps=n_steps, burn_in=v["burn_in"],
-                burn_in_steps=int(round(v["burn_in"] / dt)),
-                replicas=v["replicas"], sample_stride=stride,
-                fit_t_min=t_min, fit_t_max=t_max, gk_cutoff=cutoff)
+    _check_rate_windows(env, dt, n_steps, stride, t_min, t_max, cutoff)
+    return dict(run, fit_t_min=t_min, fit_t_max=t_max, gk_cutoff=cutoff)
 
 
 def _fields(v: dict, subcommand: str) -> dict:

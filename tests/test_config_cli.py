@@ -150,7 +150,10 @@ class TestParsing:
         parse_config(config_text(green_kubo_cutoff=59.9), "rates")
         with pytest.raises(ConfigError, match="'green_kubo_cutoff'"):
             parse_config(config_text(green_kubo_cutoff=60.0), "rates")
-        parse_config(config_text(green_kubo_cutoff=60.0), "simulate")
+        # simulate estimates no rate, so it takes no cutoff
+        with pytest.raises(ConfigError,
+                           match="unknown key 'green_kubo_cutoff'"):
+            parse_config(config_text(green_kubo_cutoff=60.0), "simulate")
 
     def test_green_kubo_cutoff_below_one_step_names_key(self):
         # dt = 0.1: a cutoff of 0.04 rounds to lag 0, 0.06 to lag 1
@@ -233,11 +236,20 @@ class TestKeySets:
         ("selftest", "material", FIELDS_DOC["material"]),
         ("rates", "material", FIELDS_DOC["material"]),
         ("simulate", "c_light", 1.0), ("fields", "r_unit_m", 1.0),
-        ("design", "fields", {})])
-    def test_other_subcommands_key_refused(self, subcommand, key, value):
+        ("design", "fields", {}), ("rates", "burn_in", 0.0),
+        ("simulate", "fit", {}), ("simulate", "green_kubo_cutoff", 10.0)])
+    def test_other_subcommands_key_refused(self, tmp_path, capsys,
+                                           subcommand, key, value):
         text = json.dumps(dict(BASE_DOCS[subcommand], **{key: value}))
-        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        message = f"unknown key '{key}'"
+        with pytest.raises(ConfigError, match=message):
             parse_config(text, subcommand)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        code = main([subcommand, "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand", ["rates", "simulate"])
     def test_geometry_thickness_refused(self, subcommand):
@@ -289,16 +301,23 @@ class TestKeySets:
 
     def test_step_counts_resolved(self):
         cfg = parse_config(config_text(dt=0.1, total_time=60.04,
-                                       burn_in=0.26), "rates")
-        assert (cfg.n_steps, cfg.burn_in_steps) == (600, 3)
+                                       burn_in=0.26), "simulate")
+        assert (cfg.n_steps, cfg.burn_in) == (600, 0.26)
 
-    @pytest.mark.parametrize("subcommand", ["fields", "design", "selftest"])
+    UNREAD = {"rates": ("burn_in",),
+              "simulate": ("fit_t_min", "fit_t_max", "gk_cutoff")}
+
+    @pytest.mark.parametrize("subcommand", ["fields", "design", "selftest",
+                                            "rates", "simulate"])
     def test_unread_fields_are_none(self, subcommand):
-        cfg = parse_config(json.dumps(BASE_DOCS[subcommand]), subcommand)
-        for name in ("env", "dt", "total_time", "n_steps", "replicas",
-                     "sample_stride", "fit_t_min", "gk_cutoff"):
+        doc = BASE_DOCS[subcommand]
+        cfg = parse_config(json.dumps(doc), subcommand)
+        for name in self.UNREAD.get(subcommand, (
+                "env", "dt", "total_time", "n_steps", "replicas",
+                "sample_stride", "burn_in", "fit_t_min", "gk_cutoff")):
             assert getattr(cfg, name) is None
-        assert (cfg.master_seed, cfg.output_dir) == (0, "windrift_out")
+        assert (cfg.master_seed, cfg.output_dir) == \
+            (doc.get("master_seed", 0), "windrift_out")
 
 
 class TestSerialization:
@@ -402,10 +421,9 @@ class TestRunRates:
         # each replica redrawn from its own stream, then one estimator call
         # per axis on all replicas' rows
         cfg = parse_config(config_text(
-            geometry={"l_x": 20.0, "l_y": 10.0}, burn_in=5.0, replicas=5,
+            geometry={"l_x": 20.0, "l_y": 10.0}, replicas=5,
             population={"mode": "fixed", "n_v": 3, "n_a": 3}), "rates")
         summary = run(cfg, lanes=2, output_dir=tmp_path)
-        # the burn-in draws nothing: the start is exactly stationary
         results = [run_winding(
             cfg.env, cfg.geometry, 3, 3, cfg.dt, cfg.n_steps,
             normals=collective_normals(substream(cfg.master_seed, r), 6,
@@ -428,10 +446,11 @@ class TestRunRates:
             assert summary[f"final_alpha_{axis}"] == \
                 [res.final_alpha[i] for res in results]
 
-    @pytest.mark.parametrize("subcommand", ["rates", "simulate"])
+    @pytest.mark.parametrize("subcommand", ["simulate"])
     def test_burn_in_draws_nothing(self, tmp_path, subcommand):
         # the collective engine starts exactly stationary: a burn-in moves
-        # no draw, so only its echo in the summary differs
+        # no draw, so only its echo in the summary differs (rates refuses
+        # the key: test_other_subcommands_key_refused)
         runs = {}
         for burn_in in (0.0, 5.0):
             out = tmp_path / str(burn_in)
