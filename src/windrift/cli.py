@@ -247,7 +247,8 @@ def _rates_summary(config: RunConfig, records, mean_nv: float,
 
 
 def _config_echo(config: RunConfig) -> dict:
-    """Physics-relevant config fields (excludes output paths and lane count)."""
+    """Physics-relevant config fields (excludes output paths and lane count);
+    a field the subcommand does not read is None and left out."""
     echo = {"subcommand": config.subcommand, "dt": config.dt,
             "total_time": config.total_time, "burn_in": config.burn_in,
             "replicas": config.replicas,
@@ -256,7 +257,7 @@ def _config_echo(config: RunConfig) -> dict:
             "green_kubo_cutoff": config.gk_cutoff}
     for key in ("env", "geometry", "population"):
         echo[key] = asdict(getattr(config, key))
-    return echo
+    return {key: value for key, value in echo.items() if value is not None}
 
 
 def run_ensemble(config: RunConfig, out_dir: Path, lanes: int) -> dict:
