@@ -47,7 +47,6 @@ never split, so results are bit-identical for any worker count.
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
@@ -236,27 +235,11 @@ def _propagate(noise: np.ndarray, prop: OUPropagator, vel: np.ndarray, *,
 _END = object()
 
 
-def _bind(cpus: list, slot: int):
-    """Bind the calling thread to cpus[slot % len(cpus)] alone. Returns its
-    mask before, or None, binding nothing, for fewer than two cpus."""
-    if len(cpus) < 2:
-        return None
-    before = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, (cpus[slot % len(cpus)],))
-    return before
-
-
-@contextmanager
-def _bound(cpus: list, slot: int):
-    """Run the with block on cpus[slot % len(cpus)] alone, then give the
-    calling thread back its mask before, however the block ends. Binds
-    nothing for fewer than two cpus."""
-    before = _bind(cpus, slot)
-    try:
-        yield
-    finally:
-        if before is not None:
-            os.sched_setaffinity(0, before)
+def _bind(cpus: list, slot: int) -> None:
+    """Bind the calling thread to cpus[slot % len(cpus)] alone; bind nothing
+    for fewer than two cpus."""
+    if len(cpus) >= 2:
+        os.sched_setaffinity(0, (cpus[slot % len(cpus)],))
 
 
 def prefetched(make, items, slot: int = 0):
@@ -289,13 +272,17 @@ def prefetched(make, items, slot: int = 0):
             return make(item)
         return _END
 
-    with _bound(cpus, slot), ThreadPoolExecutor(
-            max_workers=1, initializer=_bind,
-            initargs=(cpus, slot + 1)) as helper:
-        pending = helper.submit(make_next)
-        while (made := pending.result()) is not _END:
+    _bind(cpus, slot)
+    try:
+        with ThreadPoolExecutor(max_workers=1, initializer=_bind,
+                                initargs=(cpus, slot + 1)) as helper:
             pending = helper.submit(make_next)
-            yield made
+            while (made := pending.result()) is not _END:
+                pending = helper.submit(make_next)
+                yield made
+    finally:
+        if len(cpus) >= 2:
+            os.sched_setaffinity(0, cpus)
 
 
 def _chunks(rng: np.random.Generator, prop: OUPropagator, vel: np.ndarray,
