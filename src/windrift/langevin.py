@@ -51,7 +51,6 @@ class OUPropagator:
     process for any dt.
     """
 
-    dt: float
     decay: float
     drift: float
     sigma_v: float
@@ -82,8 +81,7 @@ class OUPropagator:
             c2 = np.sqrt(max(var_x - c1 * c1, 0.0))
         else:
             c1 = c2 = 0.0
-        return cls(dt=dt, decay=decay, drift=drift, sigma_v=sigma_v,
-                   c1=c1, c2=c2)
+        return cls(decay=decay, drift=drift, sigma_v=sigma_v, c1=c1, c2=c2)
 
 
 class IncrementLaw(NamedTuple):

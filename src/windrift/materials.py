@@ -6,8 +6,8 @@ relations are implemented with coefficient exactly 1 and labelled as
 estimates; units are any self-consistent set with hbar = 1.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -69,8 +69,8 @@ class DerivedScales:
     d_thickness: float
     e_charge: float         # g*c/2
     c_light: float
-    estimate_fields: tuple = field(
-        default=("h_c2", "mass", "eta", "gamma"), repr=False)
+    # the fields above that are estimates
+    estimate_fields: ClassVar[tuple] = ("h_c2", "mass", "eta", "gamma")
 
 
 def derive_scales(params: MaterialParams, c_light: float = 1.0) -> DerivedScales:
