@@ -433,9 +433,15 @@ def _fit_lags(t_min: float, t_max: float, spacing: float,
 
 
 def _cutoff_lag(cutoff: float, dt: float, n_samples: int) -> int:
-    """Green-Kubo cutoff in steps; it must reach lag 1 and stay below the
-    series length."""
-    lag_max = int(round(cutoff / dt))
+    """Green-Kubo cutoff in steps; the step dt and the cutoff must be
+    positive and finite, and the cutoff must reach lag 1 and stay below
+    the series length."""
+    for name, value in (("step dt", dt), ("cutoff", cutoff)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got "
+                             f"{value}")
+    lags = cutoff / dt      # overflows to inf only beyond any series
+    lag_max = int(round(lags)) if lags < math.inf else lags
     if lag_max < 1:
         raise ValueError(f"cutoff {cutoff} rounds to lag 0 at step {dt}; "
                          f"the sum needs at least one lag")
