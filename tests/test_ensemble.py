@@ -20,6 +20,7 @@ from windrift import (SimulationState, ThermalEnv, TorusGeometry,
                       run_replica, run_winding, sample_population,
                       substream)
 from windrift import cli, ensemble, langevin
+from windrift.config import LANE_STEP_BYTES
 from windrift.langevin import OUPropagator
 
 from oracles import (increment_covariances, innovations_increments,
@@ -811,6 +812,37 @@ class TestMemoryBounds:
                                                   config, 1)
         kept = sum(a.nbytes for a in trajectory)
         assert (peak - kept) / 8 / (burn + n_steps) <= 6.5
+
+    @pytest.mark.parametrize("burn", [0, 20_000])
+    def test_simulate_lane_peak_per_recorded_step(self, burn):
+        # a burn-in draws nothing, so the lane's peak is the same per
+        # recorded step whatever the burn-in: two draw buffers of 2
+        # doubles, then the running sums (2) and the sampled windings
+        # (2/5), 6.4 doubles per recorded step, plus 0.5 of slack
+        n_steps = 100_000
+        config = parse_config(json.dumps({
+            "env": {"mass": 1.0, "eta": 2.0, "temperature": 1.0},
+            "geometry": {"l_x": 10.0, "l_y": 10.0},
+            "population": {"mode": "fixed", "n_v": 5, "n_a": 5},
+            "dt": 0.1, "total_time": 0.1 * n_steps, "burn_in": 0.1 * burn,
+            "replicas": 3, "sample_stride": 5, "master_seed": 4}),
+            "simulate")
+        (trajectory, records), peak = traced_peak(cli._run_ensemble,
+                                                  config, 1)
+        kept = sum(a.nbytes for a in trajectory)
+        assert (peak - kept) / 8 / n_steps <= 6.4 + 0.5
+
+    def test_rates_lane_peak_within_parser_budget(self):
+        # the parser refuses a run whose lane would exceed LANE_BYTES at
+        # LANE_STEP_BYTES per recorded step; at sample_stride 1, where
+        # the sampled windings are longest, the lane must stay within it
+        n_steps = 100_000
+        doc = dict(json.loads(self.rates_doc(n_steps, 3)), sample_stride=1)
+        config = parse_config(json.dumps(doc), "rates")
+        (trajectory, records), peak = traced_peak(cli._run_ensemble,
+                                                  config, 1)
+        kept = sum(a.nbytes for a in trajectory)
+        assert (peak - kept) / n_steps <= LANE_STEP_BYTES
 
     @pytest.mark.parametrize("n,n_steps,stride", [
         pytest.param(2, 100_000, 50, id="2-100000"),
