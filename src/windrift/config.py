@@ -33,7 +33,7 @@ from typing import Optional
 from .design import DeviceSpec
 from .ensemble import TorusGeometry
 from .langevin import (ThermalEnv, _check_fit_start, _cutoff_lag,
-                       _fit_window)
+                       _default_fit_window, _fit_window)
 from .materials import MaterialParams, derive_scales
 
 
@@ -281,8 +281,9 @@ def _simulation(v: dict, subcommand: str) -> dict:
                           f"{n_steps} steps of 'total_time'; "
                           f"rates need at least one sample after t=0")
     fit, cutoff = v["fit"], v["green_kubo_cutoff"]
-    t_min = fit["t_min"] if fit["t_min"] is not None else 10.0 / env.gamma
-    t_max = fit["t_max"] if fit["t_max"] is not None else total_time / 2.0
+    default_min, default_max = _default_fit_window(env.gamma, total_time)
+    t_min = fit["t_min"] if fit["t_min"] is not None else default_min
+    t_max = fit["t_max"] if fit["t_max"] is not None else default_max
     cutoff = cutoff if cutoff is not None else 20.0 / env.gamma
     _check_rate_windows(env, dt, n_steps, stride, t_min, t_max, cutoff)
     return dict(run, fit_t_min=t_min, fit_t_max=t_max, gk_cutoff=cutoff)

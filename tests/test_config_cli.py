@@ -54,7 +54,8 @@ class TestParsing:
     def test_defaults_fill_in(self):
         cfg = parse_config(config_text(), "rates")
         assert cfg.fit_t_min == pytest.approx(10.0 / cfg.env.gamma)
-        assert cfg.fit_t_max == pytest.approx(30.0)       # total_time / 2
+        # min(50/gamma, total_time/2)
+        assert cfg.fit_t_max == pytest.approx(25.0)
         assert cfg.gk_cutoff == pytest.approx(20.0 / cfg.env.gamma)
         assert cfg.replicas == 4
 
@@ -190,7 +191,7 @@ class TestParsing:
         n_steps = int(round(total_time / dt))
         samples = n_steps // stride + 1
         window = (fit.get("t_min", 10.0 / gamma),
-                  fit.get("t_max", total_time / 2.0))
+                  fit.get("t_max", min(50.0 / gamma, total_time / 2.0)))
         try:
             rate_from_msd(dt * stride, np.ones((2, samples)), window,
                           gamma=gamma)
