@@ -247,8 +247,7 @@ def _rates_summary(config: RunConfig, records, mean_nv: float,
 
 
 def _config_echo(config: RunConfig) -> dict:
-    """Physics-relevant config fields (excludes output paths and lane count);
-    a field the subcommand does not read is None and left out."""
+    """Physics-relevant config fields the run reads (no paths, no lanes)."""
     echo = {"subcommand": config.subcommand, "dt": config.dt,
             "total_time": config.total_time, "burn_in": config.burn_in,
             "replicas": config.replicas,

@@ -4,10 +4,9 @@ Configs are JSON documents. Each subcommand accepts exactly the keys it
 reads, plus `master_seed` and `output_dir` (which `--seed` and `--out`
 override for every subcommand):
 
-  simulate         env, geometry, population, dt, total_time, replicas,
-                   sample_stride, and burn_in, which no run reads: it
-                   stays for bench/job.py, which reads config.burn_in
-  rates            the same without burn_in, plus fit, green_kubo_cutoff
+  simulate, rates  env, geometry, population, dt, total_time, replicas,
+                   sample_stride; rates also fit, green_kubo_cutoff, and
+                   simulate burn_in, which only bench/job.py reads
   fields           material, fields, c_light
   design           device, anyon, c_light, r_unit_m, design_g_coupling
   selftest         (nothing else)
@@ -98,9 +97,8 @@ class RunConfig:
     n_steps: Optional[int] = None
     replicas: Optional[int] = None
     sample_stride: Optional[int] = None
-    # simulate
+    # simulate: burn_in; rates: the fit window and Green-Kubo cutoff
     burn_in: Optional[float] = None
-    # rates
     fit_t_min: Optional[float] = None
     fit_t_max: Optional[float] = None
     gk_cutoff: Optional[float] = None
@@ -280,11 +278,10 @@ def _simulation(v: dict, subcommand: str) -> dict:
         raise ConfigError(f"'sample_stride' ({stride}) exceeds the "
                           f"{n_steps} steps of 'total_time'; "
                           f"rates need at least one sample after t=0")
-    fit, cutoff = v["fit"], v["green_kubo_cutoff"]
+    fit = v["fit"]      # set values are > 0
     default_min, default_max = _default_fit_window(env.gamma, total_time)
-    t_min = fit["t_min"] if fit["t_min"] is not None else default_min
-    t_max = fit["t_max"] if fit["t_max"] is not None else default_max
-    cutoff = cutoff if cutoff is not None else 20.0 / env.gamma
+    t_min, t_max = fit["t_min"] or default_min, fit["t_max"] or default_max
+    cutoff = v["green_kubo_cutoff"] or 20.0 / env.gamma
     _check_rate_windows(env, dt, n_steps, stride, t_min, t_max, cutoff)
     return dict(run, fit_t_min=t_min, fit_t_max=t_max, gk_cutoff=cutoff)
 

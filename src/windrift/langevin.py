@@ -426,12 +426,9 @@ def _fit_window(t_min: float, t_max: float, spacing: float,
 
 
 def _default_fit_window(gamma: float, duration: float) -> Tuple[float, float]:
-    """The MSD fit window where none is given: (10/gamma, min(50/gamma,
-    duration/2)), from the start of the diffusive regime to 50/gamma or
-    half the duration, whichever is shorter. Longer lags add noise, not
-    information: over 20 replicas of the criterion-3 length (5,000/gamma),
-    the per-replica SD of the rate read 0.08 of it in this window and
-    0.5-1.5 in (10/gamma, duration/2)."""
+    """The MSD fit window where none is given, from the diffusive regime
+    to 50/gamma or half the duration, whichever is shorter: longer lags
+    add noise, not information."""
     return 10.0 / gamma, min(50.0 / gamma, duration / 2.0)
 
 
@@ -443,9 +440,8 @@ def _fit_lags(t_min: float, t_max: float, spacing: float,
 
 
 def _cutoff_lag(cutoff: float, dt: float, n_samples: int) -> int:
-    """Green-Kubo cutoff in steps; the step dt and the cutoff must be
-    positive and finite, and the cutoff must reach lag 1 and stay below
-    the series length."""
+    """Green-Kubo cutoff in steps: dt and the cutoff must be positive and
+    finite, and the lag must reach 1 and stay below the series length."""
     for name, value in (("step dt", dt), ("cutoff", cutoff)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got "
@@ -480,10 +476,9 @@ def einstein_diffusion_check(positions, dt: float, env: ThermalEnv
     positions : array_like, shape (S, 2) or (S, n, 2)
         Unwrapped positions sampled every dt (S samples, n walkers).
 
-    The slope is fitted over _default_fit_window's lag times, (10/gamma,
-    min(50/gamma, T/2)) with T the trajectory duration, at every lag of
-    the all-origin MSD; a trajectory too short to give two lags in that
-    window is refused.
+    The slope is fitted over _default_fit_window(gamma, T), T being the
+    trajectory duration, at every lag of the all-origin MSD; a trajectory
+    too short to give two lags in that window is refused.
 
     Returns
     -------

@@ -69,7 +69,6 @@ class DerivedScales:
     d_thickness: float
     e_charge: float         # g*c/2
     c_light: float
-    # the fields above that are estimates
     estimate_fields: ClassVar[tuple] = ("h_c2", "mass", "eta", "gamma")
 
 
