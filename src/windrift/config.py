@@ -159,8 +159,7 @@ _ENSEMBLE = dict(
     total_time=(">0", REQUIRED), replicas=("int>0", 20),
     sample_stride=("int>0", 10))
 _TABLES = {
-    # no simulate run reads burn_in (the collective engine starts exactly
-    # stationary); it stays only because bench/job.py reads config.burn_in
+    # no simulate run reads burn_in; it stays only for bench/job.py
     "simulate": dict(_ENSEMBLE, burn_in=(">=0", 0.0)),
     "rates": dict(_ENSEMBLE, fit=(_FIT, {}), green_kubo_cutoff=(">0", None)),
     "fields": dict(_COMMON, material=(_MATERIAL, REQUIRED),

@@ -179,12 +179,13 @@ SCAN_FLOOR = 2.0 ** -200
 
 
 def lfilter(v: np.ndarray, decay: float, *, stepwise: bool) -> np.ndarray:
-    """The OU velocity recurrence v[i] += decay * v[i-1] along axis 0, in
-    place; returns v.
+    """The first-order recurrence v[i] += decay * v[i-1] along axis 0, in
+    place; returns v: run_replica's OU velocities (row 0 the starting
+    velocity, row i sigma_v * n1 of step i on entry) or run_winding's
+    displacement sums D_i = phi D_(i-1) + s w_i in units of s (row i w_i).
 
-    Row 0 is the starting velocity and row i holds sigma_v * n1 of step i
-    on entry. stepwise=True advances one step at a time, the stepwise
-    arithmetic bit for bit. Otherwise a doubling scan (Hillis & Steele,
+    stepwise=True advances one step at a time, the stepwise arithmetic
+    bit for bit. Otherwise a doubling scan (Hillis & Steele,
     Commun. ACM 29, 1170 (1986)) adds decay**k * v[i-k] for k = 1, 2, 4,
     ...: after the pass at k, row i sums its terms decay**j * u[i-j] for
     j < 2k, so log2(N) whole-array passes give the recurrence to rounding.

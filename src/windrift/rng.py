@@ -13,11 +13,11 @@ Replica r of a `rates` or `simulate` run uses the stream
    spends one flat array of normals (ensemble.collective_normals): the
    recorded steps' normals axis-major, first those driving alpha_x (the
    y displacement), then those driving alpha_y; its start is exactly
-   stationary, so a burn-in draws nothing, and an empty ensemble draws
-   nothing. Each lane's helper thread draws that array one replica ahead
-   of the lane, claiming replicas in any order, since no stream depends
-   on another. The
-   per-walker engine (ensemble.run_replica) draws the positions (walker,
+   stationary, so it draws no burn-in (rates refuses a burn_in key, and
+   simulate's draws nothing), and an empty ensemble draws nothing. Each
+   lane's helper thread draws that array one replica ahead of the lane,
+   claiming replicas in any order, since no stream depends on another.
+   The per-walker engine (ensemble.run_replica) draws the positions (walker,
    axis), the stationary velocities (walker, axis), then per step
    (walker, axis, role); the steps' normals are drawn on one helper
    thread, chunk after chunk, which keeps this order.
