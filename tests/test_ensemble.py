@@ -836,6 +836,7 @@ class TestMemoryBounds:
         # the parser refuses a run whose lane would exceed LANE_BYTES at
         # LANE_STEP_BYTES per recorded step; at sample_stride 1, where
         # the sampled windings are longest, the lane must stay within it
+        # beyond replica 0's trajectory, which the run keeps (README)
         n_steps = 100_000
         doc = dict(json.loads(self.rates_doc(n_steps, 3)), sample_stride=1)
         config = parse_config(json.dumps(doc), "rates")
