@@ -41,11 +41,12 @@ class ConfigError(ValueError):
 
 
 # A simulate or rates lane holds at most LANE_STEP_BYTES per recorded step
-# at its peak (17 doubles at sample_stride 1, 10 at 5: two draw buffers,
-# the increments, the sampled windings and the estimators' transforms).
-# A run whose lane would exceed LANE_BYTES is refused before it allocates,
-# the same on every host: at most 126,322,567 steps.
-LANE_STEP_BYTES = 17 * 8
+# at its peak, replica 0's sampled trajectory (3 doubles per sample)
+# included (18 doubles at sample_stride 1, 10 at 5: two draw buffers, the
+# increments, the sampled windings, the trajectory and the estimators'
+# transforms). A run whose lane would exceed LANE_BYTES is refused before
+# it allocates, the same on every host: at most 119,304,647 steps.
+LANE_STEP_BYTES = 18 * 8
 LANE_BYTES = 16 << 30
 
 

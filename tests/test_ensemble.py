@@ -845,6 +845,15 @@ class TestMemoryBounds:
         kept = sum(a.nbytes for a in trajectory)
         assert (peak - kept) / n_steps <= LANE_STEP_BYTES
 
+    def test_rates_peak_with_trajectory_within_parser_budget(self):
+        # the budget also holds replica 0's sampled trajectory, which the
+        # run keeps: 3 doubles per sample at sample_stride 1
+        n_steps = 100_000
+        doc = dict(json.loads(self.rates_doc(n_steps, 3)), sample_stride=1)
+        config = parse_config(json.dumps(doc), "rates")
+        _, peak = traced_peak(cli._run_ensemble, config, 1)
+        assert peak / n_steps <= LANE_STEP_BYTES
+
     @pytest.mark.parametrize("n,n_steps,stride", [
         pytest.param(2, 100_000, 50, id="2-100000"),
         pytest.param(100, 55_000, 50, id="100-55000"),
