@@ -29,7 +29,10 @@ charge-weighted displacement sums D = sum q dx per axis: the walkers do
 not interact and q^2 = 1, so D of n walkers at temperature T is exactly
 one walker's at temperature nT, whose increments are a stationary
 ARMA(1,1) process (langevin.increment_law). The winding series cost 2
-draws per step whatever the walker count.
+draws per step whatever the walker count, and one loop over blocks of
+steps filters them (_arma_filter): each block is scaled, summed by one
+cumsum and scaled back, carrying one value per row into the next, so
+beyond the normals it holds O(block) memory and no O(steps) temporary.
 
 Reproducibility: all noise comes from Philox streams keyed by
 (master_seed, stream_id); draws happen in a fixed (step, walker, axis,
@@ -45,6 +48,7 @@ consumed as by one thread. Replicas are the unit of parallelism and are
 never split, so results are bit-identical for any worker count.
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -172,41 +176,82 @@ STEP_BYTES = 13 * 8
 # CHUNK_BYTES / 26 normals whatever the walker count (about 161k, 4 ms of
 # draws; the helper hands a chunk off in 30-50 us)
 CHUNK_BYTES = 4 << 20
-# lfilter's doubling scan stops at the first factor decay**k below this:
-# a later pass adds less than SCAN_FLOOR of an earlier velocity, which can
-# move v[i] only if |v[i]| is below 2**-147 of that velocity
-SCAN_FLOOR = 2.0 ** -200
+# _arma_filter scales a block by |decay|**-s for s below its length, at
+# most e**BLOCK_EXPONENT (about 1e260): no factor or scaled sum overflows,
+# and no factor goes subnormal
+BLOCK_EXPONENT = 600.0
 
 
-def lfilter(v: np.ndarray, decay: float, *, stepwise: bool) -> np.ndarray:
-    """The first-order recurrence v[i] += decay * v[i-1] along axis 0, in
-    place; returns v: run_replica's OU velocities (row 0 the starting
-    velocity, row i sigma_v * n1 of step i on entry) or run_winding's
-    displacement sums D_i = phi D_(i-1) + s w_i in units of s (row i w_i).
-
-    stepwise=True advances one step at a time, the stepwise arithmetic
-    bit for bit. Otherwise a doubling scan (Hillis & Steele,
-    Commun. ACM 29, 1170 (1986)) adds decay**k * v[i-k] for k = 1, 2, 4,
-    ...: after the pass at k, row i sums its terms decay**j * u[i-j] for
-    j < 2k, so log2(N) whole-array passes give the recurrence to rounding.
-    The scan stops at the first factor below SCAN_FLOOR in magnitude, so
-    it reaches at most 2 k_max - 1 rows back, k_max the last factor's k:
-    12 passes at gamma dt = 0.04.
+def lfilter(v: np.ndarray, decay: float) -> np.ndarray:
+    """The first-order recurrence v[i] += decay * v[i-1] along axis 0, one
+    step at a time, in place; returns v: run_replica's OU velocities (row
+    0 the starting velocity, row i sigma_v * n1 of step i on entry), the
+    stepwise arithmetic bit for bit.
     """
-    if stepwise:
-        tmp = np.empty(v.shape[1:])
-        for prev, row in zip(v[:-1], v[1:]):   # row views, updated in turn
-            np.multiply(prev, decay, out=tmp)
-            row += tmp
-        return v
-    n = len(v)
-    tmp = np.empty_like(v[1:])
-    k = 1
-    while k < n and abs(decay) ** k >= SCAN_FLOOR:
-        np.multiply(v[:-k], decay ** k, out=tmp[:n - k])
-        v[k:] += tmp[:n - k]
-        k *= 2
+    tmp = np.empty(v.shape[1:])
+    for prev, row in zip(v[:-1], v[1:]):   # row views, updated in turn
+        np.multiply(prev, decay, out=tmp)
+        row += tmp
     return v
+
+
+def _block_steps(decay: float, n: int) -> int:
+    """The steps of one of _arma_filter's blocks over n steps: the most s
+    with |decay|**-s <= e**BLOCK_EXPONENT, at least 1 and at most n."""
+    rate = -math.log(abs(decay)) if decay else math.inf
+    if rate * n <= BLOCK_EXPONENT:
+        return n
+    return max(1, int(BLOCK_EXPONENT / rate))
+
+
+@lru_cache(maxsize=8)
+def _block_factors(decay: float, steps: int):
+    """(decay**-s, decay**s) for s < steps, read-only: the scalings of one
+    block. Cached per (decay, steps)."""
+    s = np.arange(steps, dtype=float)
+    factors = decay ** -s, decay ** s
+    for f in factors:
+        f.flags.writeable = False
+    return factors
+
+
+def _arma_filter(rows: np.ndarray, decay: float, theta: float = 0.0,
+                 head=()) -> np.ndarray:
+    """The ARMA(1,1) filter D_i = decay D_(i-1) + e_i + theta e_(i-1) /
+    head_(i-1) along the last axis of the (k, n) array rows, in place, e
+    on entry and D on return; D_(-1) = e_(-1) = 0 and head_i = 1 beyond
+    head. decay may be negative, and |decay| <= 1.
+
+    A blocked linear-recurrence scan (Blelloch, "Prefix Sums and Their
+    Applications", CMU-CS-90-190 (1990); Martin & Cundy, ICLR 2018): over
+    a block of B = _block_steps steps from b, D_(b+t) = decay**t
+    sum_(s<=t) decay**-s w_(b+s), with w_(b+s) the block's MA sums and
+    decay D_(b-1) added to w_b. So each block takes its theta term, is
+    scaled by decay**-s, summed by one cumsum along the rows and scaled by
+    decay**s; the next block carries its last D and theta e. Beyond rows
+    it holds O(B) values, and B = floor(600/|ln|decay||) keeps every
+    factor within e**600.
+    """
+    n = rows.shape[1]
+    up, down = _block_factors(decay, _block_steps(decay, n))
+    steps = len(up)
+    # ma[:, j + 1] is theta e_(b+j) / head_(b+j), the term of step b + j + 1;
+    # ma[:, 0] carries decay D_(b-1) + theta e_(b-1) / head_(b-1)
+    ma = np.zeros((len(rows), steps + 1))
+    for start in range(0, n, steps):
+        block = rows[:, start:start + steps]
+        m = block.shape[1]
+        np.multiply(block, theta, out=ma[:, 1:m + 1])
+        if start < len(head):
+            tail = head[start:start + m]
+            ma[:, 1:len(tail) + 1] /= tail
+        block += ma[:, :m]
+        block *= up[:m]
+        np.cumsum(block, axis=1, out=block)
+        block *= down[:m]
+        np.multiply(block[:, -1], decay, out=ma[:, 0])
+        ma[:, 0] += ma[:, m]
+    return rows
 
 
 def _propagate(noise: np.ndarray, prop: OUPropagator, vel: np.ndarray, *,
@@ -222,7 +267,7 @@ def _propagate(noise: np.ndarray, prop: OUPropagator, vel: np.ndarray, *,
     n1, n2 = noise[..., 0], noise[..., 1]
     v[0] = vel
     np.multiply(n1, prop.sigma_v, out=v[1:])
-    lfilter(v, prop.decay, stepwise=True)
+    lfilter(v, prop.decay)
     # dxy = drift * vprev + c1 * n1 + c2 * n2, the products formed in the
     # spent normals
     dxy = np.multiply(v[:-1], prop.drift, out=dxy)
@@ -334,7 +379,8 @@ def _record_increments(dxy, charges, geometry: TorusGeometry, inc,
 
 
 def _windings(inc, dt: float, sample_stride: int) -> WindingResult:
-    """Cumulative windings, sampled after every sample_stride-th step."""
+    """Cumulative windings, sampled after every sample_stride-th step: one
+    running sum over every step, as the stepwise oracle sums them."""
     full = np.empty((2, inc.shape[1] + 1))
     full[:, 0] = 0.0
     np.cumsum(inc, axis=1, out=full[:, 1:])
@@ -342,6 +388,24 @@ def _windings(inc, dt: float, sample_stride: int) -> WindingResult:
         times=np.arange(0, inc.shape[1] + 1, sample_stride) * dt,
         alpha=full[:, ::sample_stride].copy(), inc=inc,
         final_alpha=tuple(full[:, -1].tolist()))
+
+
+def _stride_windings(inc, dt: float, sample_stride: int) -> WindingResult:
+    """Cumulative windings, sampled after every sample_stride-th step,
+    from the sums over each stride: one reduceat over the S whole strides,
+    then a cumsum of the S sums. final_alpha adds the steps after the
+    last sample. Holds 4 doubles per sample beyond inc."""
+    n = inc.shape[1]
+    whole = n - n % sample_stride
+    alpha = np.zeros((2, whole // sample_stride + 1))
+    if whole:
+        sums = np.add.reduceat(inc[:, :whole],
+                               np.arange(0, whole, sample_stride), axis=1)
+        np.cumsum(sums, axis=1, out=alpha[:, 1:])
+    final = alpha[:, -1] + inc[:, whole:].sum(axis=1)
+    return WindingResult(
+        times=np.arange(0, n + 1, sample_stride) * dt, alpha=alpha,
+        inc=inc, final_alpha=tuple(final.tolist()))
 
 
 def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
@@ -457,13 +521,17 @@ def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
     normals are collective_normals(rng, n, n_steps); any other length is
     refused. The start is exactly stationary, so no burn-in is run or
     drawn. They hold the (2, n_steps) increments' normals, rows x and y,
-    and are spent: scaled by sqrt(r) at the head, given the theta term, run
-    through lfilter's doubling scan with decay phi along the steps, and
-    scaled by sqrt(nT s2/eta)/l. inc is that view of them. Beyond the
-    normals (2 doubles per step) the memory is 2 doubles per step at the
-    peak (the theta term, then the scan's temporary, then the running
-    sums). An empty ensemble has zero increments. The series start at
-    (t=0, alpha=0).
+    and are spent: scaled by sqrt(r) at the head, filtered in place along
+    the contiguous rows by _arma_filter, one loop over blocks of B =
+    floor(600/(gamma dt)) steps that each take the theta term, add phi
+    times the last D carried from the block before, and run one scaled
+    cumsum, and then scaled by sqrt(nT s2/eta)/l, each axis once. D is
+    carried unscaled, so T = 0 gives zeros. inc is that view of them.
+    The windings come from the sums over each stride (_stride_windings).
+    Beyond the normals (2 doubles per step) the memory is O(B) for the
+    filter and 4 doubles per sample for the windings, with no temporary
+    of O(n_steps). An empty ensemble has zero increments. The series
+    start at (t=0, alpha=0).
     """
     _check_steps(dt, n_steps, sample_stride)
     _check_counts(n_v, n_a)
@@ -473,23 +541,18 @@ def run_winding(env: ThermalEnv, geometry: TorusGeometry, n_v: int,
         raise ValueError(f"normals holds {np.size(normals)} values, but "
                          f"{n} walkers over {n_steps} steps spend {size}")
     if not n:
-        return _windings(np.zeros((2, n_steps)), dt, sample_stride)
+        return _stride_windings(np.zeros((2, n_steps)), dt, sample_stride)
     law = increment_law(env.gamma, dt)
     inc = normals.reshape(2, n_steps)
-    rows = inc.T     # (n_steps, 2): the scans run down the steps
-    # innovations e_i = sqrt(r_i) z_i, then w_i = e_i + theta e_(i-1) /
-    # r_(i-1) and D_i = phi D_(i-1) + s w_i; r_i = 1 beyond the head
-    head = law.r[:n_steps, None]
-    rows[:len(head)] *= np.sqrt(head)
-    carry = np.multiply(rows[:-1], law.theta)
-    carry[:len(head)] /= head[:n_steps - 1]
-    rows[1:] += carry
-    del carry
-    lfilter(rows, law.phi, stepwise=False)
+    # innovations e_i = sqrt(r_i) z_i, then D_i = phi D_(i-1) + s w_i with
+    # w_i = e_i + theta e_(i-1) / r_(i-1); r_i = 1 beyond the head
+    head = law.r[:n_steps]
+    inc[:, :len(head)] *= np.sqrt(head)
+    _arma_filter(inc, law.phi, law.theta, head)
     # rows x and y wind with the y and x displacements
-    rows *= np.sqrt(n * env.temperature * law.s2 / env.eta) \
-        / np.array([geometry.l_y, geometry.l_x])
-    return _windings(inc, dt, sample_stride)
+    inc *= (np.sqrt(n * env.temperature * law.s2 / env.eta)
+            / np.array([geometry.l_y, geometry.l_x]))[:, None]
+    return _stride_windings(inc, dt, sample_stride)
 
 
 def mean_population(env: ThermalEnv, geometry: TorusGeometry,

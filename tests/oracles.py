@@ -6,7 +6,9 @@ Langevin oracles are closed-form solutions, the winding oracles are
 direct random-walk constructions, and the exponential fit is scipy's
 curve_fit. The exceptions are step_ensemble and recurrence_loop, the
 step-by-step references that the engines must match bit for bit
-(run_replica) or to rounding (run_winding's doubling scan),
+(run_replica) or to rounding (the blocked recurrence), arma_longdouble,
+the recurrence in long double, running_windings, the running sum that
+the stride sums must match to rounding,
 innovations_increments, the collective engine's increments one step at
 a time from the closed-form covariances, lag_products_whole_row, the
 one-transform lag products that short rows must still match bit for bit,
@@ -20,6 +22,7 @@ import tracemalloc
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import curve_fit
+from scipy.signal import lfilter
 
 
 def bessel_k_quadrature(order: int, z: float) -> float:
@@ -64,6 +67,27 @@ def recurrence_loop(u, decay):
     for i in range(1, len(v)):
         v[i] = v[i] + decay * v[i - 1]
     return v
+
+
+def arma_longdouble(u, decay, theta, head):
+    """D_i = decay D_(i-1) + u_i + theta u_(i-1) / head_(i-1) down axis 0
+    of u, with head_i = 1 beyond head, in long double: the MA sums
+    directly, then scipy's lfilter for the recurrence."""
+    e = np.asarray(u, dtype=np.longdouble)
+    h = np.ones(len(e) - 1, dtype=np.longdouble)
+    h[:len(head)] = head[:len(h)]
+    w = e.copy()
+    w[1:] += theta * e[:-1] / h[:, None]
+    return lfilter(np.ones(1, dtype=np.longdouble),
+                   np.array([1.0, -decay], dtype=np.longdouble), w, axis=0)
+
+
+def running_windings(inc):
+    """The (2, N + 1) windings of (2, N) increments at every step from
+    t = 0: one running sum over every step."""
+    full = np.zeros((2, inc.shape[1] + 1))
+    np.cumsum(inc, axis=1, out=full[:, 1:])
+    return full
 
 
 def _initial_rate_guess(c, dt):

@@ -21,10 +21,11 @@ from windrift import (SimulationState, ThermalEnv, TorusGeometry,
                       substream)
 from windrift import cli, ensemble, langevin
 from windrift.config import LANE_STEP_BYTES
-from windrift.langevin import OUPropagator
+from windrift.langevin import OUPropagator, increment_law
 
-from oracles import (increment_covariances, innovations_increments,
-                     recurrence_loop, running_sum_positions, step_ensemble,
+from oracles import (arma_longdouble, increment_covariances,
+                     innovations_increments, recurrence_loop,
+                     running_sum_positions, running_windings, step_ensemble,
                      synthetic_brownian_alpha, traced_peak,
                      winding_variance)
 
@@ -409,6 +410,39 @@ class TestWindingEngine:
             assert (np.abs(cov[axis, :, axis] - exact).max()
                     <= 1e-13 * exact[0, 0]), axis
 
+    @pytest.mark.parametrize("n_steps,stride", [
+        (1000, 10), (1003, 10), (7, 10), (10, 10), (999, 1)])
+    def test_stride_sums_match_running_sum(self, square_torus, basic_env,
+                                           n_steps, stride):
+        # the windings are sums over each stride, then a running sum of
+        # those: n_steps a multiple of the stride or not, and below it
+        res = run_winding(basic_env, square_torus, 3, 3, 0.05, n_steps,
+                          normals=collective_normals(substream(5, 1), 6,
+                                                     n_steps),
+                          sample_stride=stride)
+        full = running_windings(res.inc)
+        tol = 1e-14 * np.abs(full).max()
+        assert np.array_equal(res.times,
+                              np.arange(0, n_steps + 1, stride) * 0.05)
+        assert res.alpha.shape == full[:, ::stride].shape
+        assert np.abs(res.alpha - full[:, ::stride]).max() <= tol
+        assert np.abs(np.array(res.final_alpha) - full[:, -1]).max() <= tol
+        assert (np.abs(np.array(res.final_alpha) - res.inc.sum(axis=1)).max()
+                <= tol)
+
+    def test_zero_temperature_over_blocks(self, square_torus):
+        # gamma dt 0.2 over 10,000 steps spans four blocks of the filter; D
+        # is carried unscaled, so the zero scale at T = 0 gives exact zeros
+        env = ThermalEnv(mass=1.0, eta=2.0, temperature=0.0)
+        n_steps = 10_000
+        assert ensemble._block_steps(np.exp(-0.2), n_steps) < n_steps / 3
+        res = run_winding(env, square_torus, 2, 2, 0.1, n_steps,
+                          normals=collective_normals(substream(7, 0), 4,
+                                                     n_steps),
+                          sample_stride=5)
+        assert not res.inc.any() and not res.alpha.any()
+        assert res.final_alpha == (0.0, 0.0)
+
     def test_empty_ensemble_draws_nothing(self, square_torus, basic_env):
         rng = substream(3, 0)
         res = run_winding(basic_env, square_torus, 0, 0, 0.1, 50,
@@ -497,7 +531,8 @@ class TestWindingEngine:
 
 
 def recurrence_input(gamma_dt, n_steps, seed):
-    """lfilter's input at T/M = 1: a stationary start, then sigma_v * n1."""
+    """The recurrence's input at T/M = 1: a stationary start, then
+    sigma_v * n1."""
     rng = np.random.default_rng(seed)
     u = np.empty((n_steps + 1, 2))
     u[0] = rng.standard_normal(2)
@@ -506,36 +541,60 @@ def recurrence_input(gamma_dt, n_steps, seed):
     return u
 
 
+def blocked(u, decay, theta=0.0, head=()):
+    """ensemble._arma_filter on the (N, 2) steps u, as (N, 2) steps: the
+    filter runs along the rows of the contiguous (2, N) transpose."""
+    return ensemble._arma_filter(u.T.copy(), decay, theta, head).T
+
+
 class TestVelocityRecurrence:
-    """ensemble.lfilter against the step-by-step recurrence oracle."""
+    """ensemble.lfilter and the blocked recurrence (ensemble._arma_filter)
+    against the step-by-step recurrence oracle."""
 
     @pytest.mark.parametrize("gamma_dt", [1e-3, 0.04, 0.2, 5.0])
     def test_matches_stepwise_loop(self, gamma_dt):
         decay = np.exp(-gamma_dt)
         u = recurrence_input(gamma_dt, 100_000, 1)
         expected = recurrence_loop(u, decay)
-        assert np.array_equal(
-            ensemble.lfilter(u.copy(), decay, stepwise=True), expected)
-        scan = ensemble.lfilter(u.copy(), decay, stepwise=False)
+        assert np.array_equal(ensemble.lfilter(u.copy(), decay), expected)
+        scan = blocked(u, decay)
         assert (np.abs(scan - expected).max()
                 <= 1e-14 * np.abs(expected).max())
 
     def test_scan_prefix_independent_of_length(self):
+        # the blocks start at multiples of a length set by the decay alone,
+        # so a prefix sees the same blocks as the whole series
         decay = np.exp(-0.04)
         u = recurrence_input(0.04, 100_000, 2)
-        full = ensemble.lfilter(u.copy(), decay, stepwise=False)
+        full = blocked(u, decay)
         for n in (1, 2, 3, 1000, 4097, 65_537):
-            assert np.array_equal(
-                ensemble.lfilter(u[:n].copy(), decay, stepwise=False),
-                full[:n]), n
+            assert np.array_equal(blocked(u[:n], decay), full[:n]), n
 
     def test_scan_with_negative_decay(self):
-        # a decay of theta's sign under the MA inversion: the scan's stopping
-        # rule must read |decay|**k, or it stops before the first pass
+        # a decay of theta's sign under the MA inversion: the block length
+        # must come from |decay|, or the log of the decay is undefined
         decay = -0.27
         u = np.random.default_rng(3).standard_normal((10_000, 2))
         expected = recurrence_loop(u, decay)
-        scan = ensemble.lfilter(u.copy(), decay, stepwise=False)
+        scan = blocked(u, decay)
+        assert (np.abs(scan - expected).max()
+                <= 1e-14 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("gamma_dt", [1e-3, 0.04, 0.2, 2.0, None],
+                             ids=["1e-3", "0.04", "0.2", "2", "decay-0.27"])
+    def test_blocks_match_longdouble_recurrence(self, gamma_dt):
+        # over two block boundaries and a partial block: with run_winding's
+        # decay, theta term and head at each gamma dt, and the recurrence
+        # alone at a negative decay
+        if gamma_dt is None:
+            decay, theta, head = -0.27, 0.0, ()
+        else:
+            law = increment_law(gamma_dt, 1.0)
+            decay, theta, head = law.phi, law.theta, law.r
+        steps = ensemble._block_steps(decay, 10**9)
+        u = np.random.default_rng(4).standard_normal((2 * steps + 77, 2))
+        expected = arma_longdouble(u, decay, theta, head)
+        scan = blocked(u, decay, theta, head)
         assert (np.abs(scan - expected).max()
                 <= 1e-14 * np.abs(expected).max())
 
