@@ -215,8 +215,8 @@ def _block_factors(decay: float, steps: int):
     return factors
 
 
-def _arma_filter(rows: np.ndarray, decay: float, theta: float = 0.0,
-                 head=()) -> np.ndarray:
+def _arma_filter(rows: np.ndarray, decay: float, theta: float,
+                 head) -> np.ndarray:
     """The ARMA(1,1) filter D_i = decay D_(i-1) + e_i + theta e_(i-1) /
     head_(i-1) along the last axis of the (k, n) array rows, in place, e
     on entry and D on return; D_(-1) = e_(-1) = 0 and head_i = 1 beyond
