@@ -822,9 +822,10 @@ class TestMemoryBounds:
     """Peak working memory of the engines, in doubles (tracemalloc)."""
 
     def test_run_winding_peak_per_step(self, square_torus, basic_env):
-        # the draw's normals (2 per step) and, beyond them, the engine's
-        # theta term, the scan's temporary or the running sums (2 per
-        # step); the increments are the spent normals
+        # the draw's normals (2 per step), which become the increments, and
+        # beyond them the stride sums, the sampled windings (2 each per
+        # sample), the sample times and O(block) for the filter: no
+        # temporary of O(steps)
         n_steps = 200_000
 
         def draw_and_run():
@@ -833,7 +834,7 @@ class TestMemoryBounds:
                                normals=normals, sample_stride=5)
 
         _, peak = traced_peak(draw_and_run)
-        assert peak / 8 / n_steps <= 8.5
+        assert peak / 8 / n_steps <= 3.5
 
     def test_simulate_lane_peak_per_step(self):
         # one lane holds two draw buffers (4 doubles per step) and the
