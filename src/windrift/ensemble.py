@@ -58,8 +58,8 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .langevin import (OUPropagator, ThermalEnv, _as_rows, _check_fit_start,
-                       _check_samples, _cutoff_lag, _lag_sum_kernel,
-                       _msd_rates, fast_size, increment_law)
+                       _check_samples, _green_kubo_rates, _msd_rates,
+                       increment_law)
 from .rng import substream
 
 
@@ -378,18 +378,6 @@ def _record_increments(dxy, charges, geometry: TorusGeometry, inc,
         / geometry.l_x
 
 
-def _windings(inc, dt: float, sample_stride: int) -> WindingResult:
-    """Cumulative windings, sampled after every sample_stride-th step: one
-    running sum over every step, as the stepwise oracle sums them."""
-    full = np.empty((2, inc.shape[1] + 1))
-    full[:, 0] = 0.0
-    np.cumsum(inc, axis=1, out=full[:, 1:])
-    return WindingResult(
-        times=np.arange(0, inc.shape[1] + 1, sample_stride) * dt,
-        alpha=full[:, ::sample_stride].copy(), inc=inc,
-        final_alpha=tuple(full[:, -1].tolist()))
-
-
 def _stride_windings(inc, dt: float, sample_stride: int) -> WindingResult:
     """Cumulative windings, sampled after every sample_stride-th step,
     from the sums over each stride: one reduceat over the S whole strides,
@@ -475,7 +463,7 @@ def run_replica(env: ThermalEnv, geometry: TorusGeometry, n_v: int, n_a: int,
         del vseq, dxy  # the last chunk is not kept through the tail
 
     state.pos = pos_unwrapped % [geometry.l_x, geometry.l_y]
-    windings = _windings(inc, dt, sample_stride)
+    windings = _stride_windings(inc, dt, sample_stride)
     state.alpha_x, state.alpha_y = windings.final_alpha
     record_steps = np.arange(1, len(positions) + 1) * position_stride
     return ReplicaResult(
@@ -674,39 +662,13 @@ def rate_from_green_kubo(increments, dt: float,
     The rectangle sum telescopes to the exact long-time MSD growth rate
     for any dt, so no small-dt extrapolation is needed.
 
-    Gamma is linear in the lag products, so by Wiener-Khinchin each row's
-    rate is its power spectrum |F|^2, zero-padded to fast_size(N +
-    cutoff lag) so that no lag wraps, summed against a cached kernel
-    (_green_kubo_kernel): one forward FFT of all rows, and a row's rate
-    does not depend on the rows beside it.
+    Gamma is linear in the lag products, so each row's rate is its own
+    power spectrum's contraction (langevin._green_kubo_rates).
 
     increments are (R, N) per-replica rows, and a single (N,) series is
     one replica (stderr 0); per_row of the result holds each row's rate.
     """
-    rows = _as_rows(increments)
-    n = rows.shape[1]
-    lag_max = _cutoff_lag(cutoff, dt, n)
-    size = fast_size(n + lag_max)
-    f = np.fft.rfft(rows, n=size, axis=1)
-    power = f.real**2
-    power += f.imag**2
-    del f
-    power *= _green_kubo_kernel(n, lag_max, size, dt)
-    return _estimate(power.sum(axis=1))
-
-
-@lru_cache(maxsize=4)
-def _green_kubo_kernel(n: int, lag_max: int, size: int,
-                       dt: float) -> np.ndarray:
-    """K with rate = sum_m |F_m|^2 K_m over the size // 2 + 1 frequencies of
-    a row's size-point rfft: the rate is sum_k w_k S_k / dt over the lag
-    sums S_k = sum_j x[j] x[j+k], with w_0 = 0.5/n and w_k = 1/(n-k) for
-    1 <= k <= lag_max (_lag_sum_kernel). Built once per shape and
-    read-only.
-    """
-    w = 1.0 / (n - np.arange(lag_max + 1))
-    w[0] *= 0.5
-    return _lag_sum_kernel(w, size, dt)
+    return _estimate(_green_kubo_rates(_as_rows(increments), dt, cutoff))
 
 
 def pool_replicas(per_rows) -> Tuple[RateEstimate, ...]:

@@ -312,8 +312,7 @@ def _lag_products(rows, max_lag: int) -> np.ndarray:
     (R, n) -> (R, max_lag + 1), row by row by FFT (Wiener-Khinchin), every
     transform zero-padded so that no lag wraps around. The velocity ACF
     reads every lag; Green-Kubo and the MSD slope, which only weight and
-    sum them, contract |F|^2 directly (ensemble.rate_from_green_kubo,
-    _msd_rates).
+    sum them, contract |F|^2 directly (_green_kubo_rates, _msd_rates).
 
     The sums run by overlap-save over blocks of M - max_lag samples, M
     being the transform size: a block's products with itself and the next
@@ -393,6 +392,37 @@ def _msd_kernel(n: int, lag_lo: int, lag_hi: int, size: int,
     b = np.zeros(lag_hi + 1)
     b[lags] = -2.0 * weights
     return weights, _lag_sum_kernel(b, size, 1.0)
+
+
+def _green_kubo_rates(rows, dt: float, cutoff: float) -> np.ndarray:
+    """Each row's Green-Kubo rate, (R, N) -> (R,): by Wiener-Khinchin its
+    power spectrum |F|^2, zero-padded to fast_size(N + cutoff lag) so that
+    no lag wraps, contracted with a cached kernel (_green_kubo_kernel).
+    One forward FFT of all rows, which numpy.fft vectorises across rows.
+    """
+    n = rows.shape[1]
+    lag_max = _cutoff_lag(cutoff, dt, n)
+    size = fast_size(n + lag_max)
+    f = np.fft.rfft(rows, n=size, axis=1)
+    power = f.real**2
+    power += f.imag**2
+    del f
+    power *= _green_kubo_kernel(n, lag_max, size, dt)
+    return power.sum(axis=1)
+
+
+@lru_cache(maxsize=4)
+def _green_kubo_kernel(n: int, lag_max: int, size: int,
+                       dt: float) -> np.ndarray:
+    """K with rate = sum_m |F_m|^2 K_m over the size // 2 + 1 frequencies of
+    a row's size-point rfft: the rate is sum_k w_k S_k / dt over the lag
+    sums S_k = sum_j x[j] x[j+k], with w_0 = 0.5/n and w_k = 1/(n-k) for
+    1 <= k <= lag_max (_lag_sum_kernel). Built once per shape and
+    read-only.
+    """
+    w = 1.0 / (n - np.arange(lag_max + 1))
+    w[0] *= 0.5
+    return _lag_sum_kernel(w, size, dt)
 
 
 # The fit-window rules, one owner each: the MSD fits, the Green-Kubo estimator

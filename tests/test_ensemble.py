@@ -330,6 +330,17 @@ def final_windings_per_walker(env, geometry, n, dt, n_steps, seed, stream):
     return res.state.alpha_x, res.state.alpha_y
 
 
+def windings_collective(env, geometry, n_steps, stride):
+    return run_winding(env, geometry, 3, 3, 0.05, n_steps,
+                       normals=collective_normals(substream(5, 1), 6, n_steps),
+                       sample_stride=stride)
+
+
+def windings_per_walker(env, geometry, n_steps, stride):
+    return run_replica(env, geometry, 3, 3, 0.05, n_steps, master_seed=5,
+                       stream_id=1, sample_stride=stride)
+
+
 class TestWindingEngine:
     """run_winding: the collective-coordinate engine behind rates/simulate."""
 
@@ -410,16 +421,19 @@ class TestWindingEngine:
             assert (np.abs(cov[axis, :, axis] - exact).max()
                     <= 1e-13 * exact[0, 0]), axis
 
-    @pytest.mark.parametrize("n_steps,stride", [
-        (1000, 10), (1003, 10), (7, 10), (10, 10), (999, 1)])
+    # the collective engine's cases keep their plain ids
+    @pytest.mark.parametrize("windings,n_steps,stride", [
+        pytest.param(windings, n_steps, stride, id=f"{n_steps}-{stride}{tag}")
+        for windings, tag in ((windings_collective, ""),
+                              (windings_per_walker, "-per_walker"))
+        for n_steps, stride in ((1000, 10), (1003, 10), (7, 10), (10, 10),
+                                (999, 1))])
     def test_stride_sums_match_running_sum(self, square_torus, basic_env,
-                                           n_steps, stride):
-        # the windings are sums over each stride, then a running sum of
-        # those: n_steps a multiple of the stride or not, and below it
-        res = run_winding(basic_env, square_torus, 3, 3, 0.05, n_steps,
-                          normals=collective_normals(substream(5, 1), 6,
-                                                     n_steps),
-                          sample_stride=stride)
+                                           windings, n_steps, stride):
+        # both engines sample the windings as sums over each stride, then a
+        # running sum of those: n_steps a multiple of the stride or not, and
+        # below it; at stride 1 that is the running sum bit for bit
+        res = windings(basic_env, square_torus, n_steps, stride)
         full = running_windings(res.inc)
         tol = 1e-14 * np.abs(full).max()
         assert np.array_equal(res.times,
@@ -429,6 +443,8 @@ class TestWindingEngine:
         assert np.abs(np.array(res.final_alpha) - full[:, -1]).max() <= tol
         assert (np.abs(np.array(res.final_alpha) - res.inc.sum(axis=1)).max()
                 <= tol)
+        if stride == 1:
+            assert np.array_equal(res.alpha, full)
 
     def test_zero_temperature_over_blocks(self, square_torus):
         # gamma dt 0.2 over 10,000 steps spans four blocks of the filter; D
@@ -877,8 +893,9 @@ class TestMemoryBounds:
     def test_simulate_lane_peak_per_recorded_step(self, burn):
         # a burn-in draws nothing, so the lane's peak is the same per
         # recorded step whatever the burn-in: two draw buffers of 2
-        # doubles, then the running sums (2) and the sampled windings
-        # (2/5), 6.4 doubles per recorded step, plus 0.5 of slack
+        # doubles (4), the stride sums and the sampled windings (4/5),
+        # the sample times and the reduceat index (2/5), 5.2 doubles per
+        # recorded step, plus 0.5 of slack
         n_steps = 100_000
         config = parse_config(json.dumps({
             "env": {"mass": 1.0, "eta": 2.0, "temperature": 1.0},
@@ -890,7 +907,7 @@ class TestMemoryBounds:
         (trajectory, records), peak = traced_peak(cli._run_ensemble,
                                                   config, 1)
         kept = sum(a.nbytes for a in trajectory)
-        assert (peak - kept) / 8 / n_steps <= 6.4 + 0.5
+        assert (peak - kept) / 8 / n_steps <= 5.2 + 0.5
 
     def test_rates_lane_peak_within_parser_budget(self):
         # the parser refuses a run whose lane would exceed LANE_BYTES at
@@ -1203,10 +1220,10 @@ class TestGreenKuboEstimator:
         # an odd size has no bin size/2, so doubling bins 1..size/2-1
         # would leave its last bin single
         with pytest.raises(ValueError, match="even"):
-            ensemble._green_kubo_kernel(1000, 10, 1025, 0.1)
+            langevin._green_kubo_kernel(1000, 10, 1025, 0.1)
 
     def test_kernel_cached_per_shape(self):
-        kernel = ensemble._green_kubo_kernel
+        kernel = langevin._green_kubo_kernel
         kernel.cache_clear()
         inc = np.random.default_rng(4).normal(size=(2, 1000))
         first = rate_from_green_kubo(inc, dt=0.1, cutoff=1.0)
