@@ -24,7 +24,7 @@ res = run_replica(env, geo, 25, 25, dt, n_steps, master_seed=42, stream_id=0,
 
 print(f"\nRun: 50 walkers, {n_steps} steps of dt = {dt} after burn-in.")
 
-vy2 = res.chunk_vy2_sums.sum() / res.chunk_counts.sum()
+vy2 = res.chunk_vy2_sums.sum() / ((res.n_v + res.n_a) * n_steps)
 print("\n1. Equipartition")
 print(f"   <v_y^2> measured = {vy2:.4f}")
 print(f"   T/M              = {env.temperature / env.mass:.4f}")

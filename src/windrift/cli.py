@@ -372,7 +372,7 @@ def run_selftest(config: RunConfig, out_dir: Path, lanes: int) -> dict:
     res = run_replica(env, geo, 8, 8, dt, n_steps, master_seed=7, stream_id=0)
     # v_y^2 (variance 2 (T/M)^2) decorrelates in 1/(2 gamma), so each
     # walker gives about gamma * n_steps * dt independent samples
-    samples = res.chunk_counts.sum()
+    samples = (res.n_v + res.n_a) * n_steps
     ratio = res.chunk_vy2_sums.sum() / samples / (env.temperature / env.mass)
     check("equipartition <v_y^2> = T/M within 4 standard errors",
           abs(ratio - 1) < 4 * np.sqrt(2 / (env.gamma * dt * samples)))
