@@ -30,7 +30,8 @@ import numpy as np
 
 from . import design as design_mod
 from .bessel import bessel_k
-from .config import SUBCOMMANDS, RunConfig, parse_config
+from .config import (SUBCOMMANDS, DesignConfig, EnsembleConfig, FieldsConfig,
+                     RatesConfig, RunConfig, parse_config)
 from .ensemble import (TorusGeometry, analytic_rate,
                        collective_normals, collective_size,
                        even_mean_population, mean_population, pool_replicas,
@@ -152,7 +153,7 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, _KEEP_BYTES)
 
 
-def _run_ensemble(config: RunConfig, lanes: int):
+def _run_ensemble(config: EnsembleConfig, lanes: int):
     """Each replica simulated and reduced in its lane. Returns replica 0's
     sampled (times, alpha_x, alpha_y) and the records in replica order.
 
@@ -170,7 +171,6 @@ def _run_ensemble(config: RunConfig, lanes: int):
     over many small numpy operations.
     """
     env, geo, pop = config.env, config.geometry, config.population
-    window = (config.fit_t_min, config.fit_t_max)
     replicas = iter(range(config.replicas))
     trajectory = []     # filled by the lane that runs replica 0
 
@@ -193,9 +193,10 @@ def _run_ensemble(config: RunConfig, lanes: int):
         if config.subcommand != "rates":
             return _Reduced(counts, res.final_alpha, ())
         green_kubo = rate_from_green_kubo(res.inc, config.dt,
-                                          config.gk_cutoff)
+                                          config.green_kubo_cutoff)
         msd = rate_from_msd(config.dt * config.sample_stride, res.alpha,
-                            window, gamma=env.gamma)
+                            (config.fit_t_min, config.fit_t_max),
+                            gamma=env.gamma)
         return _Reduced(counts, res.final_alpha,
                         (msd.per_row, green_kubo.per_row))
 
@@ -224,7 +225,7 @@ def _predicted_dict(rate: float) -> dict:
                 storage_time=1.0 / rate if rate > 0.0 else float("inf"))
 
 
-def _rates_summary(config: RunConfig, records, mean_nv: float,
+def _rates_summary(config: RatesConfig, records, mean_nv: float,
                    mean_na: float) -> dict:
     # each estimator's per-replica (x, y) rows, pooled per axis
     msd_xy, gk_xy = (pool_replicas(per_rows) for per_rows
@@ -246,20 +247,13 @@ def _rates_summary(config: RunConfig, records, mean_nv: float,
     return {"rates": rates, "per_replica_rates": per_replica}
 
 
-def _config_echo(config: RunConfig) -> dict:
-    """Physics-relevant config fields the run reads (no paths, no lanes)."""
-    echo = {"subcommand": config.subcommand, "dt": config.dt,
-            "total_time": config.total_time, "burn_in": config.burn_in,
-            "replicas": config.replicas,
-            "sample_stride": config.sample_stride,
-            "fit_t_min": config.fit_t_min, "fit_t_max": config.fit_t_max,
-            "green_kubo_cutoff": config.gk_cutoff}
-    for key in ("env", "geometry", "population"):
-        echo[key] = asdict(getattr(config, key))
-    return {key: value for key, value in echo.items() if value is not None}
+def _config_echo(config: EnsembleConfig) -> dict:
+    """The config fields the run reads, less paths and the step count."""
+    return {key: value for key, value in asdict(config).items()
+            if key not in ("master_seed", "output_dir", "n_steps")}
 
 
-def run_ensemble(config: RunConfig, out_dir: Path, lanes: int) -> dict:
+def run_ensemble(config: EnsembleConfig, out_dir: Path, lanes: int) -> dict:
     """Write trajectory.csv and summary.json; rates adds the rate estimates."""
     trajectory, records = _run_ensemble(config, lanes)
     population = {"per_replica_n_v": [rec.counts[0] for rec in records],
@@ -285,7 +279,7 @@ def run_ensemble(config: RunConfig, out_dir: Path, lanes: int) -> dict:
     return summary
 
 
-def run_fields(config: RunConfig, out_dir: Path, lanes: int) -> dict:
+def run_fields(config: FieldsConfig, out_dir: Path, lanes: int) -> dict:
     scales = derive_scales(config.material, c_light=config.c_light)
     grid = config.field_table
     r = np.geomspace(grid.r_min, grid.r_max, grid.n_points)
@@ -309,7 +303,7 @@ def run_fields(config: RunConfig, out_dir: Path, lanes: int) -> dict:
     return summary
 
 
-def run_design(config: RunConfig, out_dir: Path, lanes: int) -> dict:
+def run_design(config: DesignConfig, out_dir: Path, lanes: int) -> dict:
     dev = config.device
     split = design_mod.level_splitting(dev, r_unit_m=config.r_unit_m)
     flux_quantum = 2.0 * math.pi / config.design_g_coupling

@@ -18,10 +18,10 @@ checks each number against the table's rule (finite; integer, > 0 or
 >= 0 where the consumer needs it). Every diagnostic names the key.
 
 The parser also resolves what the runs would otherwise derive: the step
-count, the fit-window and Green-Kubo defaults, and the field grid. A
-RunConfig field the subcommand does not read is None. Parsing the same
-document twice yields equal RunConfig objects; together with the master
-seed this makes runs fully reproducible.
+count, the fit-window and Green-Kubo defaults, and the field grid. Each
+subcommand's config class holds exactly the fields its run reads.
+Parsing the same document twice yields equal configs; together with the
+master seed this makes runs fully reproducible.
 """
 
 import json
@@ -84,34 +84,51 @@ class AnyonSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated, fully resolved run description; unread fields are None."""
+    """Validated, resolved run description: selftest's, and every config's."""
 
     subcommand: str
     master_seed: int
     output_dir: str
-    # simulate, rates
-    env: Optional[ThermalEnv] = None
-    geometry: Optional[TorusGeometry] = None
-    population: Optional[PopulationSpec] = None
-    dt: Optional[float] = None
-    total_time: Optional[float] = None
-    n_steps: Optional[int] = None
-    replicas: Optional[int] = None
-    sample_stride: Optional[int] = None
-    # simulate: burn_in; rates: the fit window and Green-Kubo cutoff
-    burn_in: Optional[float] = None
-    fit_t_min: Optional[float] = None
-    fit_t_max: Optional[float] = None
-    gk_cutoff: Optional[float] = None
-    # fields; c_light also design
-    material: Optional[MaterialParams] = None
-    field_table: Optional[FieldTableSpec] = None
-    c_light: Optional[float] = None
-    # design
-    device: Optional[DeviceSpec] = None
-    anyon: Optional[AnyonSpec] = None
-    r_unit_m: Optional[float] = None
-    design_g_coupling: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class EnsembleConfig(RunConfig):
+    env: ThermalEnv
+    geometry: TorusGeometry
+    population: PopulationSpec
+    dt: float
+    total_time: float
+    n_steps: int
+    replicas: int
+    sample_stride: int
+
+
+@dataclass(frozen=True)
+class SimulateConfig(EnsembleConfig):
+    burn_in: float
+
+
+@dataclass(frozen=True)
+class RatesConfig(EnsembleConfig):
+    fit_t_min: float
+    fit_t_max: float
+    green_kubo_cutoff: float
+
+
+@dataclass(frozen=True)
+class FieldsConfig(RunConfig):
+    material: MaterialParams
+    field_table: FieldTableSpec
+    c_light: float
+
+
+@dataclass(frozen=True)
+class DesignConfig(RunConfig):
+    device: DeviceSpec
+    anyon: Optional[AnyonSpec]
+    c_light: float
+    r_unit_m: float
+    design_g_coupling: float
 
 
 # Block tables: key -> (rule, default). A rule is ">0", ">=0", "int>0",
@@ -159,18 +176,6 @@ _ENSEMBLE = dict(
     population=(_population_table, REQUIRED), dt=(">0", REQUIRED),
     total_time=(">0", REQUIRED), replicas=("int>0", 20),
     sample_stride=("int>0", 10))
-_TABLES = {
-    # no simulate run reads burn_in; it stays only for bench/job.py
-    "simulate": dict(_ENSEMBLE, burn_in=(">=0", 0.0)),
-    "rates": dict(_ENSEMBLE, fit=(_FIT, {}), green_kubo_cutoff=(">0", None)),
-    "fields": dict(_COMMON, material=(_MATERIAL, REQUIRED),
-                   fields=(_FIELDS, {}), c_light=(">0", 1.0)),
-    "design": dict(_COMMON, device=(_DEVICE, REQUIRED), anyon=(_ANYON, None),
-                   c_light=(">0", 1.0), r_unit_m=(">0", 1.0),
-                   design_g_coupling=(">0", 1.0)),
-    "selftest": _COMMON,
-}
-SUBCOMMANDS = tuple(_TABLES)
 
 
 def _number(value, name: str, rule: str):
@@ -283,7 +288,8 @@ def _simulation(v: dict, subcommand: str) -> dict:
     t_min, t_max = fit["t_min"] or default_min, fit["t_max"] or default_max
     cutoff = v["green_kubo_cutoff"] or 20.0 / env.gamma
     _check_rate_windows(env, dt, n_steps, stride, t_min, t_max, cutoff)
-    return dict(run, fit_t_min=t_min, fit_t_max=t_max, gk_cutoff=cutoff)
+    return dict(run, fit_t_min=t_min, fit_t_max=t_max,
+                green_kubo_cutoff=cutoff)
 
 
 def _fields(v: dict, subcommand: str) -> dict:
@@ -309,8 +315,22 @@ def _design(v: dict, subcommand: str) -> dict:
                 design_g_coupling=v["design_g_coupling"])
 
 
-_RESOLVE = {"simulate": _simulation, "rates": _simulation, "fields": _fields,
-            "design": _design, "selftest": lambda v, subcommand: {}}
+_SUBCOMMANDS = {    # subcommand -> (config class, key table, resolver)
+    # no simulate run reads burn_in; it stays only for bench/job.py
+    "simulate": (SimulateConfig, dict(_ENSEMBLE, burn_in=(">=0", 0.0)),
+                 _simulation),
+    "rates": (RatesConfig, dict(_ENSEMBLE, fit=(_FIT, {}),
+                                green_kubo_cutoff=(">0", None)), _simulation),
+    "fields": (FieldsConfig, dict(_COMMON, material=(_MATERIAL, REQUIRED),
+                                  fields=(_FIELDS, {}), c_light=(">0", 1.0)),
+               _fields),
+    "design": (DesignConfig, dict(
+        _COMMON, device=(_DEVICE, REQUIRED), anyon=(_ANYON, None),
+        c_light=(">0", 1.0), r_unit_m=(">0", 1.0),
+        design_g_coupling=(">0", 1.0)), _design),
+    "selftest": (RunConfig, _COMMON, lambda v, subcommand: {}),
+}
+SUBCOMMANDS = tuple(_SUBCOMMANDS)
 
 
 def parse_config(text: str, subcommand: str) -> RunConfig:
@@ -327,7 +347,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         raise ConfigError(f"malformed JSON config: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    table = _TABLES[subcommand]
+    config_class, table, resolve = _SUBCOMMANDS[subcommand]
     for key, (rule, default) in table.items():
         if default is REQUIRED and not isinstance(rule, str) \
                 and key not in doc:
@@ -337,7 +357,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
     if values["master_seed"] >= 1 << 64:    # a Philox key word (rng.substream)
         raise ConfigError(f"'master_seed' must be below 2**64, got "
                           f"{values['master_seed']}")
-    return RunConfig(subcommand=subcommand,
-                     master_seed=values["master_seed"],
-                     output_dir=values["output_dir"],
-                     **_RESOLVE[subcommand](values, subcommand))
+    return config_class(subcommand=subcommand,
+                        master_seed=values["master_seed"],
+                        output_dir=values["output_dir"],
+                        **resolve(values, subcommand))

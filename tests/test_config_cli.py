@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -56,7 +57,7 @@ class TestParsing:
         assert cfg.fit_t_min == pytest.approx(10.0 / cfg.env.gamma)
         # min(50/gamma, total_time/2)
         assert cfg.fit_t_max == pytest.approx(25.0)
-        assert cfg.gk_cutoff == pytest.approx(20.0 / cfg.env.gamma)
+        assert cfg.green_kubo_cutoff == pytest.approx(20.0 / cfg.env.gamma)
         assert cfg.replicas == 4
 
     def test_negative_eta_names_key(self):
@@ -306,19 +307,30 @@ class TestKeySets:
         assert (cfg.n_steps, cfg.burn_in) == (600, 0.26)
 
     UNREAD = {"rates": ("burn_in",),
-              "simulate": ("fit_t_min", "fit_t_max", "gk_cutoff")}
+              "simulate": ("fit_t_min", "fit_t_max", "green_kubo_cutoff")}
 
     @pytest.mark.parametrize("subcommand", ["fields", "design", "selftest",
                                             "rates", "simulate"])
     def test_unread_fields_are_none(self, subcommand):
+        # none of them exists on the subcommand's config class, and the
+        # old name of green_kubo_cutoff is gone from every class
         doc = BASE_DOCS[subcommand]
         cfg = parse_config(json.dumps(doc), subcommand)
         for name in self.UNREAD.get(subcommand, (
                 "env", "dt", "total_time", "n_steps", "replicas",
-                "sample_stride", "burn_in", "fit_t_min", "gk_cutoff")):
-            assert getattr(cfg, name) is None
+                "sample_stride", "burn_in", "fit_t_min",
+                "green_kubo_cutoff")) + ("gk_cutoff",):
+            assert not hasattr(cfg, name), name
         assert (cfg.master_seed, cfg.output_dir) == \
             (doc.get("master_seed", 0), "windrift_out")
+
+    @pytest.mark.parametrize("subcommand", ["rates", "simulate"])
+    def test_echo_is_every_field_read(self, tmp_path, subcommand):
+        cfg = parse_config(config_text(), subcommand)
+        summary = run(cfg, output_dir=tmp_path)
+        assert set(summary["config_echo"]) == \
+            {field.name for field in dataclasses.fields(cfg)} \
+            - {"master_seed", "output_dir", "n_steps"}
 
 
 class TestSerialization:
@@ -437,7 +449,8 @@ class TestRunRates:
                     [res.alpha[i] for res in results],
                     (cfg.fit_t_min, cfg.fit_t_max), gamma=cfg.env.gamma),
                 "green_kubo": rate_from_green_kubo(
-                    [res.inc[i] for res in results], cfg.dt, cfg.gk_cutoff)}
+                    [res.inc[i] for res in results], cfg.dt,
+                    cfg.green_kubo_cutoff)}
             for method, est in expected.items():
                 reported = summary["rates"][axis][method]
                 assert (reported["gamma"], reported["stderr"]) == \
@@ -502,6 +515,21 @@ class TestBenchPatchedNames:
         # one (x, y) call per estimator and replica
         assert sorted(calls) == ["rate_from_green_kubo"] * 4 \
             + ["rate_from_msd"] * 4
+
+    def test_config_fields_read_by_bench(self):
+        # bench/job.py runs the diagnostics workload from a parsed simulate
+        # config of this shape and reads these eight fields of it
+        doc = {"env": {"mass": 2.0, "eta": 2.0, "temperature": 4.0},
+               "geometry": {"l_x": 100.0, "l_y": 100.0},
+               "population": {"mode": "fixed", "n_v": 50, "n_a": 50},
+               "dt": 0.01, "burn_in": 50.0, "replicas": 1,
+               "total_time": 100.0, "master_seed": 12}
+        cfg = parse_config(json.dumps(doc), "simulate")
+        assert cfg.env == windrift.ThermalEnv(**doc["env"])
+        assert cfg.geometry == windrift.TorusGeometry(**doc["geometry"])
+        assert (cfg.population.n_v, cfg.population.n_a) == (50, 50)
+        assert (cfg.dt, cfg.total_time, cfg.burn_in) == (0.01, 100.0, 50.0)
+        assert (cfg.master_seed, cfg.sample_stride) == (12, 10)
 
     def test_replica_result_fields_read_by_bench(self):
         # bench/job.py reads the v_y^2 ratio, the series, the final state
