@@ -58,8 +58,8 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .langevin import (OUPropagator, ThermalEnv, _as_rows, _check_fit_start,
-                       _check_samples, _green_kubo_rates, _msd_rates,
-                       increment_law)
+                       _check_positive_finite, _check_samples,
+                       _green_kubo_rates, _msd_rates, increment_law)
 from .rng import substream
 
 
@@ -109,8 +109,7 @@ def _check_counts(n_v: int, n_a: int) -> None:
 
 def _check_steps(dt: float, n_steps: int, sample_stride: int,
                  burn_in_steps: int = 0) -> None:
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    _check_positive_finite("step dt", dt)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if sample_stride < 1:
@@ -644,8 +643,7 @@ def rate_from_msd(spacing: float, alphas, fit_window, *,
         holds each row's rate.
     """
     spacing = float(spacing)
-    if not spacing > 0.0:
-        raise ValueError(f"sample spacing must be positive, got {spacing}")
+    _check_positive_finite("sample spacing", spacing)
     if gamma is not None:
         _check_fit_start(fit_window[0], gamma)
     rows = _as_rows(alphas)

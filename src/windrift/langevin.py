@@ -18,6 +18,13 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 
+def _check_positive_finite(name: str, value: float) -> None:
+    """The rule for a step, spacing, cutoff or material constant: 0 < value
+    < inf, refused by name; NaN fails it too."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ThermalEnv:
     """Vortex mass, viscosity, temperature; gamma = eta/mass is cached."""
@@ -28,10 +35,10 @@ class ThermalEnv:
 
     def __post_init__(self):
         for name in ("mass", "eta"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"ThermalEnv.{name} must be positive")
-        if self.temperature < 0.0:
-            raise ValueError("ThermalEnv.temperature must be >= 0")
+            _check_positive_finite(f"ThermalEnv.{name}", getattr(self, name))
+        if not 0.0 <= self.temperature < math.inf:
+            raise ValueError(f"ThermalEnv.temperature must be >= 0 and "
+                             f"finite, got {self.temperature}")
 
     @property
     def gamma(self) -> float:
@@ -59,8 +66,7 @@ class OUPropagator:
 
     @classmethod
     def build(cls, env: ThermalEnv, dt: float) -> "OUPropagator":
-        if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        _check_positive_finite("step dt", dt)
         gamma = env.gamma
         x = gamma * dt
         decay = np.exp(-x)
@@ -185,6 +191,7 @@ def velocity_autocorrelation(series, dt: float, max_lag: int
         Lag times, unbiased product averages, and the fitted
         amplitude/decay with standard errors (_fit_exponential).
     """
+    _check_positive_finite("sample spacing dt", dt)
     if max_lag < 2:
         raise ValueError(f"max_lag must be >= 2, got {max_lag}: a "
                          f"two-parameter fit needs three lags or more")
@@ -472,10 +479,8 @@ def _fit_lags(t_min: float, t_max: float, spacing: float,
 def _cutoff_lag(cutoff: float, dt: float, n_samples: int) -> int:
     """Green-Kubo cutoff in steps: dt and the cutoff must be positive and
     finite, and the lag must reach 1 and stay below the series length."""
-    for name, value in (("step dt", dt), ("cutoff", cutoff)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got "
-                             f"{value}")
+    _check_positive_finite("step dt", dt)
+    _check_positive_finite("cutoff", cutoff)
     lags = cutoff / dt      # overflows to inf only beyond any series
     lag_max = int(round(lags)) if lags < math.inf else lags
     if lag_max < 1:
@@ -516,6 +521,7 @@ def einstein_diffusion_check(positions, dt: float, env: ThermalEnv
         Per-coordinate, per-walker slopes are averaged; the quoted error
         is the standard error of that scatter.
     """
+    _check_positive_finite("sample spacing dt", dt)
     pos = np.asarray(positions, dtype=float)
     n_samples = pos.shape[0]
     _check_samples(n_samples)

@@ -39,6 +39,51 @@ class TestThermalEnv:
             ThermalEnv(mass=1.0, eta=-1.0, temperature=1.0)
 
 
+    @pytest.mark.parametrize("value", [-0.1, np.nan, np.inf])
+    def test_rejects_bad_temperature_by_name(self, value):
+        with pytest.raises(ValueError, match="ThermalEnv.temperature must "
+                                             "be >= 0 and finite"):
+            ThermalEnv(mass=1.0, eta=1.0, temperature=value)
+
+
+_ENV = ThermalEnv(mass=1.0, eta=2.0, temperature=1.0)
+_GEO = TorusGeometry(l_x=10.0, l_y=10.0)
+
+# every entry point that takes a step, a sample spacing or a material
+# constant: the name it refuses a bad value by, and a call with that value
+BAD_STEP_ENTRIES = {
+    "run_replica": ("step dt", lambda v: run_replica(_ENV, _GEO, 2, 2, v,
+                                                     100)),
+    "run_winding": ("step dt", lambda v: run_winding(
+        _ENV, _GEO, 2, 2, v, 100,
+        normals=collective_normals(substream(0, 0), 4, 100))),
+    "OUPropagator.build": ("step dt", lambda v: OUPropagator.build(_ENV, v)),
+    "velocity_autocorrelation": ("sample spacing dt", lambda v:
+                                 velocity_autocorrelation(np.ones(100), v,
+                                                          max_lag=5)),
+    "einstein_diffusion_check": ("sample spacing dt", lambda v:
+                                 einstein_diffusion_check(
+                                     np.zeros((500, 2, 2)), v, _ENV)),
+    "rate_from_msd": ("sample spacing", lambda v: rate_from_msd(
+        v, np.zeros(400), fit_window=(5.0, 15.0))),
+    "rate_from_green_kubo": ("step dt", lambda v: rate_from_green_kubo(
+        np.ones((2, 100)), dt=v, cutoff=1.0)),
+    "ThermalEnv.mass": ("ThermalEnv.mass", lambda v: ThermalEnv(
+        mass=v, eta=1.0, temperature=1.0)),
+    "ThermalEnv.eta": ("ThermalEnv.eta", lambda v: ThermalEnv(
+        mass=1.0, eta=v, temperature=1.0)),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -0.1, np.nan, np.inf])
+@pytest.mark.parametrize("entry", list(BAD_STEP_ENTRIES))
+def test_nonpositive_or_nonfinite_step_refused_by_name(entry, value):
+    name, call = BAD_STEP_ENTRIES[entry]
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be positive and finite, got "):
+        call(value)
+
+
 class TestExactPropagator:
     def test_noise_free_single_step(self):
         # T=0, v0=(1,0), gamma=1, dt=1: v -> e^-1, x advances 1 - e^-1
