@@ -873,9 +873,10 @@ class TestMemoryBounds:
     def test_simulate_lane_peak_per_step_two_normals(self):
         # the same lane at two normals per step: two draw buffers of 2
         # doubles per recorded step (a burn-in draws nothing), and at the
-        # peak the running sums (2) and the sampled windings (2/5) per
-        # recorded step: 6.4 doubles per recorded step, 5.3 per burn-in
-        # and recorded step with 1/6 of the steps in burn-in
+        # peak the stride sums and the sampled windings (4/5) and the
+        # sample times and the reduceat index (2/5) per recorded step:
+        # 5.2 doubles per recorded step, 4.3 per burn-in and recorded step
+        # with 1/6 of the steps in burn-in
         burn, n_steps = 20_000, 100_000
         config = parse_config(json.dumps({
             "env": {"mass": 1.0, "eta": 2.0, "temperature": 1.0},
@@ -1007,8 +1008,8 @@ class TestMemoryBounds:
                         reason="malloc trimming is glibc's")
     def test_rates_first_run_faults_each_lane_once(self, tmp_path):
         # a fresh process, so malloc starts from glibc's defaults. Each lane
-        # faults its series in once: two draw buffers (8 doubles per step)
-        # and the engine's and estimators' transients (at most 8 more). If
+        # faults its series in once: two draw buffers (4 doubles per step)
+        # and the engine's and estimators' transients, within 16 in all. If
         # malloc handed freed replicas back to the OS, later replicas would
         # fault them in again: more than twice the bound at 10 per lane
         lanes, n_steps = 2, 100_000
