@@ -248,7 +248,7 @@ def _rates_summary(config: RatesConfig, records, mean_nv: float,
 
 
 def _config_echo(config: EnsembleConfig) -> dict:
-    """The config fields the run reads, less paths and the step count."""
+    """The fields the run reads, less the seed, paths and step count."""
     return {key: value for key, value in asdict(config).items()
             if key not in ("master_seed", "output_dir", "n_steps")}
 
