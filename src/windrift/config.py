@@ -84,7 +84,8 @@ class AnyonSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated, resolved run description: selftest's, and every config's."""
+    """Validated, resolved run description: selftest's, and every other's
+    base; no config class holds a field its run does not read."""
 
     subcommand: str
     master_seed: int
